@@ -19,6 +19,10 @@ for s in (0.5, 1.0, 2.0):
     print(study.csv())
     print(f"  final slope {study.slope:.4f} (envelope predicts {-(s + 0.5):.2f})")
     print(f"  bound ratio max/min over N: {study.bound_window:.4f}")
+    # The estimate only bounds tail * N^s from above, and the halving
+    # slopes trail the limiting rate by O(1/N); these two test that promise.
+    print(f"  one-sided ratio max/first over N: {study.one_sided_ratio:.4f}")
+    print(f"  extrapolated slope: {study.extrapolated_slope:.4f}")
     print()
 
 # The same study with honest finite element solves at every wavenumber.

@@ -28,13 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .expressions import ExpressionError, ExpressionField, ScalarExpressionField
-from .fem import (
-    FemScalarField,
-    FemSpace,
-    assemble,
-    assemble_divergence_rhs,
-    boundary_flux,
-)
+from .fem import FemScalarField, FemSpace, assemble, boundary_flux
 from .fourier import FourierStack, ModeVectors, write_stack, read_stack
 from .meshing import (
     DomainSpec,
@@ -332,13 +326,7 @@ def cmd_solve(args) -> int:
     def solve_one(k: int):
         f, g_div = _mode_data(config, k)
         system = assemble(space, k)
-        solution = solve_mode(system, f=f, g_div=g_div, config=config.solver)
-        compat = None
-        if k == 0:
-            G = assemble_divergence_rhs(space, g_div, system.rule)
-            G_hat = G - system.B_full @ system.constraints.fix
-            compat = complex(np.sum(G_hat))
-        return solution, compat
+        return solve_mode(system, f=f, g_div=g_div, config=config.solver)
 
     started = time.perf_counter()
     results = {}
@@ -361,7 +349,7 @@ def cmd_solve(args) -> int:
     reports_u, reports_p = [], []
     broke = []
     for k in sorted(results):
-        solution, compat = results[k]
+        solution = results[k]
         modes[k] = ModeVectors(solution.u, solution.p)
         rep_u, rep_p = _mode_norm_rows(mesh, space, k, solution.u, solution.p)
         reports_u.append(rep_u)
@@ -379,8 +367,11 @@ def cmd_solve(args) -> int:
             f"mode {k:+d}: {note}, res_u={rpt.res_u:.3e}, res_p={rpt.res_p:.3e}, "
             f"|u|_h1k={rep_u.h1k:.6e}, |p|_l2={rep_p.l2_1:.6e}"
         )
-        if compat is not None:
-            print(f"mode {k:+d}: compatibility flux defect {abs(compat):.3e}")
+        if rpt.compatibility_flux is not None:
+            print(
+                f"mode {k:+d}: compatibility flux defect "
+                f"{abs(rpt.compatibility_flux):.3e}"
+            )
         if rpt.residuals:
             path = out / f"residuals_k{k}.csv"
             path.write_text(rpt.residual_csv())
@@ -557,7 +548,9 @@ def cmd_truncation(args) -> int:
         print(
             f"final slope {study.slope:.4f} (decay exponent -(s+1/2) = {-(s + 0.5):.4f}), "
             f"bound window {study.bound_window:.4f}, "
-            f"max growth {study.bound_growth:.4f}"
+            f"max growth {study.bound_growth:.4f}, "
+            f"one-sided ratio {study.one_sided_ratio:.4f}, "
+            f"extrapolated slope {study.extrapolated_slope:.4f}"
         )
         print(f"written to {config.out_dir / name}")
     return 0

@@ -267,18 +267,30 @@ class ModeConstraints:
 
     ``C`` maps the free vector to the full component-major velocity vector
     and ``fix`` carries the pinned values, so u_full = C u_free + fix.
+    ``free_rows`` is the index in the full vector of each free unknown.
     """
 
     k: int
     C: sp.csr_matrix
     fix: np.ndarray
-    free_dofs: list
+    free_rows: np.ndarray
     n_fixed: int
     n_slaved: int
 
     @property
     def n_free(self) -> int:
         return self.C.shape[1]
+
+    @property
+    def free_comp(self) -> np.ndarray:
+        """Velocity component of each free unknown."""
+        return self.free_rows // (self.C.shape[0] // 3)
+
+    @property
+    def free_dofs(self) -> list:
+        """(component, dof) pair of each free unknown."""
+        comp, dof = np.divmod(self.free_rows, self.C.shape[0] // 3)
+        return list(zip(comp.tolist(), dof.tolist()))
 
 
 def _axis_violation(k: int, gr, gt, gz) -> float:
@@ -315,18 +327,17 @@ def mode_constraints(
                 vals = np.asarray(fn.value(coords[:, 0], coords[:, 1]), dtype=complex)
                 fix[c * n + wall] = np.broadcast_to(vals, wall.shape)
 
-    axis_only = sorted(space.axis_dofs - space.wall_dofs)
+    axis_only = np.array(sorted(space.axis_dofs - space.wall_dofs), dtype=np.int64)
     n_slaved = 0
-    for d in axis_only:
-        if k == 0:
-            state[COMP_R, d] = _FIXED
-            state[COMP_T, d] = _FIXED
-        elif abs(k) == 1:
-            state[COMP_Z, d] = _FIXED
-            state[COMP_R, d] = _SLAVE
-            n_slaved += 1
-        else:
-            state[:, d] = _FIXED
+    if k == 0:
+        state[COMP_R, axis_only] = _FIXED
+        state[COMP_T, axis_only] = _FIXED
+    elif abs(k) == 1:
+        state[COMP_Z, axis_only] = _FIXED
+        state[COMP_R, axis_only] = _SLAVE
+        n_slaved = axis_only.size
+    else:
+        state[:, axis_only] = _FIXED
 
     if g is not None and space.corner_dofs:
         for d in sorted(space.corner_dofs):
@@ -340,32 +351,26 @@ def mode_constraints(
                     stacklevel=2,
                 )
 
-    rows, cols, vals = [], [], []
-    free_dofs = []
-    for c in range(3):
-        for d in range(n):
-            if state[c, d] == _FREE:
-                col = len(free_dofs)
-                free_dofs.append((c, d))
-                rows.append(c * n + d)
-                cols.append(col)
-                vals.append(1.0 + 0.0j)
-    if abs(k) == 1:
-        master_col = {cd: i for i, cd in enumerate(free_dofs)}
-        for d in axis_only:
-            if state[COMP_R, d] == _SLAVE:
-                col = master_col[(COMP_T, d)]
-                rows.append(COMP_R * n + d)
-                cols.append(col)
-                vals.append(-1j * k)
+    # Free unknowns in component-major order; a slaved radial unknown takes
+    # its column from the angular unknown at the same node.
+    free_rows = np.flatnonzero(state.ravel() == _FREE)
+    n_free = free_rows.size
+    rows, cols = [free_rows], [np.arange(n_free)]
+    vals = [np.ones(n_free, dtype=complex)]
+    if n_slaved:
+        col_of = np.empty(3 * n, dtype=np.int64)
+        col_of[free_rows] = np.arange(n_free)
+        rows.append(COMP_R * n + axis_only)
+        cols.append(col_of[COMP_T * n + axis_only])
+        vals.append(np.full(n_slaved, -1j * k))
     C = sp.csr_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-        shape=(3 * n, len(free_dofs)),
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(3 * n, n_free),
         dtype=complex,
     )
     n_fixed = int(np.count_nonzero(state == _FIXED))
     return ModeConstraints(
-        k=k, C=C, fix=fix, free_dofs=free_dofs, n_fixed=n_fixed, n_slaved=n_slaved
+        k=k, C=C, fix=fix, free_rows=free_rows, n_fixed=n_fixed, n_slaved=n_slaved
     )
 
 
@@ -401,14 +406,24 @@ def assemble_divergence_rhs(space: FemSpace, g_div, rule: QuadratureRule = None)
     return G
 
 
+def spd_factor(A: sp.spmatrix):
+    """Sparse LU of a real symmetric positive definite matrix.
+
+    Minimum degree on the structure of A^T + A fits a symmetric matrix and
+    roughly halves the fill of the default COLAMD column ordering.
+    """
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
+
+
 @dataclass
 class SaddleSystem:
     """One mode's constrained saddle problem, ready for right sides.
 
     Holds the full and reduced operators; ``rhs`` folds data and pinned
     values into the free unknowns.  The reduced velocity block ``A_hat``
-    is Hermitian positive definite, ``B_hat`` has full rank except for the
-    axisymmetric constant pressure, represented by ``m_free``.
+    is Hermitian positive definite (``a_solve`` applies its inverse),
+    ``B_hat`` has full rank except for the axisymmetric constant pressure,
+    represented by ``m_vec``.
     """
 
     space: FemSpace
@@ -422,6 +437,7 @@ class SaddleSystem:
     Mp: sp.csr_matrix
     m_vec: np.ndarray
     _a_factor: object = field(default=None, repr=False)
+    _a_scale: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_free(self) -> int:
@@ -460,9 +476,27 @@ class SaddleSystem:
         return full.reshape(3, self.space.n_vel)
 
     def a_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A_hat^-1 rhs for a vector or a block of columns, as complex.
+
+        With D = diag(i on the free angular unknowns when k != 0, 1
+        elsewhere), u_theta = i w makes D* A_hat D exactly real symmetric
+        positive definite.  It is factored once, and A_hat^-1 = D (D* A_hat
+        D)^-1 D* applies it to the real and imaginary parts of the scaled
+        right side side by side, in one real solve.
+        """
         if self._a_factor is None:
-            self._a_factor = spla.splu(self.A_hat.tocsc())
-        return self._a_factor.solve(rhs)
+            angular = (self.constraints.free_comp == COMP_T) & (self.k != 0)
+            self._a_scale = np.where(angular, 1j, 1.0)
+            D = sp.diags(self._a_scale)
+            self._a_factor = spd_factor((D.conj() @ self.A_hat @ D).real)
+        d = self._a_scale if rhs.ndim == 1 else self._a_scale[:, None]
+        c = d.conj() * rhs
+        if not np.any(c.imag):
+            return d * self._a_factor.solve(c.real)
+        cols = c.reshape(c.shape[0], -1)
+        m = cols.shape[1]
+        x = self._a_factor.solve(np.hstack([cols.real, cols.imag]))
+        return d * (x[:, :m] + 1j * x[:, m:]).reshape(c.shape)
 
     def energy_norm(self, u_free: np.ndarray) -> float:
         return float(np.sqrt(max(np.vdot(u_free, self.A_hat @ u_free).real, 0.0)))

@@ -28,7 +28,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import ModeSolution, SaddleSystem
+from .fem import COMP_T, ModeSolution, SaddleSystem, spd_factor
 
 __all__ = [
     "InfSupEstimate",
@@ -87,6 +87,7 @@ class SolveReport:
     res_p: float = 0.0
     fast_path: bool = False
     mean_multiplier: float = 0.0
+    compatibility_flux: complex = None
     breakdown: str = None
     residuals: list = field(default_factory=list)
 
@@ -209,13 +210,6 @@ def _uzawa_core(a_solve, A, B, F, G, mp_factor, m, e, config, dtype):
     return u, p, iterations, converged, history
 
 
-def _component_split(system):
-    free = system.constraints.free_dofs
-    idx_t = np.array([i for i, (c, _) in enumerate(free) if c == 1], dtype=np.int64)
-    idx_rz = np.array([i for i, (c, _) in enumerate(free) if c != 1], dtype=np.int64)
-    return idx_rz, idx_t
-
-
 def _mp_factor(system):
     return spla.splu(system.Mp.tocsc().astype(complex))
 
@@ -235,6 +229,8 @@ def solve_mode(
     report = SolveReport(
         k=k, method=config.method, n_free=system.n_free, n_p=system.n_p
     )
+    if k == 0:
+        report.compatibility_flux = complex(np.sum(G_hat))
 
     real_data = (
         k == 0
@@ -288,7 +284,8 @@ def _solve_k0_real(system, F_hat, G_hat, config, report):
     elliptic problem.
     """
     report.fast_path = True
-    idx_rz, idx_t = _component_split(system)
+    angular = system.constraints.free_comp == COMP_T
+    idx_rz, idx_t = np.flatnonzero(~angular), np.flatnonzero(angular)
     A = system.A_hat.real.tocsr()
     A_rz = A[idx_rz][:, idx_rz].tocsc()
     A_t = A[idx_t][:, idx_t].tocsc()
@@ -303,7 +300,7 @@ def _solve_k0_real(system, F_hat, G_hat, config, report):
         u_rz, p = u_rz.real, p.real
         report.mean_multiplier = mult
     else:
-        lu_rz = spla.splu(A_rz)
+        lu_rz = spd_factor(A_rz)
         mp = spla.splu(system.Mp.tocsc()) if config.pressure_mass_precond else None
         u_rz, p, its, conv, hist = _uzawa_core(
             lu_rz.solve,
@@ -324,7 +321,7 @@ def _solve_k0_real(system, F_hat, G_hat, config, report):
                 stacklevel=2,
             )
     if idx_t.size:
-        u_t = spla.splu(A_t).solve(F_t)
+        u_t = spd_factor(A_t).solve(F_t)
     else:
         u_t = np.zeros(0)
     u_free = np.zeros(system.n_free, dtype=complex)

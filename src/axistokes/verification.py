@@ -356,6 +356,29 @@ class TruncationStudy:
         return max(ratios) / min(ratios)
 
     @property
+    def one_sided_ratio(self) -> float:
+        """max_N tail(N) N^s over its value at the smallest N.
+
+        The truncation estimate bounds tail(N) N^s from above only; for
+        data of regularity s this ratio stays near 1, where the two-sided
+        ``bound_window`` also counts the allowed fall.
+        """
+        ratios = self.bound_ratios
+        return max(ratios) / ratios[0]
+
+    @property
+    def extrapolated_slope(self) -> float:
+        """Decay rate 2 slope_last - slope_prev, nan below three orders.
+
+        Halving slopes trail the limiting rate -(s + 1/2) by O(1/N); one
+        Richardson step removes that term.
+        """
+        slopes = self.slopes()
+        if len(slopes) < 3:
+            return float("nan")
+        return 2.0 * slopes[-1] - slopes[-2]
+
+    @property
     def bound_growth(self) -> float:
         ratios = self.bound_ratios
         return max(b / a for a, b in zip(ratios, ratios[1:]))

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axistokes.fem import FemSpace, assemble, assemble_rhs
 from axistokes.fields import Poly2, as_mode_function
@@ -28,6 +31,12 @@ def space():
 @pytest.fixture(scope="module")
 def cases():
     return builtin_cases()
+
+
+@pytest.fixture(scope="module")
+def square8_systems():
+    space8 = FemSpace(generate_structured((1.0, 1.0), 0.125))
+    return {k: assemble(space8, k) for k in range(-5, 6)}
 
 
 def _exact_errors(space, case, sol):
@@ -236,3 +245,38 @@ def test_inf_sup_estimate_in_plausible_range(space, k):
     assert est.n_p == space.n_p
     assert est.beta == pytest.approx(np.sqrt(est.lambda_min))
     assert 0.15 < est.beta < 1.0
+
+
+def _rel_err(x, ref):
+    return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("k", range(-5, 6))
+def test_real_velocity_factor_matches_complex_solve(square8_systems, k):
+    # a_solve factors the real matrix D* A_hat D (D = i on free angular
+    # unknowns); it must agree with a complex solve of A_hat itself.
+    system = square8_systems[k]
+    A = system.A_hat.tocsc()
+    rng = np.random.default_rng(100 + k)
+    n = system.n_free
+    b1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    real_b = rng.standard_normal(n)
+    for b in (b1, block, real_b):
+        x = system.a_solve(b)
+        assert x.shape == b.shape and np.iscomplexobj(x)
+        ref = spla.spsolve(A, b.astype(complex))
+        assert _rel_err(x, ref.reshape(b.shape)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(-5, 5), seed=st.integers(0, 2**32 - 1))
+def test_velocity_solve_mirrors_under_conjugation(square8_systems, k, seed):
+    # A_hat(-k) = conj(A_hat(k)), so solving mode -k with conj(b) gives the
+    # conjugate of the mode k solution.
+    rng = np.random.default_rng(seed)
+    n = square8_systems[k].n_free
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x_pos = square8_systems[k].a_solve(b)
+    x_neg = square8_systems[-k].a_solve(b.conj())
+    assert _rel_err(x_neg, x_pos.conj()) <= 1e-12
