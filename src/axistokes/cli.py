@@ -14,7 +14,7 @@ mesh        generate a mesh from the configured domain, or inspect one.
 
 Configuration is an INI file; see the package README for the schema.
 Exit codes: 0 success, 1 verification failure, 2 numerical breakdown,
-3 configuration error.
+3 configuration error or non-finite data.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .expressions import ExpressionError, ExpressionField, ScalarExpressionField
-from .fem import FemScalarField, FemSpace, assemble, boundary_flux
+from .fem import DataError, FemScalarField, FemSpace, assemble, boundary_flux
 from .fourier import FourierStack, ModeVectors, write_stack, read_stack
 from .meshing import (
     DomainSpec,
@@ -277,7 +277,7 @@ def _poly_is_real(poly) -> bool:
 
 
 def _data_is_real(config: RunConfig) -> bool:
-    """Whether the 3D data is real, enabling the k >= 0 mirror shortcut."""
+    """Whether the 3D data is real, so that mode -k is the conjugate of mode k."""
     if config.case is not None:
         if config.case.k != 0:
             return False
@@ -291,6 +291,10 @@ def _data_is_real(config: RunConfig) -> bool:
 
 
 def _mode_list(config: RunConfig, real_data: bool):
+    """Wavenumbers to solve and store.
+
+    For real data, n_max stores k >= 0 only; the stack implies the rest.
+    """
     if config.wavenumbers is not None:
         return config.wavenumbers
     if real_data:
@@ -298,14 +302,14 @@ def _mode_list(config: RunConfig, real_data: bool):
     return list(range(-config.n_max, config.n_max + 1))
 
 
-def _mode_data(config: RunConfig, k: int):
-    if config.case is not None:
-        if k == config.case.k:
-            return config.case.f, config.case.g_div
-        return None, None
-    f = config.force.mode(k)
-    g = config.divergence.mode(k) if config.divergence is not None else None
-    return f, g
+def _mode_data(config: RunConfig, ks) -> dict:
+    """{k: (f, g_div)} for each k; expression data is sampled once for all."""
+    case = config.case
+    if case is not None:
+        return {k: (case.f, case.g_div) if k == case.k else (None, None) for k in ks}
+    forces = config.force.modes(ks)
+    divs = config.divergence.modes(ks) if config.divergence is not None else {}
+    return {k: (forces[k], divs.get(k)) for k in ks}
 
 
 def _mode_norm_rows(mesh, space, k, u, p):
@@ -313,6 +317,32 @@ def _mode_norm_rows(mesh, space, k, u, p):
     rep_u = vector_mode_norm(mesh, velocity, k=k)
     rep_p = scalar_mode_norm(mesh, FemScalarField(space, p, kind="p1"), k)
     return rep_u, rep_p
+
+
+def _solve_modes(config: RunConfig, space: FemSpace, ks, real_data: bool, jobs: int):
+    """{k: solution} for each k in ks.
+
+    Real data makes mode -k the conjugate of mode k, so each |k| is solved
+    once.  The sampled data is dropped on return, before the output stage.
+    """
+    solve_ks = sorted({abs(k) for k in ks}) if real_data else ks
+    data = _mode_data(config, solve_ks)
+
+    def solve_one(k: int):
+        f, g_div = data[k]
+        system = assemble(space, k)
+        return solve_mode(system, f=f, g_div=g_div, config=config.solver)
+
+    solved = {}
+    if jobs == 1:
+        for k in solve_ks:
+            solved[k] = solve_one(k)
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = {k: pool.submit(solve_one, k) for k in solve_ks}
+            for k, fut in futures.items():
+                solved[k] = fut.result()
+    return {k: solved[k] if k in solved else solved[-k].conj() for k in ks}
 
 
 def cmd_solve(args) -> int:
@@ -323,21 +353,8 @@ def cmd_solve(args) -> int:
     ks = _mode_list(config, real_data)
     jobs = 1 if args.deterministic else max(1, args.jobs)
 
-    def solve_one(k: int):
-        f, g_div = _mode_data(config, k)
-        system = assemble(space, k)
-        return solve_mode(system, f=f, g_div=g_div, config=config.solver)
-
     started = time.perf_counter()
-    results = {}
-    if jobs == 1:
-        for k in ks:
-            results[k] = solve_one(k)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {k: pool.submit(solve_one, k) for k in ks}
-            for k, fut in futures.items():
-                results[k] = fut.result()
+    results = _solve_modes(config, space, ks, real_data, jobs)
     elapsed = time.perf_counter() - started
 
     out = config.out_dir
@@ -643,7 +660,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, MeshError, ExpressionError) as exc:
+    except (ConfigError, MeshError, ExpressionError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SolverBreakdown as exc:

@@ -10,10 +10,13 @@ this grammar evaluates: no attributes, no subscripts, no other names.
 Compiled expressions evaluate vectorized over numpy arrays.  A field
 made of three component expressions can produce per-wavenumber mode
 coefficients by angular sampling and FFT, which is how expression data
-enters the per-mode solver.
+enters the per-mode solver; the modes asked for together on one angular
+grid come from one sampling.
 """
 
 import ast
+import functools
+import threading
 
 import numpy as np
 
@@ -93,36 +96,85 @@ def compile_expression(source: str):
     def evaluate(r, z, theta=0.0):
         env = dict(namespace)
         env.update(r=np.asarray(r), z=np.asarray(z), theta=np.asarray(theta))
-        return np.asarray(eval(code, {"__builtins__": {}}, env), dtype=complex)
+        # Division by zero and overflow give inf or nan without a warning;
+        # SaddleSystem.rhs rejects non-finite data with the mode named.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.asarray(eval(code, {"__builtins__": {}}, env), dtype=complex)
 
     evaluate.source = source
     return evaluate
 
 
-def _angular_grid_for(k_max: int, n_theta):
-    n = n_theta or min_angular_samples(k_max)
-    if n < 4 * abs(k_max) + 2:
+def _grid_size(k: int, n_theta) -> int:
+    """Angular sample count of mode k: n_theta, or the smallest safe grid."""
+    k = abs(k)
+    n = n_theta or min_angular_samples(k)
+    if n < 4 * k + 2:
         raise ExpressionError(
-            f"n_theta = {n} cannot resolve mode {k_max}; "
-            f"need at least {4 * abs(k_max) + 2}"
+            f"n_theta = {n} cannot resolve mode {k}; need at least {4 * k + 2}"
         )
-    return angular_grid(n)
+    return n
 
 
-def _mode_coefficient(fn, k: int, thetas: np.ndarray):
-    """Mode-k coefficient function of one compiled expression."""
-    n = thetas.size
-    scale = np.sqrt(2.0 * np.pi) / n
-    phase = np.exp(-1j * k * thetas)
+class _SharedSampling:
+    """Coefficients of wavenumbers ``ks`` of compiled expressions on one grid.
 
-    def coefficient(r, z):
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
-        vals = fn(r[..., None], z[..., None], thetas)
-        vals = np.broadcast_to(vals, r.shape + thetas.shape)
-        return scale * np.sum(vals * phase, axis=-1)
+    The first evaluation at a set of points samples each expression there
+    once on the n-point angular grid and keeps the requested FFT bins of
+    all of them; later evaluations at the same points reuse those bins.
+    The lock makes solver threads that reach the first evaluation at the
+    same time sample once, not once each.
+    """
 
-    return FnMode(coefficient)
+    def __init__(self, fns, ks, n: int):
+        self.fns = fns
+        self.row = {k: j for j, k in enumerate(ks)}
+        self.bins = [k % n for k in ks]
+        self.thetas = angular_grid(n)
+        self._lock = threading.Lock()
+        self._points = None
+        self._coeffs = None
+
+    def coefficient(self, c: int, k: int, r, z) -> np.ndarray:
+        r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
+        with self._lock:
+            if not self._holds(r, z):
+                self._coeffs = self._sample(r, z)
+                self._points = (r.copy(), z.copy())
+            return self._coeffs[self.row[k], c].copy()
+
+    def _holds(self, r, z) -> bool:
+        if self._points is None:
+            return False
+        r0, z0 = self._points
+        return r.shape == r0.shape and np.array_equal(r, r0) and np.array_equal(z, z0)
+
+    def _sample(self, r, z) -> np.ndarray:
+        n = self.thetas.size
+        out = np.empty((len(self.bins), len(self.fns)) + r.shape, dtype=complex)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for c, fn in enumerate(self.fns):
+                vals = fn(r[..., None], z[..., None], self.thetas)
+                spectrum = np.fft.fft(np.broadcast_to(vals, r.shape + (n,)), axis=-1)
+                out[:, c] = np.moveaxis(spectrum[..., self.bins], -1, 0)
+            out *= np.sqrt(2.0 * np.pi) / n
+        return out
+
+
+def _mode_functions(fns, ks, n_theta) -> dict:
+    """{k: coefficient functions of fns} for each k, one sampling per grid size."""
+    groups = {}
+    for k in sorted(set(ks)):
+        groups.setdefault(_grid_size(k, n_theta), []).append(k)
+    out = {}
+    for n, group in groups.items():
+        shared = _SharedSampling(fns, group, n)
+        for k in group:
+            out[k] = tuple(
+                FnMode(functools.partial(shared.coefficient, c, k))
+                for c in range(len(fns))
+            )
+    return out
 
 
 def _all_real(fns) -> bool:
@@ -149,10 +201,17 @@ class ExpressionField:
         self.fns = tuple(compile_expression(s) for s in self.sources)
         self.n_theta = n_theta
 
+    def modes(self, ks) -> dict:
+        """{k: mode-k coefficient functions of the three components} for ks.
+
+        Each mode keeps its own grid (n_theta, or the smallest safe one
+        for |k|); the modes on one grid share a single sampling and FFT.
+        """
+        return _mode_functions(self.fns, ks, self.n_theta)
+
     def mode(self, k: int):
         """Mode-k coefficient functions of the three components."""
-        thetas = _angular_grid_for(abs(k), self.n_theta)
-        return tuple(_mode_coefficient(fn, k, thetas) for fn in self.fns)
+        return self.modes([k])[k]
 
     def is_real(self) -> bool:
         """Whether the sampled data is real, deciding conjugation symmetry."""
@@ -171,9 +230,13 @@ class ScalarExpressionField:
         self.fn = compile_expression(source)
         self.n_theta = n_theta
 
+    def modes(self, ks) -> dict:
+        """{k: mode-k coefficient function} for ks, sampled as ExpressionField.modes."""
+        shared = _mode_functions((self.fn,), ks, self.n_theta)
+        return {k: fns[0] for k, fns in shared.items()}
+
     def mode(self, k: int):
-        thetas = _angular_grid_for(abs(k), self.n_theta)
-        return _mode_coefficient(self.fn, k, thetas)
+        return self.modes([k])[k]
 
     def is_real(self) -> bool:
         return _all_real((self.fn,))

@@ -25,6 +25,8 @@ violates the axis conditions of the current mode there triggers a warning
 instead of silently moving the problem.
 """
 
+import dataclasses
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -42,6 +44,7 @@ from .quadrature import (
 )
 
 __all__ = [
+    "DataError",
     "FemSpace",
     "FemScalarField",
     "ModeConstraints",
@@ -100,6 +103,14 @@ class FemSpace:
     Velocity degrees of freedom are the mesh vertices followed by the edge
     midpoints; pressure degrees of freedom are the vertices, so pressure
     index m refers to the same node as velocity index m.
+
+    Tabulations, operators and the pressure mass factor are built on first
+    use and cached per quadrature rule.  Solver threads (``solve --jobs``)
+    share one space, so the caches fill under one re-entrant lock: each
+    entry is built once, not once per thread that asks at the same time.
+    Cached entries are only read afterwards: a SuperLU solve reads the
+    factor and works on its own copy of the right side, so threads may
+    solve with the shared factor at the same time.
     """
 
     def __init__(self, mesh: MeridianMesh):
@@ -145,8 +156,17 @@ class FemSpace:
         grad[:, 2, 1] = e1[:, 0] / det
         grad[:, 0] = -grad[:, 1] - grad[:, 2]
         self.grad_lambda = grad
+        self._lock = threading.RLock()
         self._tab_cache = {}
         self._op_cache = {}
+        self._mp_cache = {}
+
+    def _cached(self, cache: dict, rule: QuadratureRule, build):
+        key = (rule.degree, len(rule.weights))
+        with self._lock:
+            if key not in cache:
+                cache[key] = build(rule)
+            return cache[key]
 
     def tabulation(self, rule: QuadratureRule):
         """Basis values and physical gradients at the rule points.
@@ -154,10 +174,9 @@ class FemSpace:
         Returns (N, grads, R, Z, W): values (nq, 6), gradients
         (nt, nq, 6, 2), coordinates and weights (nt, nq).
         """
-        key = (rule.degree, len(rule.weights))
-        hit = self._tab_cache.get(key)
-        if hit is not None:
-            return hit
+        return self._cached(self._tab_cache, rule, self._tabulate)
+
+    def _tabulate(self, rule: QuadratureRule):
         lam = rule.points
         N = _p2_values(lam)
         dN = _p2_dvalues(lam)
@@ -166,17 +185,21 @@ class FemSpace:
         R = np.einsum("qi,ti->tq", lam, verts[:, :, 0])
         Z = np.einsum("qi,ti->tq", lam, verts[:, :, 1])
         W = self.mesh.triangle_areas()[:, None] * rule.weights[None, :]
-        self._tab_cache[key] = (N, grads, R, Z, W)
-        return self._tab_cache[key]
+        return N, grads, R, Z, W
 
     def operators(self, rule: QuadratureRule = None) -> "ModeOperators":
         rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
-        key = (rule.degree, len(rule.weights))
-        hit = self._op_cache.get(key)
-        if hit is None:
-            hit = _build_operators(self, rule)
-            self._op_cache[key] = hit
-        return hit
+        return self._cached(self._op_cache, rule, lambda q: _build_operators(self, q))
+
+    def pressure_mass_factor(self, rule: QuadratureRule = None):
+        """Real factor of the r-weighted pressure mass matrix Mp.
+
+        Mp does not depend on the wavenumber, so every mode shares it.
+        """
+        rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
+        return self._cached(
+            self._mp_cache, rule, lambda q: spd_factor(self.operators(q).Mp)
+        )
 
 
 @dataclass(frozen=True)
@@ -415,6 +438,25 @@ def spd_factor(A: sp.spmatrix):
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
 
 
+def _real_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """Apply a real factor to a real or complex vector or block of columns.
+
+    A complex right side takes one real solve on its real and imaginary
+    parts side by side, or a real solve when its imaginary part is zero;
+    the result keeps the dtype of the right side.
+    """
+    if not np.any(rhs.imag):
+        return factor.solve(rhs.real).astype(rhs.dtype, copy=False)
+    cols = rhs.reshape(rhs.shape[0], -1)
+    m = cols.shape[1]
+    x = factor.solve(np.hstack([cols.real, cols.imag]))
+    return (x[:, :m] + 1j * x[:, m:]).reshape(rhs.shape)
+
+
+class DataError(ValueError):
+    """Mode data that no solve can use, such as non-finite values."""
+
+
 @dataclass
 class SaddleSystem:
     """One mode's constrained saddle problem, ready for right sides.
@@ -423,7 +465,8 @@ class SaddleSystem:
     values into the free unknowns.  The reduced velocity block ``A_hat``
     is Hermitian positive definite (``a_solve`` applies its inverse),
     ``B_hat`` has full rank except for the axisymmetric constant pressure,
-    represented by ``m_vec``.
+    represented by ``m_vec``; ``mp_solve`` applies the inverse pressure
+    mass matrix ``Mp``.
     """
 
     space: FemSpace
@@ -452,13 +495,20 @@ class SaddleSystem:
 
         For the axisymmetric mode a net volume defect between the wall data
         and the divergence data makes the continuity block inconsistent;
-        it is reported as a warning and left in place.
+        it is reported as a warning and left in place.  Data that is not
+        finite raises DataError.
         """
-        F = assemble_rhs(self.space, f, self.rule)
-        G = assemble_divergence_rhs(self.space, g_div, self.rule)
-        fix = self.constraints.fix
-        F_hat = self.constraints.C.conj().T @ (F - self.A_full @ fix)
-        G_hat = G - self.B_full @ fix
+        with np.errstate(invalid="ignore", over="ignore"):
+            F = assemble_rhs(self.space, f, self.rule)
+            G = assemble_divergence_rhs(self.space, g_div, self.rule)
+            fix = self.constraints.fix
+            F_hat = self.constraints.C.conj().T @ (F - self.A_full @ fix)
+            G_hat = G - self.B_full @ fix
+        if not (np.all(np.isfinite(F_hat)) and np.all(np.isfinite(G_hat))):
+            raise DataError(
+                f"mode {self.k}: the body force, divergence or wall data is "
+                "not finite on the mesh"
+            )
         if self.k == 0:
             defect = complex(np.sum(G_hat))
             scale = max(1.0, float(np.abs(fix).max(initial=0.0)))
@@ -481,8 +531,7 @@ class SaddleSystem:
         With D = diag(i on the free angular unknowns when k != 0, 1
         elsewhere), u_theta = i w makes D* A_hat D exactly real symmetric
         positive definite.  It is factored once, and A_hat^-1 = D (D* A_hat
-        D)^-1 D* applies it to the real and imaginary parts of the scaled
-        right side side by side, in one real solve.
+        D)^-1 D* applies it to the scaled right side in one real solve.
         """
         if self._a_factor is None:
             angular = (self.constraints.free_comp == COMP_T) & (self.k != 0)
@@ -490,13 +539,11 @@ class SaddleSystem:
             D = sp.diags(self._a_scale)
             self._a_factor = spd_factor((D.conj() @ self.A_hat @ D).real)
         d = self._a_scale if rhs.ndim == 1 else self._a_scale[:, None]
-        c = d.conj() * rhs
-        if not np.any(c.imag):
-            return d * self._a_factor.solve(c.real)
-        cols = c.reshape(c.shape[0], -1)
-        m = cols.shape[1]
-        x = self._a_factor.solve(np.hstack([cols.real, cols.imag]))
-        return d * (x[:, :m] + 1j * x[:, m:]).reshape(c.shape)
+        return d * _real_solve(self._a_factor, d.conj() * rhs)
+
+    def mp_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Mp^-1 rhs on the real factor of Mp that all modes of the space share."""
+        return _real_solve(self.space.pressure_mass_factor(self.rule), rhs)
 
     def energy_norm(self, u_free: np.ndarray) -> float:
         return float(np.sqrt(max(np.vdot(u_free, self.A_hat @ u_free).real, 0.0)))
@@ -605,6 +652,15 @@ class ModeSolution:
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=complex).reshape(3, self.space.n_vel)
         self.p = np.asarray(self.p, dtype=complex).reshape(self.space.n_p)
+
+    def conj(self) -> "ModeSolution":
+        """Mode -k of real data: the conjugate, with the report copied to -k."""
+        report = self.report
+        if report is not None:
+            report = dataclasses.replace(report, k=-self.k)
+        return ModeSolution(
+            k=-self.k, space=self.space, u=self.u.conj(), p=self.p.conj(), report=report
+        )
 
     def velocity_fields(self):
         return tuple(FemScalarField(self.space, self.u[c]) for c in range(3))

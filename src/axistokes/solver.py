@@ -140,11 +140,11 @@ def _direct_bordered(A, B, F, G, m=None):
     return u, p, mult
 
 
-def _uzawa_core(a_solve, A, B, F, G, mp_factor, m, e, config, dtype):
+def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config, dtype):
     """Schur-complement CG.  Returns (u, p, iterations, converged, history).
 
-    ``a_solve`` applies the inverse velocity block; ``mp_factor`` is the
-    pressure-mass preconditioner factorization (None runs plain CG);
+    ``a_solve`` applies the inverse velocity block; ``mp_solve`` applies
+    the inverse pressure mass preconditioner (None runs plain CG);
     ``m``/``e`` are the mean functional and the constant vector for
     deflation (None when the Schur complement is definite on the whole
     pressure space).
@@ -171,8 +171,8 @@ def _uzawa_core(a_solve, A, B, F, G, mp_factor, m, e, config, dtype):
     converged = False
     iterations = 0
     for it in range(1, config.max_iter + 1):
-        if mp_factor is not None:
-            z = deflate_mean(mp_factor.solve(r))
+        if mp_solve is not None:
+            z = deflate_mean(mp_solve(r))
         else:
             z = deflate(r)
         rho = np.vdot(r, z).real
@@ -208,10 +208,6 @@ def _uzawa_core(a_solve, A, B, F, G, mp_factor, m, e, config, dtype):
     # after the fact; with the mass preconditioner this is a no-op.
     p = deflate_mean(p)
     return u, p, iterations, converged, history
-
-
-def _mp_factor(system):
-    return spla.splu(system.Mp.tocsc().astype(complex))
 
 
 def solve_mode(
@@ -257,7 +253,7 @@ def solve_mode(
             system.B_hat,
             F_hat,
             G_hat,
-            _mp_factor(system) if config.pressure_mass_precond else None,
+            system.mp_solve if config.pressure_mass_precond else None,
             m,
             e,
             config,
@@ -301,14 +297,13 @@ def _solve_k0_real(system, F_hat, G_hat, config, report):
         report.mean_multiplier = mult
     else:
         lu_rz = spd_factor(A_rz)
-        mp = spla.splu(system.Mp.tocsc()) if config.pressure_mass_precond else None
         u_rz, p, its, conv, hist = _uzawa_core(
             lu_rz.solve,
             A_rz,
             B_rz,
             F_rz,
             G,
-            mp,
+            system.mp_solve if config.pressure_mass_precond else None,
             m.astype(float),
             np.ones(system.n_p),
             config,

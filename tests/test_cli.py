@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from axistokes.cli import ConfigError, load_config, main
+from axistokes.fem import FemSpace, assemble
 from axistokes.fourier import read_stack
 from axistokes.meshing import read_mesh
+from axistokes.solver import solve_mode
 
 
 def _config(tmp_path, body: str, name: str = "run.ini"):
@@ -61,6 +63,66 @@ def test_solve_real_expression_data_keeps_nonnegative_modes(tmp_path):
     assert np.abs(stack.modes[1].u).max() > 1e-3
     implied = stack.mode(-1)
     np.testing.assert_array_equal(implied.u, np.conj(stack.modes[1].u))
+
+
+REAL_DATA = "fr = cos(theta)*r + z\nftheta = sin(2*theta)*r\nfz = r*z*cos(theta)"
+
+
+def _independent_solve(cfg, out, k):
+    """Mode k solved on its own, from its own sampling of the data."""
+    config = load_config(cfg)
+    space = FemSpace(read_mesh(out / "mesh.txt"))
+    return solve_mode(assemble(space, k), f=config.force.mode(k), config=config.solver)
+
+
+@pytest.mark.parametrize("method", ["direct", "uzawa"])
+def test_real_data_mirrors_negative_modes(tmp_path, capsys, method):
+    out = tmp_path / "out"
+    extra = f"\n[modes]\nwavenumbers = -2 -1 0 1 2\n\n[solver]\nmethod = {method}\n"
+    cfg = _config(tmp_path, _base(out, data=REAL_DATA, extra=extra))
+    assert main(["solve", "--config", cfg]) == 0
+    captured = capsys.readouterr().out
+    stack = read_stack(out / "stack")
+    assert stack.wavenumbers == [-2, -1, 0, 1, 2]
+    assert stack.real_data
+    for k in stack.wavenumbers:
+        assert f"mode {k:+d}: method={method}" in captured
+        if method == "uzawa":
+            assert (out / f"residuals_k{k}.csv").is_file()
+    for k in (-2, -1):
+        ref = _independent_solve(cfg, out, k)
+        scale = max(np.abs(ref.u).max(), np.abs(ref.p).max())
+        assert np.abs(stack.modes[k].u - ref.u).max() <= 1e-10 * scale
+        assert np.abs(stack.modes[k].p - ref.p).max() <= 1e-10 * scale
+
+
+def test_lone_negative_mode_is_conjugate_of_positive_solve(tmp_path):
+    out = tmp_path / "out"
+    extra = "\n[modes]\nwavenumbers = -3\n\n[solver]\nmethod = uzawa\n"
+    cfg = _config(tmp_path, _base(out, data=REAL_DATA, extra=extra))
+    assert main(["solve", "--config", cfg]) == 0
+    assert sorted(p.name for p in (out / "stack").glob("mode_*.csv")) == ["mode_-3.csv"]
+    stack = read_stack(out / "stack")
+    ref = _independent_solve(cfg, out, 3)
+    np.testing.assert_array_equal(stack.modes[-3].u, np.conj(ref.u))
+    np.testing.assert_array_equal(stack.modes[-3].p, np.conj(ref.p))
+
+
+def test_non_finite_data_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _config(
+        tmp_path,
+        _base(
+            out,
+            data="fr = exp(1000*r)\nftheta = 0\nfz = 0",
+            extra="\n[modes]\nn_max = 1\n",
+        ),
+    )
+    assert main(["solve", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: mode 0:")
+    assert "not finite" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_norms_recomputes_identical_tables(tmp_path, capsys):
@@ -215,23 +277,25 @@ def test_vtk_export_structure(tmp_path):
 
 
 def test_parallel_and_deterministic_agree(tmp_path):
-    body = lambda out: _base(
-        out,
-        data="fr = cos(theta)*r + z\nftheta = sin(theta)\nfz = r*z",
-        extra="\n[modes]\nn_max = 2\n",
-    )
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    cfg_a = _config(tmp_path, body(out_a), "a.ini")
-    cfg_b = _config(tmp_path, body(out_b), "b.ini")
-    assert main(["solve", "--config", cfg_a, "--deterministic"]) == 0
-    assert main(["solve", "--config", cfg_b, "--jobs", "3"]) == 0
-    assert (out_a / "norms_velocity.csv").read_bytes() == (
-        out_b / "norms_velocity.csv"
-    ).read_bytes()
-    stack_a = read_stack(out_a / "stack")
-    stack_b = read_stack(out_b / "stack")
-    for k in stack_a.wavenumbers:
-        np.testing.assert_array_equal(stack_a.modes[k].u, stack_b.modes[k].u)
+    for i, modes in enumerate(("n_max = 2", "wavenumbers = -3 -2 -1 0 1 2 3")):
+        body = lambda out: _base(
+            out,
+            data="fr = cos(theta)*r + z\nftheta = sin(theta)\nfz = r*z",
+            extra=f"\n[modes]\n{modes}\n",
+        )
+        out_a, out_b = tmp_path / f"a{i}", tmp_path / f"b{i}"
+        cfg_a = _config(tmp_path, body(out_a), f"a{i}.ini")
+        cfg_b = _config(tmp_path, body(out_b), f"b{i}.ini")
+        assert main(["solve", "--config", cfg_a, "--deterministic"]) == 0
+        assert main(["solve", "--config", cfg_b, "--jobs", "3"]) == 0
+        assert (out_a / "norms_velocity.csv").read_bytes() == (
+            out_b / "norms_velocity.csv"
+        ).read_bytes()
+        stack_a = read_stack(out_a / "stack")
+        stack_b = read_stack(out_b / "stack")
+        assert stack_a.wavenumbers == stack_b.wavenumbers
+        for k in stack_a.wavenumbers:
+            np.testing.assert_array_equal(stack_a.modes[k].u, stack_b.modes[k].u)
 
 
 def test_verify_on_configured_coarse_domain(tmp_path, capsys):

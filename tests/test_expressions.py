@@ -1,5 +1,8 @@
 """Expression grammar safety and Fourier extraction of formula data."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from axistokes.expressions import (
     ScalarExpressionField,
     compile_expression,
 )
+from axistokes.fourier import angular_grid, min_angular_samples
 
 
 def test_arithmetic_and_names():
@@ -111,3 +115,91 @@ def test_default_sampling_tracks_wavenumber():
     fr, _, _ = field.mode(12)
     vals = fr.value(np.array([0.5]), np.array([0.5]))
     np.testing.assert_allclose(vals, [np.sqrt(np.pi / 2.0)], rtol=1e-12)
+
+
+def _direct_sum(source, k, n, r, z):
+    """Mode-k coefficient by the plain trapezoid sum over an n-point grid."""
+    fn = compile_expression(source)
+    thetas = angular_grid(n)
+    vals = np.broadcast_to(fn(r[..., None], z[..., None], thetas), r.shape + (n,))
+    return np.sqrt(2.0 * np.pi) / n * np.sum(vals * np.exp(-1j * k * thetas), axis=-1)
+
+
+@pytest.mark.parametrize(
+    "n_theta, ks",
+    [
+        (32, list(range(-7, 8))),
+        # Default grids: 2, 8, 16, 32 and 64 samples, several modes on some.
+        (None, [-13, -4, 0, 1, 2, 3, 5, 7, 8, 13]),
+    ],
+)
+def test_shared_sampling_matches_per_mode_sums(n_theta, ks):
+    sources = ("r*exp(cos(theta))", "z/(1.5 - cos(theta - 0.3))", "r*z*sin(3*theta) + 1")
+    field = ExpressionField(*sources, n_theta=n_theta)
+    scalar = ScalarExpressionField(sources[1], n_theta=n_theta)
+    r, z = np.meshgrid(np.linspace(0.05, 0.95, 7), np.linspace(0.0, 1.0, 5))
+    shared = field.modes(ks)
+    shared_g = scalar.modes(ks)
+    assert sorted(shared) == sorted(shared_g) == sorted(ks)
+    for c, source in enumerate(sources):
+        direct = {
+            k: _direct_sum(source, k, n_theta or min_angular_samples(k), r, z)
+            for k in ks
+        }
+        scale = max(np.abs(v).max() for v in direct.values())
+        for k in ks:
+            got = shared[k][c].value(r, z)
+            assert np.abs(got - direct[k]).max() <= 1e-13 * scale, (c, k)
+            np.testing.assert_array_equal(field.mode(k)[c].value(r, z), got)
+            if c == 1:
+                assert np.abs(shared_g[k].value(r, z) - direct[k]).max() <= 1e-13 * scale
+
+
+def test_shared_sampling_resamples_at_new_points():
+    fr = ExpressionField("r*cos(theta)", "0", "z", n_theta=8).modes([0, 1])[1][0]
+    a, b = np.array([0.2, 0.4]), np.array([0.7])
+    np.testing.assert_allclose(fr.value(a, 0.0), np.sqrt(np.pi / 2.0) * a, rtol=1e-14)
+    np.testing.assert_allclose(fr.value(b, 0.0), np.sqrt(np.pi / 2.0) * b, rtol=1e-14)
+    np.testing.assert_allclose(fr.value(a, 0.0), np.sqrt(np.pi / 2.0) * a, rtol=1e-14)
+
+
+def test_shared_sampling_samples_once_under_threads():
+    # More threads than cores and a short switch interval: every thread
+    # asks for its modes at the same points, and each expression must be
+    # sampled once in all.
+    sources = ("r*cos(theta)", "z*sin(2*theta)", "r*z")
+    field = ExpressionField(*sources, n_theta=16)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.source)
+            return fn(*args)
+
+        return wrapper
+
+    field.fns = tuple(counted(fn) for fn in field.fns)
+    modes = field.modes(range(-3, 4))
+    r, z = np.meshgrid(np.linspace(0.1, 0.9, 9), np.linspace(0.0, 1.0, 4))
+    barrier = threading.Barrier(7)
+    got = {}
+
+    def worker(k):
+        barrier.wait(timeout=10)
+        got[k] = [c.value(r, z) for c in modes[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(-3, 4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(calls) == sorted(sources)
+    for k in range(-3, 4):
+        for c, vals in enumerate(got[k]):
+            np.testing.assert_array_equal(vals, field.mode(k)[c].value(r, z))

@@ -1,5 +1,8 @@
 """Taylor-Hood assembly: operators, constraints, right sides, and fields."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -235,3 +238,31 @@ def test_matrix_coo_roundtrip(tmp_path):
     bad.write_text("not a header\n")
     with pytest.raises(ValueError, match="header"):
         read_matrix_coo(bad)
+
+
+def test_space_caches_build_once_under_threads():
+    # More threads than cores and a short switch interval: a cache filled
+    # without the lock would hand different threads different objects.
+    space = FemSpace(generate_structured((1.0, 1.0), 0.25))
+    barrier = threading.Barrier(6)
+    got = []
+
+    def worker():
+        barrier.wait(timeout=10)
+        tab = space.tabulation(triangle_rule(5))
+        got.append((tab, space.operators(), space.pressure_mass_factor()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 6
+    for entry in got[1:]:
+        assert all(a is b for a, b in zip(entry, got[0]))
