@@ -61,8 +61,9 @@ for name in ("k0_exact", "k1_exact", "k2_exact"):
         flux = boundary_flux(space, sol.u)
         print(f"  boundary flux      {abs(flux):.3e}")
 
-# The axisymmetric mode with real data takes a decoupled real-arithmetic
-# fast path; forcing the coupled complex route gives the same answer.
+# The axisymmetric mode with real data has a real solution, so its solve
+# runs in real arithmetic (the fast path); forcing complex arithmetic on
+# the same code path gives the same answer.
 case = cases["k0_convergence"]
 fast = solve_mode(assemble(space, 0, g=case.u), f=case.f)
 slow = solve_mode(

@@ -16,8 +16,6 @@ from .fem import (
     SaddleSystem,
     assemble,
     boundary_flux,
-    export_matrix_coo,
-    read_matrix_coo,
 )
 from .fields import FnMode, Poly2, VectorModeFn, as_mode_function
 from .fourier import (
@@ -53,8 +51,6 @@ from .meshing import (
 from .norms import (
     FieldDifference,
     NormReport,
-    divergence_alarm,
-    dual_mode_norm,
     integrate_weighted,
     mode_divergence_product,
     mode_energy_product,
@@ -98,8 +94,6 @@ __all__ = [
     "SaddleSystem",
     "assemble",
     "boundary_flux",
-    "export_matrix_coo",
-    "read_matrix_coo",
     "FnMode",
     "Poly2",
     "VectorModeFn",
@@ -132,8 +126,6 @@ __all__ = [
     "write_mesh",
     "FieldDifference",
     "NormReport",
-    "divergence_alarm",
-    "dual_mode_norm",
     "integrate_weighted",
     "mode_divergence_product",
     "mode_energy_product",

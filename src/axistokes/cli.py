@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 verification failure, 2 numerical breakdown,
 
 import argparse
 import configparser
+import dataclasses
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -319,6 +320,22 @@ def _mode_norm_rows(mesh, space, k, u, p):
     return rep_u, rep_p
 
 
+def _solution_norm_rows(mesh, space, results: dict, real_data: bool) -> dict:
+    """{k: (velocity, pressure) norm reports} for each solved mode.
+
+    For real data mode -k is the conjugate of mode k and has the same
+    norms, so each |k| is evaluated once and its reports relabelled.
+    """
+    rows = {}
+    for k in sorted(results, key=abs):
+        if real_data and -k in rows:
+            rows[k] = tuple(dataclasses.replace(rep, k=k) for rep in rows[-k])
+        else:
+            solution = results[k]
+            rows[k] = _mode_norm_rows(mesh, space, k, solution.u, solution.p)
+    return rows
+
+
 def _solve_modes(config: RunConfig, space: FemSpace, ks, real_data: bool, jobs: int):
     """{k: solution} for each k in ks.
 
@@ -365,10 +382,11 @@ def cmd_solve(args) -> int:
     modes = {}
     reports_u, reports_p = [], []
     broke = []
+    norm_rows = _solution_norm_rows(mesh, space, results, real_data)
     for k in sorted(results):
         solution = results[k]
         modes[k] = ModeVectors(solution.u, solution.p)
-        rep_u, rep_p = _mode_norm_rows(mesh, space, k, solution.u, solution.p)
+        rep_u, rep_p = norm_rows[k]
         reports_u.append(rep_u)
         reports_p.append(rep_p)
         rpt = solution.report

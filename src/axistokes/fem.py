@@ -16,6 +16,9 @@ the |k| = 1 modes pin the axial component and tie the radial one to the
 angular one through u_r = -i k u_t; all higher modes pin everything.  The
 tie is expressed by a constraint matrix C mapping free unknowns to the
 full component-major vector, so reduced operators are C* A C and B C.
+For k != 0 the free angular unknowns are w with u_t = i w (the cos/sin
+splitting of axisymmetric vector fields), so the tie reads u_r = k w and
+C* A C and B C are exactly real for every mode.
 After reduction every surviving 1/r**2 contribution either cancels
 exactly (the tied |k| = 1 pairs) or involves only basis functions that
 vanish on the axis, keeping the interior quadrature consistent.
@@ -54,9 +57,7 @@ __all__ = [
     "assemble",
     "assemble_rhs",
     "boundary_flux",
-    "export_matrix_coo",
     "mode_constraints",
-    "read_matrix_coo",
 ]
 
 COMP_R, COMP_T, COMP_Z = 0, 1, 2
@@ -291,6 +292,8 @@ class ModeConstraints:
     ``C`` maps the free vector to the full component-major velocity vector
     and ``fix`` carries the pinned values, so u_full = C u_free + fix.
     ``free_rows`` is the index in the full vector of each free unknown.
+    For k != 0 a free angular unknown is w with u_theta = i w: its column
+    of C carries i, and a radial unknown slaved to it (|k| = 1) carries k.
     """
 
     k: int
@@ -303,17 +306,6 @@ class ModeConstraints:
     @property
     def n_free(self) -> int:
         return self.C.shape[1]
-
-    @property
-    def free_comp(self) -> np.ndarray:
-        """Velocity component of each free unknown."""
-        return self.free_rows // (self.C.shape[0] // 3)
-
-    @property
-    def free_dofs(self) -> list:
-        """(component, dof) pair of each free unknown."""
-        comp, dof = np.divmod(self.free_rows, self.C.shape[0] // 3)
-        return list(zip(comp.tolist(), dof.tolist()))
 
 
 def _axis_violation(k: int, gr, gt, gz) -> float:
@@ -374,18 +366,20 @@ def mode_constraints(
                     stacklevel=2,
                 )
 
-    # Free unknowns in component-major order; a slaved radial unknown takes
-    # its column from the angular unknown at the same node.
+    # Free unknowns in component-major order; for k != 0 an angular one is
+    # w = -i u_theta.  A slaved radial unknown takes its column from the
+    # angular unknown at the same node: u_r = -i k u_theta = k w.
     free_rows = np.flatnonzero(state.ravel() == _FREE)
     n_free = free_rows.size
     rows, cols = [free_rows], [np.arange(n_free)]
-    vals = [np.ones(n_free, dtype=complex)]
+    angular = free_rows // n == COMP_T
+    vals = [np.where(angular & (k != 0), 1j, 1.0)]
     if n_slaved:
         col_of = np.empty(3 * n, dtype=np.int64)
         col_of[free_rows] = np.arange(n_free)
         rows.append(COMP_R * n + axis_only)
         cols.append(col_of[COMP_T * n + axis_only])
-        vals.append(np.full(n_slaved, -1j * k))
+        vals.append(np.full(n_slaved, float(k)))
     C = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(3 * n, n_free),
@@ -462,11 +456,14 @@ class SaddleSystem:
     """One mode's constrained saddle problem, ready for right sides.
 
     Holds the full and reduced operators; ``rhs`` folds data and pinned
-    values into the free unknowns.  The reduced velocity block ``A_hat``
-    is Hermitian positive definite (``a_solve`` applies its inverse),
-    ``B_hat`` has full rank except for the axisymmetric constant pressure,
-    represented by ``m_vec``; ``mp_solve`` applies the inverse pressure
-    mass matrix ``Mp``.
+    values into the free unknowns.  ``A_hat`` and ``B_hat`` are exactly
+    real (see ``ModeConstraints``) but kept in complex dtype, since
+    products of a real sparse matrix with complex vectors copy it each
+    time.  The reduced velocity block ``A_hat`` is symmetric positive
+    definite (``a_solve`` applies its inverse), ``B_hat`` has full rank
+    except for the axisymmetric constant pressure, represented by
+    ``m_vec``; ``mp_solve`` applies the inverse pressure mass matrix
+    ``Mp``.
     """
 
     space: FemSpace
@@ -480,7 +477,6 @@ class SaddleSystem:
     Mp: sp.csr_matrix
     m_vec: np.ndarray
     _a_factor: object = field(default=None, repr=False)
-    _a_scale: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_free(self) -> int:
@@ -526,20 +522,14 @@ class SaddleSystem:
         return full.reshape(3, self.space.n_vel)
 
     def a_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A_hat^-1 rhs for a vector or a block of columns, as complex.
+        """A_hat^-1 rhs for a vector or a block of columns.
 
-        With D = diag(i on the free angular unknowns when k != 0, 1
-        elsewhere), u_theta = i w makes D* A_hat D exactly real symmetric
-        positive definite.  It is factored once, and A_hat^-1 = D (D* A_hat
-        D)^-1 D* applies it to the scaled right side in one real solve.
+        A_hat is factored once, in real arithmetic; the result keeps the
+        dtype of the right side.
         """
         if self._a_factor is None:
-            angular = (self.constraints.free_comp == COMP_T) & (self.k != 0)
-            self._a_scale = np.where(angular, 1j, 1.0)
-            D = sp.diags(self._a_scale)
-            self._a_factor = spd_factor((D.conj() @ self.A_hat @ D).real)
-        d = self._a_scale if rhs.ndim == 1 else self._a_scale[:, None]
-        return d * _real_solve(self._a_factor, d.conj() * rhs)
+            self._a_factor = spd_factor(self.A_hat.real)
+        return _real_solve(self._a_factor, rhs)
 
     def mp_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Mp^-1 rhs on the real factor of Mp that all modes of the space share."""
@@ -711,38 +701,3 @@ def boundary_flux(space: FemSpace, u, rule_degree: int = 7) -> complex:
             erule.weights * (ur * normal[0] + uz * normal[1]) * rline
         )
     return complex(total)
-
-
-_COO_TAG = "axistokes-coo v1"
-
-
-def export_matrix_coo(matrix, path) -> None:
-    """Write a sparse matrix as plain text coordinate triples."""
-    mat = sp.coo_matrix(matrix)
-    lines = [f"{_COO_TAG} {mat.shape[0]} {mat.shape[1]} {mat.nnz}"]
-    for i, j, v in zip(mat.row, mat.col, mat.data):
-        v = complex(v)
-        lines.append(f"{i} {j} {v.real!r} {v.imag!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_matrix_coo(path) -> sp.csr_matrix:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if " ".join(head[:2]) != _COO_TAG or len(head) != 5:
-        raise ValueError(f"{path}: expected header '{_COO_TAG} nrows ncols nnz'")
-    nrows, ncols, nnz = (int(tok) for tok in head[2:])
-    if len(lines) - 1 != nnz:
-        raise ValueError(f"{path}: expected {nnz} entries, found {len(lines) - 1}")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    data = np.empty(nnz, dtype=complex)
-    for idx, line in enumerate(lines[1:]):
-        toks = line.split()
-        if len(toks) != 4:
-            raise ValueError(f"{path}: malformed entry on line {idx + 2}")
-        rows[idx], cols[idx] = int(toks[0]), int(toks[1])
-        data[idx] = complex(float(toks[2]), float(toks[3]))
-    return sp.coo_matrix((data, (rows, cols)), shape=(nrows, ncols)).tocsr()

@@ -19,6 +19,7 @@ demands at least 4|k| + 2 samples so that quadratically nonlinear
 integrands of resolved fields cannot alias into the extracted bin.
 """
 
+import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -288,17 +289,14 @@ def write_stack(stack: FourierStack, directory) -> None:
     (directory / "stack.meta").write_text("\n".join(meta) + "\n")
     for k in stack.wavenumbers:
         mv = stack.modes[k]
-        lines = [_MODE_HEADER]
-        for i in range(mv.n_vel):
-            row = [str(i)]
-            for c in range(3):
-                val = mv.u[c, i]
-                row += [repr(float(val.real)), repr(float(val.imag))]
-            if i < mv.n_p:
-                row += [repr(float(mv.p[i].real)), repr(float(mv.p[i].imag))]
-            else:
-                row += ["", ""]
-            lines.append(", ".join(row))
+        # One column of text per real or imaginary part; pressure rows stop
+        # at n_p and are padded with empty fields.
+        columns = [map(str, range(mv.n_vel))]
+        for values in (*mv.u, mv.p):
+            pad = [""] * (mv.n_vel - values.size)
+            for part in (values.real, values.imag):
+                columns.append(itertools.chain(map(repr, part.tolist()), pad))
+        lines = [_MODE_HEADER, *map(", ".join, zip(*columns))]
         (directory / f"mode_{k}.csv").write_text("\n".join(lines) + "\n")
 
 

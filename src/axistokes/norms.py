@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import VectorModeFn, as_mode_function
-from .meshing import MeridianMesh, refine
+from .meshing import MeridianMesh
 from .quadrature import DEFAULT_NORM_DEGREE, QuadratureRule, triangle_rule
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "vector_mode_norm",
     "mode_energy_product",
     "mode_divergence_product",
-    "dual_mode_norm",
-    "divergence_alarm",
     "norm_report_csv",
     "quadrature_geometry",
     "sample_component",
@@ -305,34 +303,3 @@ def _vector_components(v):
     if len(comps) != 3:
         raise ValueError("vector field needs three components")
     return comps
-
-
-def dual_mode_norm(system, functional) -> float:
-    """Discrete dual norm of a velocity functional through the energy solve.
-
-    Delegates to the assembled saddle system: the norm of f is the energy
-    norm of the velocity field w solving A w = f on the constrained space.
-    """
-    return system.dual_norm(functional)
-
-
-def divergence_alarm(mesh, f, k: int, rule: QuadratureRule = None, growth: float = 1.05):
-    """Heuristic membership check for the 1/r-weighted mode spaces.
-
-    Evaluates the squared mode norm on ``mesh`` and once-refined ``mesh``;
-    quadrature points move closer to the axis under refinement, so norms of
-    fields outside the space keep growing.  The canonical violation (a
-    nonzero trace on the axis) diverges only logarithmically, about 8 to 20
-    percent per refinement at practical resolutions, while admissible
-    smooth fields reproduce to round-off; the default threshold sits well
-    inside that gap.  Returns (alarmed, coarse, fine).
-    """
-    rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
-    fine_mesh = refine(mesh)
-    if isinstance(f, VectorModeFn) or (not callable(f) and not hasattr(f, "value")):
-        coarse = vector_mode_norm(mesh, f, rule, k=k).h1k_sq
-        fine = vector_mode_norm(fine_mesh, f, rule, k=k).h1k_sq
-    else:
-        coarse = scalar_mode_norm(mesh, f, k, rule).h1k_sq
-        fine = scalar_mode_norm(fine_mesh, f, k, rule).h1k_sq
-    return fine > growth * max(coarse, 1e-300), coarse, fine

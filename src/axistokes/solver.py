@@ -9,10 +9,11 @@ matrix; for the axisymmetric mode the constant-pressure kernel is
 deflated by keeping residuals Euclidean-orthogonal to the constant
 vector, which makes every preconditioned iterate exactly mean-free.
 
-Real axisymmetric data additionally decouples: the angular velocity
-component solves its own elliptic problem and the meridian components
-solve a real Stokes problem.  The fast path exploits that split when the
-reduced data has exactly zero imaginary part.
+Both paths run on the reduced blocks, which are exactly real for every
+mode (u_theta = i w, see ``fem.ModeConstraints``), and the velocity block
+is factored in real arithmetic.  Real axisymmetric data has a real
+solution, so the fast path runs the same solve on the real parts of the
+blocks and the data, a real LU or a real iteration.
 
 ``estimate_inf_sup`` measures the discrete stability constant as the
 smallest generalized eigenvalue of the Schur complement against the
@@ -28,7 +29,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import COMP_T, ModeSolution, SaddleSystem, spd_factor
+from .fem import ModeSolution, SaddleSystem
 
 __all__ = [
     "InfSupEstimate",
@@ -54,7 +55,7 @@ class SolverConfig:
     the residual history is kept when record_residuals is set.
     pressure_mass_precond applies the r-weighted pressure mass matrix as
     the preconditioner (recommended); k0_real_fast_path lets real
-    axisymmetric data take the decoupled real-arithmetic route.
+    axisymmetric data take the real-arithmetic route.
     """
 
     method: str = "direct"
@@ -112,7 +113,8 @@ def _direct_bordered(A, B, F, G, m=None):
 
     Returns (u, p, multiplier).  ``m`` is the weighted-mean functional; when
     given, the system is bordered once more so the pressure is mean-free
-    and inconsistent continuity data lands in the multiplier.
+    and inconsistent continuity data lands in the multiplier.  The LU is
+    real or complex as the blocks are.
     """
     nf = A.shape[0]
     np_ = B.shape[0]
@@ -121,7 +123,7 @@ def _direct_bordered(A, B, F, G, m=None):
         mat = sp.bmat([[A, Bh], [B, None]], format="csc")
         rhs = np.concatenate([F, G])
     else:
-        mcol = sp.csr_matrix(m.reshape(-1, 1).astype(complex))
+        mcol = sp.csr_matrix(m.reshape(-1, 1).astype(A.dtype))
         mat = sp.bmat(
             [[A, Bh, None], [B, None, mcol], [None, mcol.conj().T, None]],
             format="csc",
@@ -131,7 +133,7 @@ def _direct_bordered(A, B, F, G, m=None):
         lu = spla.splu(mat)
     except RuntimeError as exc:
         raise SolverBreakdown(f"bordered factorization failed: {exc}") from exc
-    sol = lu.solve(rhs.astype(complex))
+    sol = lu.solve(rhs.astype(mat.dtype))
     if not np.all(np.isfinite(sol)):
         raise SolverBreakdown("bordered solve produced non-finite values")
     u = sol[:nf]
@@ -140,7 +142,7 @@ def _direct_bordered(A, B, F, G, m=None):
     return u, p, mult
 
 
-def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config, dtype):
+def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config):
     """Schur-complement CG.  Returns (u, p, iterations, converged, history).
 
     ``a_solve`` applies the inverse velocity block; ``mp_solve`` applies
@@ -161,9 +163,9 @@ def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config, dtype):
             return x
         return x - np.full_like(x, np.vdot(m, x) / np.sum(m))
 
-    u = a_solve(F.astype(dtype))
-    p = np.zeros(B.shape[0], dtype=dtype)
-    r = deflate(B @ u - G.astype(dtype))
+    u = a_solve(F)
+    r = deflate(B @ u - G)
+    p = np.zeros_like(r)
     ref = max(float(np.linalg.norm(r)), float(np.linalg.norm(G)), 1e-300)
     history = []
     d = None
@@ -228,36 +230,32 @@ def solve_mode(
     if k == 0:
         report.compatibility_flux = complex(np.sum(G_hat))
 
-    real_data = (
+    A, B, F, G = system.A_hat, system.B_hat, F_hat, G_hat
+    if (
         k == 0
         and config.k0_real_fast_path
         and not np.any(F_hat.imag)
         and not np.any(G_hat.imag)
         and not np.any(system.constraints.fix.imag)
-    )
+    ):
+        report.fast_path = True
+        A, B, F, G = A.real, B.real, F.real, G.real
 
-    if real_data:
-        u_free, p = _solve_k0_real(system, F_hat, G_hat, config, report)
-    elif config.method == "direct":
-        m = system.m_vec if k == 0 else None
-        u_free, p, mult = _direct_bordered(
-            system.A_hat, system.B_hat, F_hat, G_hat, m
-        )
-        report.mean_multiplier = mult
+    m = system.m_vec if k == 0 else None
+    if config.method == "direct":
+        u_free, p, report.mean_multiplier = _direct_bordered(A, B, F, G, m)
     else:
-        m = system.m_vec.astype(complex) if k == 0 else None
-        e = np.ones(system.n_p, dtype=complex) if k == 0 else None
+        e = np.ones(system.n_p) if k == 0 else None
         u_free, p, its, conv, hist = _uzawa_core(
             system.a_solve,
-            system.A_hat,
-            system.B_hat,
-            F_hat,
-            G_hat,
+            A,
+            B,
+            F,
+            G,
             system.mp_solve if config.pressure_mass_precond else None,
             m,
             e,
             config,
-            complex,
         )
         report.iterations, report.converged, report.residuals = its, conv, hist
         if not conv:
@@ -270,59 +268,6 @@ def solve_mode(
     report.res_u, report.res_p = _true_residuals(system, u_free, p, F_hat, G_hat)
     u_full = system.recover(u_free)
     return ModeSolution(k=k, space=system.space, u=u_full, p=p, report=report)
-
-
-def _solve_k0_real(system, F_hat, G_hat, config, report):
-    """Decoupled real solve of the axisymmetric mode.
-
-    The meridian components and the pressure form a real Stokes problem;
-    the angular component solves its own symmetric positive definite
-    elliptic problem.
-    """
-    report.fast_path = True
-    angular = system.constraints.free_comp == COMP_T
-    idx_rz, idx_t = np.flatnonzero(~angular), np.flatnonzero(angular)
-    A = system.A_hat.real.tocsr()
-    A_rz = A[idx_rz][:, idx_rz].tocsc()
-    A_t = A[idx_t][:, idx_t].tocsc()
-    B_rz = system.B_hat.real.tocsr()[:, idx_rz]
-    F_rz = F_hat.real[idx_rz]
-    F_t = F_hat.real[idx_t]
-    G = G_hat.real
-    m = system.m_vec
-
-    if config.method == "direct":
-        u_rz, p, mult = _direct_bordered(A_rz, B_rz, F_rz, G, m)
-        u_rz, p = u_rz.real, p.real
-        report.mean_multiplier = mult
-    else:
-        lu_rz = spd_factor(A_rz)
-        u_rz, p, its, conv, hist = _uzawa_core(
-            lu_rz.solve,
-            A_rz,
-            B_rz,
-            F_rz,
-            G,
-            system.mp_solve if config.pressure_mass_precond else None,
-            m.astype(float),
-            np.ones(system.n_p),
-            config,
-            float,
-        )
-        report.iterations, report.converged, report.residuals = its, conv, hist
-        if not conv:
-            warnings.warn(
-                "axisymmetric pressure iteration stopped before the tolerance",
-                stacklevel=2,
-            )
-    if idx_t.size:
-        u_t = spd_factor(A_t).solve(F_t)
-    else:
-        u_t = np.zeros(0)
-    u_free = np.zeros(system.n_free, dtype=complex)
-    u_free[idx_rz] = u_rz
-    u_free[idx_t] = u_t
-    return u_free, p.astype(complex)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,7 @@ def test_solve_real_expression_data_keeps_nonnegative_modes(tmp_path):
     np.testing.assert_array_equal(implied.u, np.conj(stack.modes[1].u))
 
 
+NORM_TABLES = ("norms_velocity.csv", "norms_pressure.csv")
 REAL_DATA = "fr = cos(theta)*r + z\nftheta = sin(2*theta)*r\nfz = r*z*cos(theta)"
 
 
@@ -94,6 +95,22 @@ def test_real_data_mirrors_negative_modes(tmp_path, capsys, method):
         scale = max(np.abs(ref.u).max(), np.abs(ref.p).max())
         assert np.abs(stack.modes[k].u - ref.u).max() <= 1e-10 * scale
         assert np.abs(stack.modes[k].p - ref.p).max() <= 1e-10 * scale
+
+
+def test_mirrored_norm_rows_match_independent_evaluation(tmp_path, capsys):
+    # solve evaluates the norms of each |k| once for real data and relabels
+    # them for -k; norms evaluates every stored mode on its own.
+    out = tmp_path / "out"
+    extra = "\n[modes]\nwavenumbers = -2 -1 0 1 2\n"
+    cfg = _config(tmp_path, _base(out, data=REAL_DATA, extra=extra))
+    assert main(["solve", "--config", cfg]) == 0
+    solved = {name: (out / name).read_text() for name in NORM_TABLES}
+    assert main(["norms", "--config", cfg]) == 0
+    for name in NORM_TABLES:
+        assert (out / name).read_text() == solved[name]
+        rows = [line.split(", ") for line in solved[name].splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == [-2, -1, 0, 1, 2]
+        assert rows[0][1:] == rows[4][1:] and rows[1][1:] == rows[3][1:]
 
 
 def test_lone_negative_mode_is_conjugate_of_positive_solve(tmp_path):

@@ -136,6 +136,25 @@ def test_stack_roundtrip(tmp_path):
         np.testing.assert_array_equal(back.modes[k].p, stack.modes[k].p)
 
 
+def test_stack_rows_written_exactly(tmp_path):
+    # Every value is written with repr, so it reads back bit for bit;
+    # velocity-only rows leave the pressure fields empty.
+    u = np.array([[0.1, 2.0], [-0.0, 1e-300], [3.0, -4.5]]) + 1j * np.array(
+        [[1 / 3, 0.0], [-2.5, 0.0], [0.0, 7e22]]
+    )
+    stack = FourierStack(
+        n_max=1, real_data=False, mesh_id="cafe01234567",
+        modes={1: ModeVectors(u, np.array([0.25 - 1j]))},
+    )
+    write_stack(stack, tmp_path / "stack")
+    lines = (tmp_path / "stack" / "mode_1.csv").read_text().splitlines()
+    assert lines[1] == (
+        "0, 0.1, 0.3333333333333333, -0.0, -2.5, 3.0, 0.0, 0.25, -1.0"
+    )
+    assert lines[2] == "1, 2.0, 0.0, 1e-300, 0.0, -4.5, 7e+22, , "
+    assert len(lines) == 3
+
+
 def test_real_stack_implies_negative_modes(tmp_path):
     rng = np.random.default_rng(10)
     stack = _random_stack(rng, real_data=True)

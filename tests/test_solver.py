@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axistokes.fem import FemSpace, assemble, assemble_rhs
+from axistokes.fem import COMP_T, FemSpace, assemble, assemble_rhs
 from axistokes.fields import Poly2, as_mode_function
 from axistokes.meshing import generate_structured
 from axistokes.solver import (
@@ -146,10 +146,9 @@ def test_energy_identity_homogeneous_walls(space, cases):
     case = cases["k2_divfree"]
     system = assemble(space, 2)
     sol = solve_mode(system, f=case.f)
-    n = space.n_vel
-    u_free = np.array(
-        [sol.u[c, d] for (c, d) in system.constraints.free_dofs], dtype=complex
-    )
+    # C has one entry of modulus one per column and row at k = 2, so it is
+    # orthonormal and C* takes the free unknowns back from the full vector.
+    u_free = system.constraints.C.conj().T @ sol.u.ravel()
     F_hat, _ = system.rhs(case.f)
     pairing = complex(np.vdot(u_free, F_hat))
     energy_sq = system.energy_norm(u_free) ** 2
@@ -253,8 +252,8 @@ def _rel_err(x, ref):
 
 @pytest.mark.parametrize("k", range(-5, 6))
 def test_real_velocity_factor_matches_complex_solve(square8_systems, k):
-    # a_solve factors the real matrix D* A_hat D (D = i on free angular
-    # unknowns); it must agree with a complex solve of A_hat itself.
+    # a_solve factors the exactly real A_hat in real arithmetic; it must
+    # agree with a complex solve of A_hat, and a real b gives a real x.
     system = square8_systems[k]
     A = system.A_hat.tocsc()
     rng = np.random.default_rng(100 + k)
@@ -264,19 +263,76 @@ def test_real_velocity_factor_matches_complex_solve(square8_systems, k):
     real_b = rng.standard_normal(n)
     for b in (b1, block, real_b):
         x = system.a_solve(b)
-        assert x.shape == b.shape and np.iscomplexobj(x)
+        assert x.shape == b.shape and x.dtype == b.dtype
         ref = spla.spsolve(A, b.astype(complex))
         assert _rel_err(x, ref.reshape(b.shape)) <= 1e-12
+
+
+def _flip_w(system):
+    """Diagonal of S, which flips the sign of the free angular unknowns w."""
+    cons = system.constraints
+    angular = cons.free_rows // system.space.n_vel == COMP_T
+    return np.where(angular & (system.k != 0), -1.0, 1.0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(-5, 5), seed=st.integers(0, 2**32 - 1))
 def test_velocity_solve_mirrors_under_conjugation(square8_systems, k, seed):
-    # A_hat(-k) = conj(A_hat(k)), so solving mode -k with conj(b) gives the
-    # conjugate of the mode k solution.
+    # A(-k) = conj(A(k)) and u_theta = i w give A_hat(-k) = S A_hat(k) S,
+    # so solving mode -k with S b gives S times the mode k solution.
+    pos, neg = square8_systems[k], square8_systems[-k]
+    S = _flip_w(pos)
+    np.testing.assert_array_equal(_flip_w(neg), S)
+    mirrored = sp.diags(S) @ pos.A_hat @ sp.diags(S)
+    assert abs(neg.A_hat - mirrored).max() == 0.0
     rng = np.random.default_rng(seed)
-    n = square8_systems[k].n_free
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x_pos = square8_systems[k].a_solve(b)
-    x_neg = square8_systems[-k].a_solve(b.conj())
-    assert _rel_err(x_neg, x_pos.conj()) <= 1e-12
+    b = rng.standard_normal(pos.n_free) + 1j * rng.standard_normal(pos.n_free)
+    x_pos = pos.a_solve(b)
+    x_neg = neg.a_solve(S * b)
+    assert _rel_err(x_neg, S * x_pos) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def space8():
+    return FemSpace(generate_structured((1.0, 1.0), 0.125))
+
+
+def _reference_mode_solve(system, f):
+    """Complex spsolve of the bordered system built from the full blocks."""
+    cons = system.constraints
+    C, fix = cons.C, cons.fix
+    A, B = system.A_full, system.B_full
+    A_hat = C.conj().T @ A @ C
+    B_hat = B @ C
+    F_hat = C.conj().T @ (assemble_rhs(system.space, f, system.rule) - A @ fix)
+    G_hat = -(B @ fix)
+    blocks = [[A_hat, B_hat.conj().T], [B_hat, None]]
+    rhs = [F_hat, G_hat]
+    if system.k == 0:
+        m = sp.csr_matrix(system.m_vec.reshape(-1, 1).astype(complex))
+        blocks = [[A_hat, B_hat.conj().T, None], [B_hat, None, m], [None, m.T, None]]
+        rhs.append([0.0])
+    sol = spla.spsolve(sp.bmat(blocks, format="csc"), np.concatenate(rhs))
+    u = (C @ sol[: system.n_free] + fix).reshape(3, -1)
+    return u, sol[system.n_free : system.n_free + system.n_p]
+
+
+@pytest.mark.parametrize("method", ["direct", "uzawa"])
+@pytest.mark.parametrize("k", range(-5, 6))
+def test_mode_solve_matches_complex_reference(space8, k, method):
+    # Complex force for k != 0, real data at k = 0 (so the real path runs
+    # there), and flux-free wall data that vanishes on the axis.
+    c = 1.0 if k == 0 else 1.0 - 0.5j
+    g = (0.0 * RZ, Poly2({(1, 0): c, (1, 1): c}), 0.0 * RZ)
+    if k == 0:
+        f = (RZ, Z + 1.0 * RZ, Poly2({(1, 0): 2.0}))
+    else:
+        f = ((1 + 1j) * RZ, (0.5 - 1j) * Z, Poly2({(1, 0): 1j}))
+    system = assemble(space8, k, g=g)
+    config = SolverConfig(method=method, tol=1e-13)
+    sol = solve_mode(system, f=f, config=config)
+    assert sol.report.fast_path == (k == 0)
+    u_ref, p_ref = _reference_mode_solve(system, f)
+    bound = 1e-12 if method == "direct" else 1e-11
+    assert _rel_err(sol.u, u_ref) <= bound
+    assert _rel_err(sol.p, p_ref) <= bound
