@@ -340,7 +340,8 @@ def _solve_modes(config: RunConfig, space: FemSpace, ks, real_data: bool, jobs: 
     """{k: solution} for each k in ks.
 
     Real data makes mode -k the conjugate of mode k, so each |k| is solved
-    once.  The sampled data is dropped on return, before the output stage.
+    once.  The sampled data and the space's velocity factors are dropped on
+    return, before the output stage.
     """
     solve_ks = sorted({abs(k) for k in ks}) if real_data else ks
     data = _mode_data(config, solve_ks)
@@ -359,6 +360,7 @@ def _solve_modes(config: RunConfig, space: FemSpace, ks, real_data: bool, jobs: 
             futures = {k: pool.submit(solve_one, k) for k in solve_ks}
             for k, fut in futures.items():
                 solved[k] = fut.result()
+    space.release_velocity_factors()
     return {k: solved[k] if k in solved else solved[-k].conj() for k in ks}
 
 

@@ -10,24 +10,25 @@ where A is the Hermitian energy matrix of the mode (r-weighted stiffness
 plus 1/r-weighted mass coupling the radial and angular components) and B
 collects the mode divergence against pressure test functions.
 
-Essential conditions on the axis depend on the wavenumber: axisymmetric
-modes pin the radial and angular components and leave the axial one free;
-the |k| = 1 modes pin the axial component and tie the radial one to the
-angular one through u_r = -i k u_t; all higher modes pin everything.  The
-tie is expressed by a constraint matrix C mapping free unknowns to the
-full component-major vector, so reduced operators are C* A C and B C.
-For k != 0 the free angular unknowns are w with u_t = i w (the cos/sin
-splitting of axisymmetric vector fields), so the tie reads u_r = k w and
-C* A C and B C are exactly real for every mode.
-After reduction every surviving 1/r**2 contribution either cancels
-exactly (the tied |k| = 1 pairs) or involves only basis functions that
-vanish on the axis, keeping the interior quadrature consistent.
+Within a mode the velocity decouples once more (Bernardi, Dauge & Maday,
+1999): with u_t = i w and u+- = (u_r +- w)/sqrt(2) for k != 0, the energy
+is a sum of scalar forms L_j = K + j**2 Mm1, with j = |k - 1|, |k + 1|, |k|
+on u+, u-, u_z (for k = 0 the unknowns stay u_r, u_t, u_z with
+j = 1, 1, 0).  One rule gives every essential condition: a component is
+pinned on the wall, and on the axis iff j != 0; at |k| = 1 this leaves the
+tie u_r = -i k u_t.  A constraint matrix C with orthonormal columns maps
+the free unknowns to the full component-major vector, the reduced
+velocity block is the block diagonal of the restricted L_j that all modes
+of a space share, and B C is exactly real.  Every 1/r**2 contribution
+that survives involves only basis functions that vanish on the axis,
+keeping the interior quadrature consistent.
 
 Wall values win at corners where the wall meets the axis; data that
 violates the axis conditions of the current mode there triggers a warning
 instead of silently moving the problem.
 """
 
+import collections
 import dataclasses
 import threading
 import warnings
@@ -38,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import VectorModeFn, as_mode_function
-from .meshing import GAMMA, GAMMA0, MeridianMesh, locate_points
+from .meshing import GAMMA, MeridianMesh, locate_points
 from .quadrature import (
     DEFAULT_ASSEMBLY_DEGREE,
     QuadratureRule,
@@ -61,9 +62,9 @@ __all__ = [
 ]
 
 COMP_R, COMP_T, COMP_Z = 0, 1, 2
-_COMP_NAMES = ("r", "theta", "z")
 
-_FREE, _FIXED, _SLAVE = 0, 1, 2
+# Velocity factors a space keeps: the three scalar indices of one mode.
+_VELOCITY_FACTORS_KEPT = 3
 
 
 def _p2_values(lam: np.ndarray) -> np.ndarray:
@@ -106,9 +107,11 @@ class FemSpace:
     index m refers to the same node as velocity index m.
 
     Tabulations, operators and the pressure mass factor are built on first
-    use and cached per quadrature rule.  Solver threads (``solve --jobs``)
-    share one space, so the caches fill under one re-entrant lock: each
-    entry is built once, not once per thread that asks at the same time.
+    use and cached per quadrature rule; factors of the scalar velocity
+    blocks L_j are kept for the last three j (``velocity_factor``).  Solver
+    threads (``solve --jobs``) share one space, so the caches fill under
+    one re-entrant lock: each entry is built once, not once per thread
+    that asks at the same time.
     Cached entries are only read afterwards: a SuperLU solve reads the
     factor and works on its own copy of the right side, so threads may
     solve with the shared factor at the same time.
@@ -144,6 +147,10 @@ class FemSpace:
         self.wall_dofs = frozenset(wall)
         self.axis_dofs = frozenset(axis)
         self.corner_dofs = frozenset(wall & axis)
+        free = np.ones((2, self.n_vel), dtype=bool)
+        free[:, np.fromiter(wall, np.int64, len(wall))] = False
+        free[1, np.fromiter(axis, np.int64, len(axis))] = False
+        self._free_nodes = tuple(np.flatnonzero(row) for row in free)
 
         # Per-triangle geometry for gradient pushforward.
         verts = mesh.vertices[tris]
@@ -161,6 +168,7 @@ class FemSpace:
         self._tab_cache = {}
         self._op_cache = {}
         self._mp_cache = {}
+        self._velocity_factors = collections.OrderedDict()
 
     def _cached(self, cache: dict, rule: QuadratureRule, build):
         key = (rule.degree, len(rule.weights))
@@ -168,6 +176,13 @@ class FemSpace:
             if key not in cache:
                 cache[key] = build(rule)
             return cache[key]
+
+    def free_nodes(self, j: int) -> np.ndarray:
+        """Velocity nodes where a component with scalar index j is unknown.
+
+        Wall nodes are pinned for every j, axis nodes for j != 0.
+        """
+        return self._free_nodes[j != 0]
 
     def tabulation(self, rule: QuadratureRule):
         """Basis values and physical gradients at the rule points.
@@ -191,6 +206,38 @@ class FemSpace:
     def operators(self, rule: QuadratureRule = None) -> "ModeOperators":
         rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
         return self._cached(self._op_cache, rule, lambda q: _build_operators(self, q))
+
+    def velocity_block(self, j: int, rule: QuadratureRule = None) -> sp.csr_matrix:
+        """L_j = K + j**2 Mm1 restricted to ``free_nodes(j)``, real.
+
+        Every mode builds its reduced velocity block from three of these.
+        """
+        ops, idx = self.operators(rule), self.free_nodes(j)
+        return (ops.K + (j * j) * ops.Mm1)[idx][:, idx].tocsr()
+
+    def velocity_factor(self, j: int, rule: QuadratureRule = None):
+        """Real factor of ``velocity_block(j)``, shared by the modes using it.
+
+        The space keeps the factors of the last three j asked for.  Mode
+        k != 0 uses j = |k| - 1, |k|, |k| + 1 (mode 0 uses 0 and 1), so modes
+        solved in order of |k| factor each L_j once, and a many-mode run
+        does not hold all its factors at the same time.
+        """
+        rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
+        key = (j, rule.degree, len(rule.weights))
+        with self._lock:
+            factors = self._velocity_factors
+            if key not in factors:
+                factors[key] = spd_factor(self.velocity_block(j, rule))
+                if len(factors) > _VELOCITY_FACTORS_KEPT:
+                    factors.popitem(last=False)
+            factors.move_to_end(key)
+            return factors[key]
+
+    def release_velocity_factors(self) -> None:
+        """Forget the kept velocity factors; a system holding one keeps it."""
+        with self._lock:
+            self._velocity_factors.clear()
 
     def pressure_mass_factor(self, rule: QuadratureRule = None):
         """Real factor of the r-weighted pressure mass matrix Mp.
@@ -267,16 +314,10 @@ def mode_matrices(space: FemSpace, k: int, rule: QuadratureRule = None):
     """Full (unconstrained) saddle blocks A (3n x 3n) and B (np x 3n)."""
     ops = space.operators(rule)
     K, Mm1 = ops.K, ops.Mm1
-    if k == 0:
-        A_rr = (K + Mm1).astype(complex)
-        A_zz = K.astype(complex)
-        A_rt = None
-        A_tr = None
-    else:
-        A_rr = (K + (1 + k * k) * Mm1).astype(complex)
-        A_zz = (K + (k * k) * Mm1).astype(complex)
-        A_rt = (2j * k) * Mm1
-        A_tr = (-2j * k) * Mm1
+    A_rr = (K + (1 + k * k) * Mm1).astype(complex)
+    A_zz = (K + (k * k) * Mm1).astype(complex)
+    A_rt = (2j * k) * Mm1 if k else None
+    A_tr = (-2j * k) * Mm1 if k else None
     A = sp.bmat(
         [[A_rr, A_rt, None], [A_tr, A_rr, None], [None, None, A_zz]], format="csr"
     )
@@ -290,30 +331,37 @@ class ModeConstraints:
     """Essential conditions of one mode as a linear change of unknowns.
 
     ``C`` maps the free vector to the full component-major velocity vector
-    and ``fix`` carries the pinned values, so u_full = C u_free + fix.
-    ``free_rows`` is the index in the full vector of each free unknown.
-    For k != 0 a free angular unknown is w with u_theta = i w: its column
-    of C carries i, and a radial unknown slaved to it (|k| = 1) carries k.
+    and ``fix`` carries the pinned values, so u_full = C u_free + fix.  The
+    free vector holds three components one after another, in the slices
+    ``blocks``; component c has scalar index ``j[c]`` and is unknown on
+    ``FemSpace.free_nodes(j[c])``.  For k != 0 the components are u+, u-
+    and u_z, so a u+- column of C carries (1, +-i)/sqrt(2) on the radial
+    and angular rows; for k = 0 they are u_r, u_theta and u_z.  The columns
+    of C are orthonormal.
     """
 
     k: int
     C: sp.csr_matrix
     fix: np.ndarray
-    free_rows: np.ndarray
-    n_fixed: int
-    n_slaved: int
+    j: tuple
+    blocks: tuple
 
     @property
     def n_free(self) -> int:
         return self.C.shape[1]
 
 
-def _axis_violation(k: int, gr, gt, gz) -> float:
+def _mode_basis(k: int):
+    """Scalar index j and (r, theta, z) direction of each component of mode k.
+
+    Directions are unnormalized, with entries of modulus one, so that data
+    projected on them keeps the units of u_r and u_theta.
+    """
     if k == 0:
-        return max(abs(gr), abs(gt))
-    if abs(k) == 1:
-        return max(abs(gz), abs(gr + 1j * k * gt))
-    return max(abs(gr), abs(gt), abs(gz))
+        return (1, 1, 0), np.eye(3)
+    return (abs(k - 1), abs(k + 1), abs(k)), np.array(
+        [[1, 1, 0], [1j, -1j, 0], [0, 0, 1]]
+    )
 
 
 def mode_constraints(
@@ -324,71 +372,45 @@ def mode_constraints(
     ``g`` is the wall velocity data (vector mode function or component
     triple); omitted means homogeneous.  Wall values are interpolated at
     wall degrees of freedom.  At wall/axis corners the wall data wins; a
-    warning reports data that violates the axis conditions of this mode
-    beyond ``corner_tol``.
+    warning reports data whose component along any direction with j != 0
+    exceeds ``corner_tol``.
     """
     n = space.n_vel
-    state = np.zeros((3, n), dtype=np.int8)
+    js, dirs = _mode_basis(k)
     fix = np.zeros(3 * n, dtype=complex)
+    if g is not None and space.wall_dofs:
+        wall = np.fromiter(space.wall_dofs, np.int64, len(space.wall_dofs))
+        comps = g.components if isinstance(g, VectorModeFn) else tuple(g)
+        coords = space.dof_coords[wall]
+        for c, comp in enumerate(comps):
+            fn = as_mode_function(comp)
+            vals = np.asarray(fn.value(coords[:, 0], coords[:, 1]), dtype=complex)
+            fix[c * n + wall] = np.broadcast_to(vals, wall.shape)
 
-    wall = np.fromiter(space.wall_dofs, dtype=np.int64) if space.wall_dofs else np.empty(0, np.int64)
-    if wall.size:
-        state[:, wall] = _FIXED
-        if g is not None:
-            comps = g.components if isinstance(g, VectorModeFn) else tuple(g)
-            coords = space.dof_coords[wall]
-            for c, comp in enumerate(comps):
-                fn = as_mode_function(comp)
-                vals = np.asarray(fn.value(coords[:, 0], coords[:, 1]), dtype=complex)
-                fix[c * n + wall] = np.broadcast_to(vals, wall.shape)
-
-    axis_only = np.array(sorted(space.axis_dofs - space.wall_dofs), dtype=np.int64)
-    n_slaved = 0
-    if k == 0:
-        state[COMP_R, axis_only] = _FIXED
-        state[COMP_T, axis_only] = _FIXED
-    elif abs(k) == 1:
-        state[COMP_Z, axis_only] = _FIXED
-        state[COMP_R, axis_only] = _SLAVE
-        n_slaved = axis_only.size
-    else:
-        state[:, axis_only] = _FIXED
-
-    if g is not None and space.corner_dofs:
-        for d in sorted(space.corner_dofs):
-            gr, gt, gz = fix[d], fix[n + d], fix[2 * n + d]
-            bad = _axis_violation(k, gr, gt, gz)
-            if bad > corner_tol:
+        corners = np.array(sorted(space.corner_dofs), dtype=np.int64)
+        pinned = dirs[:, [c for c in range(3) if js[c]]]
+        bad = np.abs(pinned.conj().T @ fix.reshape(3, n)[:, corners]).max(axis=0)
+        for d, b in zip(corners, bad):
+            if b > corner_tol:
                 r0, z0 = space.dof_coords[d]
                 warnings.warn(
                     f"wall data at corner node ({r0:.3g}, {z0:.3g}) violates the "
-                    f"axis conditions of mode {k} by {bad:.3e}; wall values kept",
+                    f"axis conditions of mode {k} by {b:.3e}; wall values kept",
                     stacklevel=2,
                 )
 
-    # Free unknowns in component-major order; for k != 0 an angular one is
-    # w = -i u_theta.  A slaved radial unknown takes its column from the
-    # angular unknown at the same node: u_r = -i k u_theta = k w.
-    free_rows = np.flatnonzero(state.ravel() == _FREE)
-    n_free = free_rows.size
-    rows, cols = [free_rows], [np.arange(n_free)]
-    angular = free_rows // n == COMP_T
-    vals = [np.where(angular & (k != 0), 1j, 1.0)]
-    if n_slaved:
-        col_of = np.empty(3 * n, dtype=np.int64)
-        col_of[free_rows] = np.arange(n_free)
-        rows.append(COMP_R * n + axis_only)
-        cols.append(col_of[COMP_T * n + axis_only])
-        vals.append(np.full(n_slaved, float(k)))
-    C = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(3 * n, n_free),
-        dtype=complex,
+    # Column block c is the unit direction of component c times the
+    # columns of the identity at its free nodes.
+    eye = sp.identity(n, dtype=complex, format="csc")
+    dirs = dirs / np.linalg.norm(dirs, axis=0)
+    C = sp.hstack(
+        [sp.kron(dirs[:, [c]], eye[:, space.free_nodes(j)]) for c, j in enumerate(js)],
+        format="csr",
     )
-    n_fixed = int(np.count_nonzero(state == _FIXED))
-    return ModeConstraints(
-        k=k, C=C, fix=fix, free_rows=free_rows, n_fixed=n_fixed, n_slaved=n_slaved
-    )
+    sizes = [space.free_nodes(j).size for j in js]
+    ends = np.cumsum(sizes).tolist()
+    blocks = tuple(slice(e - size, e) for size, e in zip(sizes, ends))
+    return ModeConstraints(k=k, C=C, fix=fix, j=js, blocks=blocks)
 
 
 def assemble_rhs(space: FemSpace, f=None, rule: QuadratureRule = None) -> np.ndarray:
@@ -459,11 +481,12 @@ class SaddleSystem:
     values into the free unknowns.  ``A_hat`` and ``B_hat`` are exactly
     real (see ``ModeConstraints``) but kept in complex dtype, since
     products of a real sparse matrix with complex vectors copy it each
-    time.  The reduced velocity block ``A_hat`` is symmetric positive
-    definite (``a_solve`` applies its inverse), ``B_hat`` has full rank
-    except for the axisymmetric constant pressure, represented by
-    ``m_vec``; ``mp_solve`` applies the inverse pressure mass matrix
-    ``Mp``.
+    time.  The reduced velocity block ``A_hat`` is the block diagonal of
+    the space's scalar blocks L_j, one per free component, so it is
+    symmetric positive definite; ``a_solve`` applies its inverse on the
+    shared factors of the L_j.  ``B_hat`` has full rank except for the
+    axisymmetric constant pressure, represented by ``m_vec``; ``mp_solve``
+    applies the inverse pressure mass matrix ``Mp``.
     """
 
     space: FemSpace
@@ -476,7 +499,7 @@ class SaddleSystem:
     B_hat: sp.csr_matrix
     Mp: sp.csr_matrix
     m_vec: np.ndarray
-    _a_factor: object = field(default=None, repr=False)
+    _factors: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_free(self) -> int:
@@ -524,19 +547,22 @@ class SaddleSystem:
     def a_solve(self, rhs: np.ndarray) -> np.ndarray:
         """A_hat^-1 rhs for a vector or a block of columns.
 
-        A_hat is factored once, in real arithmetic; the result keeps the
-        dtype of the right side.
+        Each component's slice is solved on the real factor of its L_j,
+        which the space shares and this system holds once it has used it;
+        an all-zero slice stays zero without a solve.  The result keeps
+        the dtype of the right side.
         """
-        if self._a_factor is None:
-            self._a_factor = spd_factor(self.A_hat.real)
-        return _real_solve(self._a_factor, rhs)
+        out = np.zeros_like(rhs)
+        for j, block in zip(self.constraints.j, self.constraints.blocks):
+            if np.any(rhs[block]):
+                if j not in self._factors:
+                    self._factors[j] = self.space.velocity_factor(j, self.rule)
+                out[block] = _real_solve(self._factors[j], rhs[block])
+        return out
 
     def mp_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Mp^-1 rhs on the real factor of Mp that all modes of the space share."""
         return _real_solve(self.space.pressure_mass_factor(self.rule), rhs)
-
-    def energy_norm(self, u_free: np.ndarray) -> float:
-        return float(np.sqrt(max(np.vdot(u_free, self.A_hat @ u_free).real, 0.0)))
 
     def dual_norm(self, f) -> float:
         """Norm of a velocity functional in the dual of the constrained space.
@@ -559,9 +585,9 @@ def assemble(
     rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
     A, B = mode_matrices(space, k, rule)
     cons = mode_constraints(space, k, g)
-    C = cons.C
-    A_hat = (C.conj().T @ A @ C).tocsr()
-    B_hat = (B @ C).tocsr()
+    blocks = [space.velocity_block(j, rule) for j in cons.j]
+    A_hat = sp.block_diag(blocks, format="csr", dtype=complex)
+    B_hat = (B @ cons.C).tocsr()
     ops = space.operators(rule)
     return SaddleSystem(
         space=space,

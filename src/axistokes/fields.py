@@ -71,9 +71,6 @@ class Poly2:
         """Divide by r**n exactly (shifts every r exponent)."""
         return Poly2({(a - n, b): c for (a, b), c in self.coeffs.items()})
 
-    def mul_r(self, n: int = 1) -> "Poly2":
-        return Poly2({(a + n, b): c for (a, b), c in self.coeffs.items()})
-
     def laplace_axi(self) -> "Poly2":
         """Axisymmetric Laplacian (1/r) d_r(r d_r .) + d_z^2 applied exactly."""
         dr = self.d_r()
@@ -111,10 +108,6 @@ class Poly2:
 
     def conj(self) -> "Poly2":
         return Poly2({k: np.conj(c) for k, c in self.coeffs.items()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
@@ -186,18 +179,6 @@ class VectorModeFn:
         object.__setattr__(
             self, "components", tuple(as_mode_function(c) for c in self.components)
         )
-
-    @property
-    def c_r(self):
-        return self.components[0]
-
-    @property
-    def c_theta(self):
-        return self.components[1]
-
-    @property
-    def c_z(self):
-        return self.components[2]
 
     def conj(self) -> "VectorModeFn":
         comps = []

@@ -112,10 +112,6 @@ class ComponentNorms:
     l2_m1_sq: float
     h1_1_semi_sq: float
 
-    @property
-    def v1_1_sq(self) -> float:
-        return self.l2_m1_sq + self.h1_1_semi_sq
-
 
 @dataclass(frozen=True)
 class NormReport:
@@ -136,10 +132,6 @@ class NormReport:
     h1k_semi_sq: float
     h1k_star_sq: float
     components: dict = field(default_factory=dict)
-
-    @property
-    def v1_1_sq(self) -> float:
-        return self.l2_m1_sq + self.h1_1_semi_sq
 
     @property
     def l2_1(self) -> float:

@@ -10,10 +10,11 @@ deflated by keeping residuals Euclidean-orthogonal to the constant
 vector, which makes every preconditioned iterate exactly mean-free.
 
 Both paths run on the reduced blocks, which are exactly real for every
-mode (u_theta = i w, see ``fem.ModeConstraints``), and the velocity block
-is factored in real arithmetic.  Real axisymmetric data has a real
-solution, so the fast path runs the same solve on the real parts of the
-blocks and the data, a real LU or a real iteration.
+mode (u_theta = i w, see ``fem.ModeConstraints``); the velocity block is
+the block diagonal of scalar operators L_j whose real factors the modes
+of a space share.  Real axisymmetric data has a real solution, so the
+fast path runs the same solve on the real parts of the blocks and the
+data, a real LU or a real iteration.
 
 ``estimate_inf_sup`` measures the discrete stability constant as the
 smallest generalized eigenvalue of the Schur complement against the
@@ -51,8 +52,7 @@ class SolverConfig:
 
     method: 'direct' (sparse LU of the bordered system) or 'uzawa'
     (Schur-complement conjugate gradients; 'uzawa_cg' is accepted as a
-    synonym).  tol is relative, and with max_iter controls the iteration;
-    the residual history is kept when record_residuals is set.
+    synonym).  tol is relative, and with max_iter controls the iteration.
     pressure_mass_precond applies the r-weighted pressure mass matrix as
     the preconditioner (recommended); k0_real_fast_path lets real
     axisymmetric data take the real-arithmetic route.
@@ -63,7 +63,6 @@ class SolverConfig:
     max_iter: int = 500
     pressure_mass_precond: bool = True
     k0_real_fast_path: bool = True
-    record_residuals: bool = True
 
     def __post_init__(self):
         if self.method == "uzawa_cg":
@@ -201,8 +200,7 @@ def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config):
         iterations = it
         res_p = float(np.linalg.norm(r))
         res_u = float(np.linalg.norm(F - A @ u - Bh @ p))
-        if config.record_residuals:
-            history.append((it, res_u, res_p))
+        history.append((it, res_u, res_p))
         if res_p <= config.tol * ref:
             converged = True
             break
@@ -348,11 +346,9 @@ def _lobpcg_schur(system, *, tol, maxiter, seed) -> float:
     Bh = system.B_hat.conj().T
 
     def apply_s(x):
-        x = np.asarray(x)
-        cols = [system.B_hat @ system.a_solve(Bh @ x[:, j]) for j in range(x.shape[1])]
-        return np.stack(cols, axis=1)
+        return system.B_hat @ system.a_solve(Bh @ x)
 
-    S_op = spla.LinearOperator((np_, np_), matvec=lambda v: apply_s(v.reshape(-1, 1))[:, 0], matmat=apply_s, dtype=complex)
+    S_op = spla.LinearOperator((np_, np_), matvec=apply_s, matmat=apply_s, dtype=complex)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((np_, 3)) + 0j
     Y = np.ones((np_, 1), dtype=complex) if system.k == 0 else None

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from axistokes import fem
 from axistokes.fem import (
     COMP_R,
     COMP_T,
@@ -46,26 +47,26 @@ def test_space_counts(space):
     assert len(space.axis_dofs - space.wall_dofs) == 3
 
 
-@pytest.mark.parametrize("k,axis_fixed,slaved", [(0, 2, 0), (1, 1, 1), (-1, 1, 1), (2, 3, 0), (5, 3, 0)])
-def test_constraint_counts(space, k, axis_fixed, slaved):
+@pytest.mark.parametrize("k,axis_fixed", [(0, 2), (1, 2), (-1, 2), (2, 3), (5, 3)])
+def test_constraint_counts(space, k, axis_fixed):
     cons = mode_constraints(space, k)
     n_wall = len(space.wall_dofs)
     n_axis_only = len(space.axis_dofs - space.wall_dofs)
-    assert cons.n_fixed == 3 * n_wall + axis_fixed * n_axis_only
-    assert cons.n_slaved == slaved * n_axis_only
-    assert cons.n_free == 3 * space.n_vel - cons.n_fixed - cons.n_slaved
+    assert cons.n_free == 3 * space.n_vel - 3 * n_wall - axis_fixed * n_axis_only
 
 
 @pytest.mark.parametrize("k", [1, -1])
 def test_unit_wavenumber_axis_tie(space, k):
-    # On the axis the radial component is slaved as u_r = -i k u_theta.
+    # The u+- component with j = 0 is free on the axis and the other is
+    # pinned, which leaves u_r = -i k u_theta on the axis rows.
     cons = mode_constraints(space, k)
+    assert sorted(cons.j[:2]) == [0, 2]
     C = cons.C.toarray()
     n = space.n_vel
     for d in sorted(space.axis_dofs - space.wall_dofs):
-        assert np.any(C[COMP_T * n + d] != 0.0)
+        assert np.count_nonzero(C[COMP_T * n + d]) == 1
         np.testing.assert_array_equal(C[COMP_R * n + d], -1j * k * C[COMP_T * n + d])
-        assert COMP_R * n + d not in cons.free_rows
+        assert not np.any(C[COMP_Z * n + d])
 
 
 def test_wall_values_enter_fix(space):
@@ -118,6 +119,9 @@ def test_reduced_velocity_block_hermitian_definite(space, k):
     H = system.A_hat.toarray()
     scale = np.abs(H).max()
     assert np.abs(H - H.conj().T).max() <= 1e-14 * scale
+    # The block diagonal of the L_j is C* A C: the u+- split decouples it.
+    C = system.constraints.C
+    assert np.abs((C.conj().T @ system.A_full @ C).toarray() - H).max() <= 1e-14 * scale
     eigs = np.linalg.eigvalsh(H)
     assert eigs.min() > 0.0
 
@@ -234,7 +238,9 @@ def test_space_caches_build_once_under_threads():
     def worker():
         barrier.wait(timeout=10)
         tab = space.tabulation(triangle_rule(5))
-        got.append((tab, space.operators(), space.pressure_mass_factor()))
+        got.append(
+            (tab, space.operators(), space.pressure_mass_factor(), space.velocity_factor(2))
+        )
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -250,3 +256,21 @@ def test_space_caches_build_once_under_threads():
     assert len(got) == 6
     for entry in got[1:]:
         assert all(a is b for a, b in zip(entry, got[0]))
+
+
+def test_velocity_factors_shared_in_order_of_wavenumber(monkeypatch):
+    # Mode k solves with L_j for j = |k - 1|, |k + 1|, |k|.  In order of
+    # |k|, modes 0 .. 4 need L_0 .. L_5, and the space factors each once.
+    space = FemSpace(generate_structured((1.0, 1.0), 0.25))
+    factored = []
+    spd_factor = fem.spd_factor
+    monkeypatch.setattr(fem, "spd_factor", lambda A: factored.append(A) or spd_factor(A))
+    systems = [assemble(space, k) for k in range(5)]
+    for system in systems:
+        x = system.a_solve(np.ones(system.n_free))
+        assert np.abs(system.A_hat @ x - 1.0).max() <= 1e-12
+    assert len(factored) == 6
+    # A system holds the factors it used after the space forgets them.
+    space.release_velocity_factors()
+    systems[2].a_solve(np.ones(systems[2].n_free))
+    assert len(factored) == 6
