@@ -24,7 +24,6 @@ from .fourier import (
     ModeVectors,
     anisotropic_norm,
     angular_grid,
-    complete_real_modes,
     conjugation_defect,
     fourier_coefficient,
     min_angular_samples,
@@ -103,7 +102,6 @@ __all__ = [
     "ModeVectors",
     "anisotropic_norm",
     "angular_grid",
-    "complete_real_modes",
     "conjugation_defect",
     "fourier_coefficient",
     "min_angular_samples",

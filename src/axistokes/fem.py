@@ -321,9 +321,13 @@ def mode_matrices(space: FemSpace, k: int, rule: QuadratureRule = None):
     A = sp.bmat(
         [[A_rr, A_rt, None], [A_tr, A_rr, None], [None, None, A_zz]], format="csr"
     )
+    return A, _divergence_matrix(ops, k)
+
+
+def _divergence_matrix(ops: ModeOperators, k: int) -> sp.csr_matrix:
+    """Full divergence block B (np x 3n) of mode k."""
     Bt = (-1j * k) * ops.D0 if k != 0 else sp.csr_matrix(ops.D0.shape, dtype=complex)
-    B = sp.bmat([[ops.Br.astype(complex), Bt, ops.Bz.astype(complex)]], format="csr")
-    return A, B
+    return sp.bmat([[ops.Br.astype(complex), Bt, ops.Bz.astype(complex)]], format="csr")
 
 
 @dataclass
@@ -334,16 +338,18 @@ class ModeConstraints:
     and ``fix`` carries the pinned values, so u_full = C u_free + fix.  The
     free vector holds three components one after another, in the slices
     ``blocks``; component c has scalar index ``j[c]`` and is unknown on
-    ``FemSpace.free_nodes(j[c])``.  For k != 0 the components are u+, u-
-    and u_z, so a u+- column of C carries (1, +-i)/sqrt(2) on the radial
-    and angular rows; for k = 0 they are u_r, u_theta and u_z.  The columns
-    of C are orthonormal.
+    ``FemSpace.free_nodes(j[c])`` along the unit (r, theta, z) direction
+    ``dirs[:, c]``.  For k != 0 the components are u+, u- and u_z, so a
+    u+- column of C carries (1, +-i)/sqrt(2) on the radial and angular
+    rows; for k = 0 they are u_r, u_theta and u_z.  The columns of C are
+    orthonormal.
     """
 
     k: int
     C: sp.csr_matrix
     fix: np.ndarray
     j: tuple
+    dirs: np.ndarray
     blocks: tuple
 
     @property
@@ -410,7 +416,7 @@ def mode_constraints(
     sizes = [space.free_nodes(j).size for j in js]
     ends = np.cumsum(sizes).tolist()
     blocks = tuple(slice(e - size, e) for size, e in zip(sizes, ends))
-    return ModeConstraints(k=k, C=C, fix=fix, j=js, blocks=blocks)
+    return ModeConstraints(k=k, C=C, fix=fix, j=js, dirs=dirs, blocks=blocks)
 
 
 def assemble_rhs(space: FemSpace, f=None, rule: QuadratureRule = None) -> np.ndarray:
@@ -477,13 +483,13 @@ class DataError(ValueError):
 class SaddleSystem:
     """One mode's constrained saddle problem, ready for right sides.
 
-    Holds the full and reduced operators; ``rhs`` folds data and pinned
-    values into the free unknowns.  ``A_hat`` and ``B_hat`` are exactly
-    real (see ``ModeConstraints``) but kept in complex dtype, since
-    products of a real sparse matrix with complex vectors copy it each
-    time.  The reduced velocity block ``A_hat`` is the block diagonal of
-    the space's scalar blocks L_j, one per free component, so it is
-    symmetric positive definite; ``a_solve`` applies its inverse on the
+    Holds the reduced operators and the full divergence block; ``rhs``
+    folds data and pinned values into the free unknowns.  ``A_hat`` and
+    ``B_hat`` are exactly real (see ``ModeConstraints``) but kept in complex
+    dtype, since products of a real sparse matrix with complex vectors copy
+    it each time.  The reduced velocity block ``A_hat`` is the block
+    diagonal of the space's scalar blocks L_j, one per free component, so
+    it is symmetric positive definite; ``a_solve`` applies its inverse on the
     shared factors of the L_j.  ``B_hat`` has full rank except for the
     axisymmetric constant pressure, represented by ``m_vec``; ``mp_solve``
     applies the inverse pressure mass matrix ``Mp``.
@@ -493,7 +499,6 @@ class SaddleSystem:
     k: int
     rule: QuadratureRule
     constraints: ModeConstraints
-    A_full: sp.csr_matrix
     B_full: sp.csr_matrix
     A_hat: sp.csr_matrix
     B_hat: sp.csr_matrix
@@ -521,7 +526,7 @@ class SaddleSystem:
             F = assemble_rhs(self.space, f, self.rule)
             G = assemble_divergence_rhs(self.space, g_div, self.rule)
             fix = self.constraints.fix
-            F_hat = self.constraints.C.conj().T @ (F - self.A_full @ fix)
+            F_hat = self.constraints.C.conj().T @ F - self._lift(fix)
             G_hat = G - self.B_full @ fix
         if not (np.all(np.isfinite(F_hat)) and np.all(np.isfinite(G_hat))):
             raise DataError(
@@ -538,6 +543,23 @@ class SaddleSystem:
                     stacklevel=2,
                 )
         return F_hat, G_hat
+
+    def _lift(self, fix: np.ndarray) -> np.ndarray:
+        """C* A fix for the full energy matrix A, without forming A.
+
+        The unit direction of each free component is an eigenvector of the
+        3 x 3 symbol of A, with eigen-operator L_j = K + j**2 Mm1 (see the
+        module docstring), so the lift of component c is L_j applied to
+        the pinned values along that direction, kept at its free nodes.
+        """
+        cons, ops = self.constraints, self.space.operators(self.rule)
+        along = cons.dirs.conj().T @ fix.reshape(3, -1)
+        return np.concatenate(
+            [
+                (ops.K @ w + (j * j) * (ops.Mm1 @ w))[self.space.free_nodes(j)]
+                for j, w in zip(cons.j, along)
+            ]
+        )
 
     def recover(self, u_free: np.ndarray) -> np.ndarray:
         """Full component-major velocity vector from free unknowns."""
@@ -583,18 +605,17 @@ def assemble(
 ) -> SaddleSystem:
     """Build the constrained saddle system of mode k with wall data g."""
     rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
-    A, B = mode_matrices(space, k, rule)
+    ops = space.operators(rule)
+    B = _divergence_matrix(ops, k)
     cons = mode_constraints(space, k, g)
     blocks = [space.velocity_block(j, rule) for j in cons.j]
     A_hat = sp.block_diag(blocks, format="csr", dtype=complex)
     B_hat = (B @ cons.C).tocsr()
-    ops = space.operators(rule)
     return SaddleSystem(
         space=space,
         k=k,
         rule=rule,
         constraints=cons,
-        A_full=A,
         B_full=B,
         A_hat=A_hat,
         B_hat=B_hat,

@@ -12,11 +12,15 @@ components are pulled back by the inverse rotation before the transform,
 and the mode sum applies the rotation again, which is the same as summing
 the physical cylindrical components directly.
 
-Angular integrals use the equispaced trapezoid rule, which is exact for
-trigonometric polynomials resolved by the sample count; coefficients come
-from FFT bins.  Sample counts are powers of two, and extraction of mode k
-demands at least 4|k| + 2 samples so that quadratically nonlinear
-integrands of resolved fields cannot alias into the extracted bin.
+The mode sum is one product over the mode axis: the coefficients are
+stacked along a trailing axis and multiplied by the matrix of normalized
+phases exp(i k theta) / sqrt(2 pi), so arbitrary angles cost no more than
+equispaced ones.  Angular integrals use the equispaced trapezoid rule,
+which is exact for trigonometric polynomials resolved by the sample
+count; coefficients come from FFT bins.  Sample counts are powers of two,
+and extraction of mode k demands at least 4|k| + 2 samples so that
+quadratically nonlinear integrands of resolved fields cannot alias into
+the extracted bin.
 """
 
 import itertools
@@ -34,7 +38,6 @@ __all__ = [
     "ModeVectors",
     "angular_grid",
     "anisotropic_norm",
-    "complete_real_modes",
     "conjugation_defect",
     "fourier_coefficient",
     "min_angular_samples",
@@ -43,7 +46,6 @@ __all__ = [
     "reconstruct_stack",
     "rotate_to_cartesian",
     "rotate_to_cylindrical",
-    "rotation_matrix",
     "write_stack",
 ]
 
@@ -64,19 +66,6 @@ def min_angular_samples(k_max: int) -> int:
     while n < need:
         n *= 2
     return n
-
-
-def rotation_matrix(theta) -> np.ndarray:
-    """Rotation about the symmetry axis, shape (..., 3, 3)."""
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    out = np.zeros(theta.shape + (3, 3))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    out[..., 2, 2] = 1.0
-    return out
 
 
 def rotate_to_cartesian(v_cyl, theta):
@@ -151,24 +140,15 @@ def reconstruct(coefficients: dict, thetas) -> np.ndarray:
     result has that shape plus a trailing theta axis.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    items = sorted(coefficients.items())
-    if not items:
+    if not coefficients:
         raise ValueError("empty mode dictionary")
-    first = np.asarray(items[0][1], dtype=complex)
-    out = np.zeros(first.shape + thetas.shape, dtype=complex)
-    for k, coeff in items:
-        coeff = np.asarray(coeff, dtype=complex)
-        out += coeff[..., None] * np.exp(1j * k * thetas)
-    return out / _SQRT_2PI
-
-
-def complete_real_modes(modes: dict) -> dict:
-    """Fill negative wavenumbers by conjugation symmetry of real fields."""
-    out = dict(modes)
-    for k, value in modes.items():
-        if k > 0 and -k not in modes:
-            out[-k] = _conj_value(value)
-    return out
+    ks = sorted(coefficients)
+    stacked = np.stack(
+        [np.asarray(coefficients[k], dtype=complex) for k in ks], axis=-1
+    )
+    phases = np.exp(1j * np.outer(ks, thetas)) / _SQRT_2PI
+    out = stacked.reshape(-1, len(ks)) @ phases
+    return out.reshape(stacked.shape[:-1] + thetas.shape)
 
 
 def conjugation_defect(modes: dict) -> float:
@@ -364,21 +344,18 @@ def reconstruct_stack(stack: FourierStack, thetas, frame: str = "cylindrical"):
 
     Returns (u, p) with u of shape (3, n_vel, n_theta) and p of shape
     (n_p, n_theta).  ``frame`` picks physical cylindrical components or
-    Cartesian ones (rotated by the angle).
+    Cartesian ones (rotated by the angle).  A real-data stack sums over
+    +-k, its missing negative modes taken by conjugation.
     """
     if frame not in ("cylindrical", "cartesian"):
         raise ValueError("frame must be 'cylindrical' or 'cartesian'")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    u_modes = {c: {} for c in range(3)}
-    p_modes = {}
-    for k in stack.wavenumbers:
-        mv = stack.modes[k]
-        for c in range(3):
-            u_modes[c][k] = mv.u[c]
-        p_modes[k] = mv.p
-    u = np.stack([reconstruct(u_modes[c], thetas) for c in range(3)])
-    p = reconstruct(p_modes, thetas)
+    ks = set(stack.wavenumbers)
+    if stack.real_data:
+        ks |= {-k for k in ks}
+    modes = {k: stack.mode(k) for k in ks}
+    u = reconstruct({k: mv.u for k, mv in modes.items()}, thetas)
+    p = reconstruct({k: mv.p for k, mv in modes.items()}, thetas)
     if frame == "cartesian":
-        ux, uy, uz = rotate_to_cartesian((u[0], u[1], u[2]), thetas)
-        u = np.stack([ux, uy, uz])
+        u = np.stack(rotate_to_cartesian(u, thetas))
     return u, p

@@ -20,6 +20,7 @@ import numpy as np
 
 from .fields import Poly2, VectorModeFn
 from .fem import FemSpace, assemble
+from .fourier import angular_grid, fourier_coefficient, reconstruct, rotate_to_cartesian
 from .meshing import MeridianMesh, generate_structured
 from .norms import (
     FieldDifference,
@@ -496,58 +497,49 @@ def _random_scalar(rng, degree=2, min_r_power=2) -> Poly2:
 
 
 class _ModeSamples:
-    """Values and meridian gradients of one vector mode at quadrature points."""
+    """Values and meridian gradients of one vector mode at quadrature points.
+
+    Each of ``val``, ``dr`` and ``dz`` has shape (3, nt, nq), one row per
+    cylindrical component.
+    """
 
     def __init__(self, mode: VectorModeFn, R, Z):
         self.k = mode.k
-        self.val = [np.asarray(c.value(R, Z), dtype=complex) for c in mode.components]
-        self.dr = [np.asarray(c.grad_r(R, Z), dtype=complex) for c in mode.components]
-        self.dz = [np.asarray(c.grad_z(R, Z), dtype=complex) for c in mode.components]
+        self.val = np.array([c.value(R, Z) for c in mode.components], dtype=complex)
+        self.dr = np.array([c.grad_r(R, Z) for c in mode.components], dtype=complex)
+        self.dz = np.array([c.grad_z(R, Z) for c in mode.components], dtype=complex)
 
 
 def _reconstruct_cartesian(samples, thetas, R):
     """3D Cartesian components and derivatives of a mode family.
 
-    Returns val, d_x, d_y, d_z: each a list of three arrays of shape
-    (nt, nq, n_theta) for the Cartesian components (x, y, z).  Angular
-    derivatives are analytic (rotation derivative plus i k), radial and
-    axial ones come from the polynomial gradients, and the Cartesian chain
-    rule divides the angular part by r.
+    Returns val, d_x, d_y, d_z: each a triple of arrays of shape
+    (nt, nq, n_theta) for the Cartesian components (x, y, z).  Mode sums
+    give the cylindrical components of the value, of its radial and axial
+    derivatives, and of sum_k i k u_k exp(i k theta); the angular
+    derivative of the rotated field is Rot(theta) (that sum + J u) with
+    J (u_r, u_t, u_z) = (-u_t, u_r, 0).  The Cartesian chain rule divides
+    the angular part by r.
     """
-    norm = 1.0 / np.sqrt(2.0 * np.pi)
-    shape = samples[0].val[0].shape + thetas.shape
-    val = [np.zeros(shape, dtype=complex) for _ in range(3)]
-    d_r = [np.zeros(shape, dtype=complex) for _ in range(3)]
-    d_zc = [np.zeros(shape, dtype=complex) for _ in range(3)]
-    d_th = [np.zeros(shape, dtype=complex) for _ in range(3)]
+
+    def mode_sum(part):
+        return reconstruct({sm.k: part(sm) for sm in samples}, thetas)
+
+    # Each sum is rotated as soon as it is formed, so that the cylindrical
+    # sums are not all held next to the Cartesian ones (peak memory).
+    val = mode_sum(lambda sm: sm.val)
+    d_th = mode_sum(lambda sm: (1j * sm.k) * sm.val)
+    d_th[0] -= val[1]
+    d_th[1] += val[0]
+    val = rotate_to_cartesian(val, thetas)
+    d_th = rotate_to_cartesian(d_th, thetas)
+    d_r = rotate_to_cartesian(mode_sum(lambda sm: sm.dr), thetas)
+    d_z = rotate_to_cartesian(mode_sum(lambda sm: sm.dz), thetas)
     cos, sin = np.cos(thetas), np.sin(thetas)
-    for sm in samples:
-        phase = np.exp(1j * sm.k * thetas)
-        for arrays, payload in ((val, sm.val), (d_r, sm.dr), (d_zc, sm.dz)):
-            vr, vt, vz = payload
-            cx = vr[..., None] * cos - vt[..., None] * sin
-            cy = vr[..., None] * sin + vt[..., None] * cos
-            arrays[0] += cx * phase
-            arrays[1] += cy * phase
-            arrays[2] += vz[..., None] * phase
-        # theta derivative: rotate-derivative part plus i k from the phase.
-        vr, vt, vz = sm.val
-        cx = vr[..., None] * cos - vt[..., None] * sin
-        cy = vr[..., None] * sin + vt[..., None] * cos
-        dcx = -vr[..., None] * sin - vt[..., None] * cos
-        dcy = vr[..., None] * cos - vt[..., None] * sin
-        d_th[0] += (dcx + 1j * sm.k * cx) * phase
-        d_th[1] += (dcy + 1j * sm.k * cy) * phase
-        d_th[2] += (1j * sm.k) * vz[..., None] * phase
     R3 = R[..., None]
-    d_x = [cos * dr - (sin / R3) * dt for dr, dt in zip(d_r, d_th)]
-    d_y = [sin * dr + (cos / R3) * dt for dr, dt in zip(d_r, d_th)]
-    return (
-        [norm * a for a in val],
-        [norm * a for a in d_x],
-        [norm * a for a in d_y],
-        [norm * a for a in d_zc],
-    )
+    d_x = tuple(cos * dr - (sin / R3) * dt for dr, dt in zip(d_r, d_th))
+    d_y = tuple(sin * dr + (cos / R3) * dt for dr, dt in zip(d_r, d_th))
+    return val, d_x, d_y, d_z
 
 
 def _relative_defect(a: float, b: float) -> float:
@@ -578,7 +570,7 @@ def isometry_suite(
     rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
     R, Z, W = quadrature_geometry(mesh, rule)
     n_theta = 4 * k_max + 8
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    thetas = angular_grid(n_theta)
     dtheta = 2.0 * np.pi / n_theta
 
     worst_l2 = worst_semi = worst_full = 0.0
@@ -637,10 +629,7 @@ def isometry_suite(
 
         # Divergence pairing against the 3D divergence.
         div3 = ux[0] + uy[1] + uz[2]
-        qval = np.zeros_like(div3)
-        for k in ks:
-            qv = np.asarray(modes_q[k].value(R, Z), dtype=complex)
-            qval += qv[..., None] * np.exp(1j * k * thetas) / np.sqrt(2 * np.pi)
+        qval = reconstruct({k: modes_q[k].value(R, Z) for k in ks}, thetas)
         three_div = complex(-np.sum(w3 * div3 * np.conj(qval)))
         sum_div = sum(
             mode_divergence_product(mesh, k, modes_u[k], modes_q[k], rule) for k in ks
@@ -696,7 +685,8 @@ def isometry_suite(
     pts_r = np.linspace(0.15, 0.85, 4)
     pts_z = np.linspace(0.1, 0.9, 4)
     n_samp = 4 * k_max + 8
-    grid = 2.0 * np.pi * np.arange(n_samp) / n_samp
+    grid = angular_grid(n_samp)
+    Rg, Zg = np.meshgrid(pts_r, pts_z, indexing="ij")
     for _ in range(3):
         modes = {}
         for k in range(0, k_max + 1):
@@ -712,22 +702,16 @@ def isometry_suite(
             modes[k] = m
             if k > 0:
                 modes[-k] = m.conj()
-        Rg, Zg = np.meshgrid(pts_r, pts_z, indexing="ij")
-        total = np.zeros((3,) + Rg.shape + grid.shape, dtype=complex)
-        for k, m in modes.items():
-            phase = np.exp(1j * k * grid) / np.sqrt(2 * np.pi)
-            for c in range(3):
-                vc = np.asarray(m.components[c].value(Rg, Zg), dtype=complex)
-                total[c] += vc[..., None] * phase
+        total = reconstruct(
+            {k: [c.value(Rg, Zg) for c in m.components] for k, m in modes.items()},
+            grid,
+        )
         if np.max(np.abs(total.imag)) > 1e-9:
             worst_conj = max(worst_conj, float(np.max(np.abs(total.imag))))
         real_samples = total.real
-        spectrum = np.fft.fft(real_samples, axis=-1) * (
-            np.sqrt(2 * np.pi) / n_samp
-        )
         for k in range(0, k_max + 1):
-            up = spectrum[..., k % n_samp]
-            dn = spectrum[..., (-k) % n_samp]
+            up = fourier_coefficient(real_samples, k)
+            dn = fourier_coefficient(real_samples, -k)
             worst_conj = max(worst_conj, float(np.max(np.abs(dn - np.conj(up)))))
 
     return [

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .fourier import FourierStack, reconstruct_stack
+from .fourier import FourierStack, angular_grid, reconstruct_stack
 from .meshing import MeridianMesh
 
 __all__ = ["write_vtk"]
@@ -34,20 +34,8 @@ def write_vtk(
         )
     if n_theta < 3:
         raise ValueError("need at least three angular stations to revolve")
-    full = stack
-    if stack.real_data:
-        # A real-data stack may store only k >= 0; reconstruction needs the
-        # conjugate negative modes too.
-        symmetric = set(stack.wavenumbers) | {-k for k in stack.wavenumbers}
-        if symmetric != set(stack.wavenumbers):
-            full = FourierStack(
-                n_max=stack.n_max,
-                real_data=True,
-                mesh_id=stack.mesh_id,
-                modes={k: stack.mode(k) for k in sorted(symmetric)},
-            )
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    u, p = reconstruct_stack(full, thetas, frame="cartesian")
+    thetas = angular_grid(n_theta)
+    u, p = reconstruct_stack(stack, thetas, frame="cartesian")
     nv = mesh.n_vertices
     u = u[:, :nv, :]
     worst_imag = max(float(np.max(np.abs(u.imag))), float(np.max(np.abs(p.imag))))

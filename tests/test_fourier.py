@@ -1,7 +1,12 @@
 """Angular transform, conjugation symmetry, and mode stack serialization."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axistokes.fourier import (
     AngularSamples,
@@ -9,7 +14,6 @@ from axistokes.fourier import (
     ModeVectors,
     angular_grid,
     anisotropic_norm,
-    complete_real_modes,
     conjugation_defect,
     fourier_coefficient,
     min_angular_samples,
@@ -77,9 +81,6 @@ def test_real_signal_conjugation_parity():
         signal += amp[:, None] * np.cos(k * thetas + phase[:, None])
     modes = {k: fourier_coefficient(signal, k) for k in range(-4, 5)}
     assert conjugation_defect(modes) < 1e-13
-    positive_only = {k: v for k, v in modes.items() if k >= 0}
-    filled = complete_real_modes(positive_only)
-    np.testing.assert_allclose(filled[-3], np.conj(modes[3]), atol=1e-15)
 
 
 def test_angular_samples_validation_and_extraction():
@@ -136,6 +137,41 @@ def test_stack_roundtrip(tmp_path):
         np.testing.assert_array_equal(back.modes[k].p, stack.modes[k].p)
 
 
+@st.composite
+def _stacks(draw):
+    n_vel = draw(st.integers(2, 6))
+    n_p = draw(st.integers(1, n_vel - 1))
+    ks = draw(st.sets(st.integers(-4, 4), min_size=1, max_size=4))
+    values = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+    def array(n):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=complex)
+
+    modes = {
+        k: ModeVectors(array(3 * n_vel).reshape(3, n_vel), array(n_p)) for k in ks
+    }
+    return FourierStack(
+        n_max=max(map(abs, ks)), real_data=draw(st.booleans()),
+        mesh_id="cafe01234567", modes=modes,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack=_stacks())
+def test_stack_roundtrip_bit_for_bit(stack):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_stack(stack, Path(tmp) / "stack")
+        back = read_stack(Path(tmp) / "stack")
+    assert (back.n_max, back.real_data, back.mesh_id) == (
+        stack.n_max, stack.real_data, stack.mesh_id,
+    )
+    assert back.wavenumbers == stack.wavenumbers
+    for k in stack.wavenumbers:
+        mine, theirs = back.modes[k], stack.modes[k]
+        for a, b in ((mine.u, theirs.u), (mine.p, theirs.p)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_stack_rows_written_exactly(tmp_path):
     # Every value is written with repr, so it reads back bit for bit;
     # velocity-only rows leave the pressure fields empty.
@@ -190,6 +226,24 @@ def test_reconstruct_stack_frames_agree():
         np.testing.assert_allclose(back[c], u_cyl[c], atol=1e-14)
     with pytest.raises(ValueError, match="frame"):
         reconstruct_stack(stack, thetas, frame="spherical")
+
+
+def test_half_stored_real_stack_reconstructs_full_field():
+    # A real-data stack storing only k >= 0 stands for its +-k sum.
+    rng = np.random.default_rng(22)
+    half = _random_stack(rng, real_data=True)
+    full = FourierStack(
+        n_max=2, real_data=True, mesh_id=half.mesh_id,
+        modes={k: half.mode(k) for k in range(-2, 3)},
+    )
+    thetas = angular_grid(16)
+    for frame in ("cylindrical", "cartesian"):
+        u_half, p_half = reconstruct_stack(half, thetas, frame=frame)
+        u_full, p_full = reconstruct_stack(full, thetas, frame=frame)
+        np.testing.assert_allclose(u_half, u_full, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(p_half, p_full, rtol=0, atol=1e-14)
+        assert np.abs(u_half.imag).max() <= 1e-14
+        assert np.abs(p_half.imag).max() <= 1e-14
 
 
 def test_axisymmetric_stack_reconstruction_theta_independent():

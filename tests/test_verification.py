@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from axistokes.fields import Poly2
+from axistokes.fields import Poly2, VectorModeFn
+from axistokes.fourier import angular_grid
 from axistokes.meshing import generate_structured
 from axistokes.verification import (
     CheckResult,
@@ -17,11 +18,17 @@ from axistokes.verification import (
     strong_residual,
     truncation_study,
 )
-from axistokes.verification import strong_divergence, strong_force
+from axistokes.verification import (
+    _ModeSamples,
+    _reconstruct_cartesian,
+    strong_divergence,
+    strong_force,
+)
 
 R = Poly2.monomial(1, 0)
 Z = Poly2.monomial(0, 1)
 ZERO = Poly2.zero()
+ONE = Poly2.monomial(0, 0)
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +167,41 @@ def test_isometry_suite_smoke():
     }
     failed = [c.name for c in checks if not c.passed]
     assert failed == []
+
+
+@pytest.mark.parametrize(
+    "k, components, value, grad",
+    [
+        # Rigid rotation (0, r, 0) = (-y, x, 0): d_x u_y = 1, d_y u_x = -1.
+        (
+            0,
+            (ZERO, R, ZERO),
+            lambda x, y: (-y, x, 0 * x),
+            [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+        ),
+        # Translation (1, i, 0) exp(i theta) = (1, i, 0), constant.
+        (
+            1,
+            (ONE, 1j * ONE, ZERO),
+            lambda x, y: (1 + 0 * x, 1j + 0 * x, 0 * x),
+            [[0, 0, 0]] * 3,
+        ),
+    ],
+    ids=["rotation", "translation"],
+)
+def test_cartesian_reconstruction_closed_forms(k, components, value, grad):
+    # grad[a][c] is d_a u_c for a, c in (x, y, z), before the 1/sqrt(2 pi).
+    r = np.array([[0.25, 0.5, 0.9]])
+    z = np.array([[0.1, 0.4, 0.8]])
+    thetas = angular_grid(16)
+    samples = [_ModeSamples(VectorModeFn(k, components), r, z)]
+    val, d_x, d_y, d_z = _reconstruct_cartesian(samples, thetas, r)
+    norm = 1.0 / np.sqrt(2.0 * np.pi)
+    x, y = r[..., None] * np.cos(thetas), r[..., None] * np.sin(thetas)
+    for c in range(3):
+        np.testing.assert_allclose(val[c], norm * value(x, y)[c], rtol=0, atol=1e-15)
+        for a, deriv in enumerate((d_x, d_y, d_z)):
+            np.testing.assert_allclose(deriv[c], norm * grad[a][c], rtol=0, atol=1e-15)
 
 
 def test_stability_study_small_wavenumbers():
