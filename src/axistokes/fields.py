@@ -5,13 +5,18 @@ first partial derivatives.  Polynomials in r and z (with integer, possibly
 negative, powers of r) cover every manufactured solution and induced datum
 in the package while keeping differentiation exact, so they get a small
 dedicated class; arbitrary callables can be wrapped as well.
+
+Polynomials are evaluated in batches: ``evaluate_polys`` takes a list of
+them at the same points as one product of their coefficient matrix with a
+table of the monomials r**a * z**b, and a single ``Poly2`` call is the
+batch of one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Poly2", "FnMode", "VectorModeFn", "as_mode_function"]
+__all__ = ["Poly2", "FnMode", "VectorModeFn", "as_mode_function", "evaluate_polys"]
 
 
 class Poly2:
@@ -40,17 +45,7 @@ class Poly2:
         return cls({})
 
     def __call__(self, r, z):
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(np.broadcast(r, z).shape, dtype=complex)
-        for (a, b), c in self.coeffs.items():
-            term = np.ones_like(out, dtype=float)
-            if a:
-                term = term * r**a
-            if b:
-                term = term * z**b
-            out += c * term
-        return out
+        return evaluate_polys([self], r, z)[0]
 
     def value(self, r, z):
         return self(r, z)
@@ -120,6 +115,48 @@ class Poly2:
             return "Poly2(0)"
         parts = [f"({c:g})*r^{a}*z^{b}" for (a, b), c in sorted(self.coeffs.items())]
         return "Poly2(" + " + ".join(parts) + ")"
+
+
+def evaluate_polys(polys, r, z) -> np.ndarray:
+    """Values of several polynomials at the same points, one row each.
+
+    The result has shape (len(polys),) + broadcast(r, z).shape.  It is one
+    product of the (n_polys x n_monomials) complex coefficient matrix with
+    the real table of r**a * z**b over the union of monomials, and each
+    power of r and z is formed once.  Where a monomial is not finite (a
+    negative power of r at r = 0), each polynomial sums only its own terms,
+    so a monomial it lacks never enters its value as 0 * inf.
+    """
+    r = np.asarray(r, dtype=float)
+    z = np.asarray(z, dtype=float)
+    shape = np.broadcast(r, z).shape
+    r = np.broadcast_to(r, shape).ravel()
+    z = np.broadcast_to(z, shape).ravel()
+    keys = sorted({key for p in polys for key in p.coeffs})
+    column = {key: i for i, key in enumerate(keys)}
+    coeffs = np.zeros((len(polys), len(keys)), dtype=complex)
+    for row, p in enumerate(polys):
+        for key, c in p.coeffs.items():
+            coeffs[row, column[key]] = c
+    table = np.empty((len(keys), r.size))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r_pow = {a: r**a for a in {a for a, _ in keys}}
+        z_pow = {b: z**b for b in {b for _, b in keys}}
+        for i, (a, b) in enumerate(keys):
+            np.multiply(r_pow[a], z_pow[b], out=table[i])
+        # Where a monomial is not finite, each polynomial sums only its own
+        # terms, and the product below sees zeros there instead.
+        bad = ~np.isfinite(table).all(axis=0)
+        own = coeffs[:, :, None] * table[:, bad]
+        own = np.where(coeffs[:, :, None] != 0, own, 0).sum(axis=1)
+        table[:, bad] = 0.0
+    # The real and imaginary parts of the coefficients are the two columns
+    # of one real product, so the table is never cast to complex and each
+    # result row comes out as interleaved complex values.
+    parts = np.stack([coeffs.real, coeffs.imag], axis=-1)
+    out = (table.T @ parts).view(complex)[..., 0]
+    out[:, bad] = own
+    return out.reshape((len(polys),) + shape)
 
 
 def _as_poly(x) -> Poly2:

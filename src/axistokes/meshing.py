@@ -253,9 +253,13 @@ def generate_structured(rectangle, h: float) -> MeridianMesh:
         raise MeshError("rectangle must have 2 or 4 entries")
     if not (rmax > rmin and zmax > zmin):
         raise MeshError("rectangle extents must be positive")
+    # A left side within rounding of the axis is the axis, as in
+    # triangulate_polygon and read_mesh (_snap_axis).
+    if abs(rmin) < _SNAP_REL * max(1.0, rmax, abs(zmin), abs(zmax)):
+        rmin = 0.0
     if rmin < 0.0:
         raise MeshError("rectangle must lie in r >= 0")
-    n_r = max(1, ceil((rmax - rmin) / h - 1e-12))
+    n_r =max(1, ceil((rmax - rmin) / h - 1e-12))
     n_z = max(1, ceil((zmax - zmin) / h - 1e-12))
     r = np.linspace(rmin, rmax, n_r + 1)
     z = np.linspace(zmin, zmax, n_z + 1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Poly2, VectorModeFn
+from .fields import Poly2, VectorModeFn, evaluate_polys
 from .fem import FemSpace, assemble
 from .fourier import angular_grid, fourier_coefficient, reconstruct, rotate_to_cartesian
 from .meshing import MeridianMesh, generate_structured
@@ -496,18 +496,51 @@ def _random_scalar(rng, degree=2, min_r_power=2) -> Poly2:
     return Poly2(coeffs)
 
 
+class _Samples:
+    """Stored quadrature samples of one component, served through ``sample_on``.
+
+    Stands in for the field it was sampled from wherever the norm engine
+    takes a component, like a finite element field does, and refuses a
+    mesh or rule it was not sampled on.  ``dr`` and ``dz`` may be None when
+    only values were sampled.
+    """
+
+    def __init__(self, mesh, rule, val, dr=None, dz=None):
+        self.mesh_id = mesh.mesh_id
+        self.rule = rule
+        self.val, self.dr, self.dz = val, dr, dz
+
+    def sample_on(self, mesh, rule, need_grad=True):
+        if mesh.mesh_id != self.mesh_id or rule is not self.rule:
+            raise ValueError("samples taken on a different mesh or rule")
+        if not need_grad:
+            return self.val, None, None
+        if self.dr is None:
+            raise ValueError("these samples carry no gradient")
+        return self.val, self.dr, self.dz
+
+
 class _ModeSamples:
     """Values and meridian gradients of one vector mode at quadrature points.
 
     Each of ``val``, ``dr`` and ``dz`` has shape (3, nt, nq), one row per
-    cylindrical component.
+    cylindrical component; all nine come from one ``evaluate_polys`` call.
+    The 3D oracle reads these arrays, and ``components`` hands the same
+    arrays to the norm engine, so each mode is evaluated once per check.
     """
 
     def __init__(self, mode: VectorModeFn, R, Z):
+        comps = mode.components
+        polys = [*comps, *(c.d_r() for c in comps), *(c.d_z() for c in comps)]
+        table = evaluate_polys(polys, R, Z)
         self.k = mode.k
-        self.val = np.array([c.value(R, Z) for c in mode.components], dtype=complex)
-        self.dr = np.array([c.grad_r(R, Z) for c in mode.components], dtype=complex)
-        self.dz = np.array([c.grad_z(R, Z) for c in mode.components], dtype=complex)
+        self.val, self.dr, self.dz = table[0:3], table[3:6], table[6:9]
+
+    def components(self, mesh, rule):
+        """The three components, served for the mesh and rule R, Z came from."""
+        return tuple(
+            _Samples(mesh, rule, self.val[c], self.dr[c], self.dz[c]) for c in range(3)
+        )
 
 
 def _reconstruct_cartesian(samples, thetas, R):
@@ -546,6 +579,68 @@ def _relative_defect(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _field_defects(mesh, rule, thetas, modes_u, modes_v, modes_q):
+    """Defects of one random field family between mode sums and 3D integrals.
+
+    ``modes_u``, ``modes_v`` (vector) and ``modes_q`` (scalar) hold one
+    polynomial mode per wavenumber.  Returns the relative defects of the
+    L2 norm, H1 seminorm, full norm, energy form and divergence pairing.
+    Each mode is sampled once: the 3D oracle and the norm engine read the
+    same samples, and all of them are freed when this returns.
+    """
+    R, Z, W = quadrature_geometry(mesh, rule)
+    su = [_ModeSamples(m, R, Z) for m in modes_u]
+    sv = [_ModeSamples(m, R, Z) for m in modes_v]
+    sq = [_Samples(mesh, rule, q(R, Z)) for q in modes_q]
+    uval, ux, uy, uz = _reconstruct_cartesian(su, thetas, R)
+    vval, vx, vy, vz = _reconstruct_cartesian(sv, thetas, R)
+    ks = [s.k for s in su]
+    cu = [s.components(mesh, rule) for s in su]
+    cv = [s.components(mesh, rule) for s in sv]
+
+    w3 = W[..., None] * R[..., None] * (2.0 * np.pi / len(thetas))
+
+    three_l2 = float(sum(np.sum(w3 * np.abs(c) ** 2) for c in uval))
+    three_semi = float(
+        sum(
+            np.sum(w3 * (np.abs(dx) ** 2 + np.abs(dy) ** 2 + np.abs(dz) ** 2))
+            for dx, dy, dz in zip(ux, uy, uz)
+        )
+    )
+    reports = [vector_mode_norm(mesh, u, rule, k=k) for k, u in zip(ks, cu)]
+    sum_l2 = sum(rep.l2_1_sq for rep in reports)
+    sum_semi = sum(rep.h1k_semi_sq for rep in reports)
+    sum_full = sum(rep.h1k_sq for rep in reports)
+
+    # Energy form against the 3D Dirichlet integral of gradients.
+    three_energy = complex(
+        sum(
+            np.sum(w3 * (udx * np.conj(vdx) + udy * np.conj(vdy) + udz * np.conj(vdz)))
+            for (udx, udy, udz), (vdx, vdy, vdz) in zip(
+                zip(ux, uy, uz), zip(vx, vy, vz)
+            )
+        )
+    )
+    sum_energy = sum(
+        mode_energy_product(mesh, k, u, v, rule) for k, u, v in zip(ks, cu, cv)
+    )
+
+    # Divergence pairing against the 3D divergence.
+    div3 = ux[0] + uy[1] + uz[2]
+    qval = reconstruct({k: q.val for k, q in zip(ks, sq)}, thetas)
+    three_div = complex(-np.sum(w3 * div3 * np.conj(qval)))
+    sum_div = sum(
+        mode_divergence_product(mesh, k, u, q, rule) for k, u, q in zip(ks, cu, sq)
+    )
+    return (
+        _relative_defect(three_l2, sum_l2),
+        _relative_defect(three_semi, sum_semi),
+        _relative_defect(three_l2 + three_semi, sum_full),
+        _relative_defect(three_energy, sum_energy),
+        _relative_defect(three_div, sum_div),
+    )
+
+
 def isometry_suite(
     mesh: MeridianMesh,
     k_max: int = 5,
@@ -568,76 +663,17 @@ def isometry_suite(
     """
     rng = np.random.default_rng(seed)
     rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
-    R, Z, W = quadrature_geometry(mesh, rule)
-    n_theta = 4 * k_max + 8
-    thetas = angular_grid(n_theta)
-    dtheta = 2.0 * np.pi / n_theta
+    thetas = angular_grid(4 * k_max + 8)
 
-    worst_l2 = worst_semi = worst_full = 0.0
-    worst_energy = worst_div = 0.0
+    worst = [0.0] * 5
     ks = list(range(-k_max, k_max + 1))
     for _ in range(n_fields):
-        modes_u = {k: _random_mode_field(rng, k) for k in ks}
-        modes_v = {k: _random_mode_field(rng, k) for k in ks}
-        modes_q = {k: _random_scalar(rng) for k in ks}
-        su = [_ModeSamples(m, R, Z) for m in modes_u.values()]
-        sv = [_ModeSamples(m, R, Z) for m in modes_v.values()]
-        uval, ux, uy, uz = _reconstruct_cartesian(su, thetas, R)
-        vval, vx, vy, vz = _reconstruct_cartesian(sv, thetas, R)
-
-        w3 = W[..., None] * R[..., None] * dtheta
-
-        three_l2 = float(sum(np.sum(w3 * np.abs(c) ** 2) for c in uval))
-        three_semi = float(
-            sum(
-                np.sum(w3 * (np.abs(dx) ** 2 + np.abs(dy) ** 2 + np.abs(dz) ** 2))
-                for dx, dy, dz in zip(ux, uy, uz)
-            )
-        )
-        reports = {
-            k: vector_mode_norm(mesh, modes_u[k], rule) for k in ks
-        }
-        sum_l2 = sum(rep.l2_1_sq for rep in reports.values())
-        sum_semi = sum(rep.h1k_semi_sq for rep in reports.values())
-        sum_full = sum(rep.h1k_sq for rep in reports.values())
-        worst_l2 = max(worst_l2, _relative_defect(three_l2, sum_l2))
-        worst_semi = max(worst_semi, _relative_defect(three_semi, sum_semi))
-        worst_full = max(
-            worst_full, _relative_defect(three_l2 + three_semi, sum_full)
-        )
-
-        # Energy form against the 3D Dirichlet integral of gradients.
-        three_energy = complex(
-            sum(
-                np.sum(
-                    w3
-                    * (udx * np.conj(vdx) + udy * np.conj(vdy) + udz * np.conj(vdz))
-                )
-                for (udx, udy, udz), (vdx, vdy, vdz) in zip(
-                    zip(ux, uy, uz), zip(vx, vy, vz)
-                )
-            )
-        )
-        sum_energy = sum(
-            mode_energy_product(mesh, k, modes_u[k], modes_v[k], rule) for k in ks
-        )
-        worst_energy = max(
-            worst_energy,
-            abs(three_energy - sum_energy)
-            / max(abs(three_energy), abs(sum_energy), 1e-300),
-        )
-
-        # Divergence pairing against the 3D divergence.
-        div3 = ux[0] + uy[1] + uz[2]
-        qval = reconstruct({k: modes_q[k].value(R, Z) for k in ks}, thetas)
-        three_div = complex(-np.sum(w3 * div3 * np.conj(qval)))
-        sum_div = sum(
-            mode_divergence_product(mesh, k, modes_u[k], modes_q[k], rule) for k in ks
-        )
-        worst_div = max(
-            worst_div,
-            abs(three_div - sum_div) / max(abs(three_div), abs(sum_div), 1e-300),
-        )
+        modes_u = [_random_mode_field(rng, k) for k in ks]
+        modes_v = [_random_mode_field(rng, k) for k in ks]
+        modes_q = [_random_scalar(rng) for _ in ks]
+        defects = _field_defects(mesh, rule, thetas, modes_u, modes_v, modes_q)
+        worst = [max(w, d) for w, d in zip(worst, defects)]
+    worst_l2, worst_semi, worst_full, worst_energy, worst_div = worst
 
     # Polarization identity, pointwise exact regrouping.
     worst_polar = 0.0

@@ -9,6 +9,7 @@ fields; a complex stack exports its real part with a warning when the
 imaginary part is not negligible.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -50,44 +51,54 @@ def write_vtk(
 
     r = mesh.vertices[:, 0]
     z = mesh.vertices[:, 1]
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "revolved axisymmetric Stokes mode stack",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {nv * n_theta} float",
-    ]
-    for th in thetas:
-        x = r * np.cos(th)
-        y = r * np.sin(th)
-        for i in range(nv):
-            lines.append(f"{float(x[i])!r} {float(y[i])!r} {float(z[i])!r}")
-
-    nt = mesh.n_triangles
-    n_cells = nt * n_theta
-    lines.append(f"CELLS {n_cells} {n_cells * 7}")
-    for j in range(n_theta):
-        base = j * nv
-        nxt = ((j + 1) % n_theta) * nv
-        for tri in mesh.triangles:
-            a, b, c = (int(v) for v in tri)
-            lines.append(
-                f"6 {base + a} {base + b} {base + c} {nxt + a} {nxt + b} {nxt + c}"
-            )
-    lines.append(f"CELL_TYPES {n_cells}")
-    lines.extend(["13"] * n_cells)
-
-    lines.append(f"POINT_DATA {nv * n_theta}")
-    lines.append("VECTORS velocity float")
-    for j in range(n_theta):
-        for i in range(nv):
-            lines.append(
-                f"{float(u[0, i, j])!r} {float(u[1, i, j])!r} {float(u[2, i, j])!r}"
-            )
-    lines.append("SCALARS pressure float 1")
-    lines.append("LOOKUP_TABLE default")
-    for j in range(n_theta):
-        for i in range(nv):
-            lines.append(f"{float(p[i, j])!r}")
+    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    # Wedge j joins triangle (a, b, c) on station j to the same triangle on
+    # station j + 1, the last station wrapping round to the first.
+    n_cells = mesh.n_triangles * n_theta
+    station = np.arange(n_theta)[:, None, None] * nv
+    tri = mesh.triangles[None, :, :]
+    nxt = np.roll(station, -1, axis=0)
+    wedges = np.concatenate([station + tri, nxt + tri], axis=-1)
+    # One block at a time, so that the text of the whole file is never held.
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            _block(
+                [
+                    "# vtk DataFile Version 3.0",
+                    "revolved axisymmetric Stokes mode stack",
+                    "ASCII",
+                    "DATASET UNSTRUCTURED_GRID",
+                    f"POINTS {nv * n_theta} float",
+                ],
+                _rows(r * cos, r * sin, np.broadcast_to(z, (n_theta, nv))),
+            )
+        )
+        fh.write(
+            _block(
+                [f"CELLS {n_cells} {n_cells * 7}"],
+                _rows(np.full(n_cells, 6), *wedges.reshape(-1, 6).T),
+            )
+        )
+        fh.write(_block([f"CELL_TYPES {n_cells}"], ["13"] * n_cells))
+        fh.write(
+            _block(
+                [f"POINT_DATA {nv * n_theta}", "VECTORS velocity float"],
+                _rows(*(c.T for c in u)),
+            )
+        )
+        fh.write(
+            _block(["SCALARS pressure float 1", "LOOKUP_TABLE default"], _rows(p.T))
+        )
+
+
+def _block(head, rows) -> str:
+    return "\n".join(itertools.chain(head, rows)) + "\n"
+
+
+def _rows(*columns):
+    """Lines of the columns' entries, each formatted with repr, space-separated.
+
+    Arrays are read in C order, so a (n_theta, nv) column gives one line per
+    (station, vertex) pair, stations outermost.
+    """
+    return map(" ".join, zip(*(map(repr, np.ravel(c).tolist()) for c in columns)))

@@ -265,7 +265,7 @@ def test_criterion_09_axisymmetric_decoupled_fast_path(square8, cases):
     _line(
         9,
         worst <= 1e-10,
-        f"two-real-systems path vs coupled complex solve: {worst:.3e} <= 1e-10",
+        f"real fast path vs coupled complex solve: {worst:.3e} <= 1e-10",
     )
 
 

@@ -1,13 +1,16 @@
 """End-to-end command line runs: exit codes, outputs, and file formats."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from axistokes.cli import ConfigError, load_config, main
 from axistokes.fem import FemSpace, assemble
-from axistokes.fourier import read_stack
-from axistokes.meshing import read_mesh
+from axistokes.fourier import FourierStack, ModeVectors, read_stack
+from axistokes.meshing import generate_structured, read_mesh
 from axistokes.solver import solve_mode
+from axistokes.vtk_export import write_vtk
 
 
 def _config(tmp_path, body: str, name: str = "run.ini"):
@@ -291,6 +294,25 @@ def test_vtk_export_structure(tmp_path):
     assert types == {"13"}
     assert "VECTORS velocity" in text
     assert "SCALARS pressure" in text
+
+
+def test_vtk_bytes_are_pinned(tmp_path):
+    # A fixed real-data stack (k = 0, 1) on four stations; the digest was
+    # taken from the row-by-row writer this output must keep matching.
+    mesh = generate_structured((1.0, 1.0), 0.5)
+    space = FemSpace(mesh)
+    i = np.arange(3 * space.n_vel).reshape(3, space.n_vel)
+    j = np.arange(space.n_p)
+    modes = {
+        0: ModeVectors(0.25 * (i % 7) - 0.5, 0.125 * (j % 5)),
+        1: ModeVectors(0.5 * (i % 3) + 0.25j * (i % 4), -0.375j * (j % 3)),
+    }
+    stack = FourierStack(n_max=1, real_data=True, mesh_id=mesh.mesh_id, modes=modes)
+    path = tmp_path / "field.vtk"
+    write_vtk(path, mesh, stack, n_theta=4)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "59b6768dd7b74a704dac933cff26440a954ebf7e404ac51d81db916428f973ea"
+    )
 
 
 def test_parallel_and_deterministic_agree(tmp_path):

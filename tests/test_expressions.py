@@ -1,10 +1,13 @@
 """Expression grammar safety and Fourier extraction of formula data."""
 
+import keyword
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axistokes.expressions import (
     ExpressionError,
@@ -55,6 +58,45 @@ def test_vectorized_broadcast():
 def test_grammar_rejects_unsafe_or_unknown(source):
     with pytest.raises(ExpressionError):
         compile_expression(source)
+
+
+_GRAMMAR_WORDS = {"r", "z", "theta", "pi", "sin", "cos", "exp"}
+_inside = st.recursive(
+    st.sampled_from(["r", "z", "theta", "pi", "2", "0.5"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"
+        ),
+        inner.map(lambda e: f"-{e}"),
+    ),
+    max_leaves=6,
+)
+_functions = st.sampled_from(["sin", "cos", "exp"])
+_identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True).filter(
+    lambda s: s not in _GRAMMAR_WORDS and not keyword.iskeyword(s)
+)
+_outside = st.one_of(
+    st.tuples(_inside, _identifiers).map(lambda t: f"{t[0]}.{t[1]}"),
+    st.tuples(_inside, _inside).map(lambda t: f"{t[0]}[{t[1]}]"),
+    _inside.map(lambda e: f"(lambda: {e})"),
+    st.text(st.characters(codec="ascii"), max_size=6).map(repr),
+    st.tuples(_functions, _identifiers, _inside).map(
+        lambda t: f"{t[0]}({t[1]}={t[2]})"
+    ),
+    _identifiers,
+    st.tuples(_functions, _inside, _inside).map(lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(left=_inside, bad=_outside, right=_inside)
+def test_grammar_rejects_everything_outside_it(left, bad, right):
+    # Only ExpressionError may escape, wherever the bad fragment sits.
+    with pytest.raises(ExpressionError):
+        compile_expression(f"{left} + {bad} * {right}")
 
 
 def test_power_is_caret_not_xor():

@@ -1,7 +1,12 @@
 """Meridian mesh generation, validation, refinement, and serialization."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axistokes.meshing import (
     GAMMA,
@@ -100,6 +105,42 @@ def test_roundtrip_through_text_format(tmp_path):
     assert back.mesh_id == mesh.mesh_id
     np.testing.assert_array_equal(back.vertices, mesh.vertices)
     np.testing.assert_array_equal(back.triangles, mesh.triangles)
+    assert back.boundary_tags == mesh.boundary_tags
+
+
+_lengths = st.floats(0.1, 3.0, allow_subnormal=False)
+
+
+@st.composite
+def _meshes(draw):
+    if draw(st.booleans()):
+        r0 = draw(st.floats(0.0, 2.0, allow_subnormal=False))
+        z0 = draw(st.floats(-2.0, 2.0, allow_subnormal=False))
+        width, height = draw(_lengths), draw(_lengths)
+        n = draw(st.integers(1, 5))
+        rect = (r0, r0 + width, z0, z0 + height)
+        return generate_structured(rect, max(width, height) / n)
+    sr, sz = draw(_lengths), draw(_lengths)
+    shift = draw(st.floats(-2.0, 2.0, allow_subnormal=False))
+    polygon = tuple((sr * r, shift + sz * z) for r, z in L_SHAPE)
+    target_h = max(sr, sz) * draw(st.floats(0.6, 1.5))
+    return triangulate_polygon(polygon, target_h=target_h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=_meshes())
+def test_write_read_roundtrip_is_bitwise(mesh):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.txt"
+        write_mesh(mesh, path)
+        back = read_mesh(path)
+    assert back.mesh_id == mesh.mesh_id
+    for a, b in (
+        (back.vertices, mesh.vertices),
+        (back.triangles, mesh.triangles),
+        (back.boundary_edges, mesh.boundary_edges),
+    ):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert back.boundary_tags == mesh.boundary_tags
 
 

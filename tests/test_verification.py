@@ -6,6 +6,8 @@ import pytest
 from axistokes.fields import Poly2, VectorModeFn
 from axistokes.fourier import angular_grid
 from axistokes.meshing import generate_structured
+from axistokes.norms import quadrature_geometry, vector_mode_norm
+from axistokes.quadrature import DEFAULT_NORM_DEGREE, triangle_rule
 from axistokes.verification import (
     CheckResult,
     ConvergenceStudy,
@@ -20,6 +22,7 @@ from axistokes.verification import (
 )
 from axistokes.verification import (
     _ModeSamples,
+    _random_mode_field,
     _reconstruct_cartesian,
     strong_divergence,
     strong_force,
@@ -202,6 +205,21 @@ def test_cartesian_reconstruction_closed_forms(k, components, value, grad):
         np.testing.assert_allclose(val[c], norm * value(x, y)[c], rtol=0, atol=1e-15)
         for a, deriv in enumerate((d_x, d_y, d_z)):
             np.testing.assert_allclose(deriv[c], norm * grad[a][c], rtol=0, atol=1e-15)
+
+
+def test_mode_samples_serve_the_norm_engine_on_their_own_mesh_and_rule():
+    mesh = generate_structured((1.0, 1.0), 0.5)
+    rule = triangle_rule(DEFAULT_NORM_DEGREE)
+    R, Z, _ = quadrature_geometry(mesh, rule)
+    mode = _random_mode_field(np.random.default_rng(3), 2, min_r_power=1)
+    comps = _ModeSamples(mode, R, Z).components(mesh, rule)
+    sampled = vector_mode_norm(mesh, comps, rule, k=2)
+    direct = vector_mode_norm(mesh, mode, rule)
+    assert sampled.h1k_sq == pytest.approx(direct.h1k_sq, rel=1e-13)
+    with pytest.raises(ValueError, match="different mesh or rule"):
+        vector_mode_norm(generate_structured((1.0, 1.0), 0.25), comps, rule, k=2)
+    with pytest.raises(ValueError, match="different mesh or rule"):
+        vector_mode_norm(mesh, comps, triangle_rule(DEFAULT_NORM_DEGREE - 1), k=2)
 
 
 def test_stability_study_small_wavenumbers():
