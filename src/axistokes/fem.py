@@ -44,6 +44,7 @@ from .quadrature import (
     DEFAULT_ASSEMBLY_DEGREE,
     QuadratureRule,
     edge_rule,
+    quadrature_geometry,
     triangle_rule,
 )
 
@@ -103,12 +104,14 @@ class FemSpace:
     """Quadratic velocity / linear pressure pair on one meridian mesh.
 
     Velocity degrees of freedom are the mesh vertices followed by the edge
-    midpoints; pressure degrees of freedom are the vertices, so pressure
-    index m refers to the same node as velocity index m.
+    midpoints in the order of ``mesh.edges``; pressure degrees of freedom
+    are the vertices, so pressure index m refers to the same node as
+    velocity index m.
 
-    Tabulations, operators and the pressure mass factor are built on first
-    use and cached per quadrature rule; factors of the scalar velocity
-    blocks L_j are kept for the last three j (``velocity_factor``).  Solver
+    Tabulations, operators, norm matrices and the pressure mass factor
+    are built on first use and cached per quadrature rule; factors of the
+    scalar velocity blocks L_j are kept for the last three j
+    (``velocity_factor``).  Solver
     threads (``solve --jobs``) share one space, so the caches fill under
     one re-entrant lock: each entry is built once, not once per thread
     that asks at the same time.
@@ -120,23 +123,14 @@ class FemSpace:
     def __init__(self, mesh: MeridianMesh):
         self.mesh = mesh
         nv = mesh.n_vertices
-        edge_ids = {}
         tris = mesh.triangles
-        dof_map = np.empty((mesh.n_triangles, 6), dtype=np.int64)
-        dof_map[:, :3] = tris
-        local_edges = ((1, 2), (2, 0), (0, 1))
-        for t in range(mesh.n_triangles):
-            for slot, (a, b) in enumerate(local_edges):
-                key = tuple(sorted((tris[t, a], tris[t, b])))
-                eid = edge_ids.setdefault(key, len(edge_ids))
-                dof_map[t, 3 + slot] = nv + eid
+        edges = mesh.edges
+        edge_ids = dict(zip(map(tuple, edges.tolist()), range(len(edges))))
         self.edge_ids = edge_ids
-        self.dof_map = dof_map
+        self.dof_map = np.hstack([tris, nv + mesh.triangle_edges])
         self.n_p = nv
-        self.n_vel = nv + len(edge_ids)
-        mids = np.empty((len(edge_ids), 2))
-        for (a, b), eid in edge_ids.items():
-            mids[eid] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+        self.n_vel = nv + len(edges)
+        mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
         self.dof_coords = np.vstack([mesh.vertices, mids])
 
         wall, axis = set(), set()
@@ -168,6 +162,7 @@ class FemSpace:
         self._tab_cache = {}
         self._op_cache = {}
         self._mp_cache = {}
+        self._norm_cache = {}
         self._velocity_factors = collections.OrderedDict()
 
     def _cached(self, cache: dict, rule: QuadratureRule, build):
@@ -197,11 +192,16 @@ class FemSpace:
         N = _p2_values(lam)
         dN = _p2_dvalues(lam)
         grads = np.einsum("qbi,tid->tqbd", dN, self.grad_lambda)
-        verts = self.mesh.vertices[self.mesh.triangles]
-        R = np.einsum("qi,ti->tq", lam, verts[:, :, 0])
-        Z = np.einsum("qi,ti->tq", lam, verts[:, :, 1])
-        W = self.mesh.triangle_areas()[:, None] * rule.weights[None, :]
-        return N, grads, R, Z, W
+        return (N, grads, *quadrature_geometry(self.mesh, rule))
+
+    def norm_matrices(self, rule: QuadratureRule, kind: str = "p2") -> "NormMatrices":
+        """Element matrices of the weighted mode norms at ``rule``, P2 or P1.
+
+        For a field with element coefficients loc_t, the r-weighted L2 sum
+        of its samples at the rule points is sum_t conj(loc_t) mass_r[t]
+        loc_t, and likewise for the other two; see ``NormMatrices``.
+        """
+        return self._cached(self._norm_cache, rule, lambda q: _norm_matrices(self, q))[kind]
 
     def operators(self, rule: QuadratureRule = None) -> "ModeOperators":
         rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
@@ -221,16 +221,18 @@ class FemSpace:
         The space keeps the factors of the last three j asked for.  Mode
         k != 0 uses j = |k| - 1, |k|, |k| + 1 (mode 0 uses 0 and 1), so modes
         solved in order of |k| factor each L_j once, and a many-mode run
-        does not hold all its factors at the same time.
+        does not hold all its factors at the same time.  The least recently
+        used factor is dropped before its replacement is factored, so at
+        most three are alive while one is being built.
         """
         rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
         key = (j, rule.degree, len(rule.weights))
         with self._lock:
             factors = self._velocity_factors
             if key not in factors:
-                factors[key] = spd_factor(self.velocity_block(j, rule))
-                if len(factors) > _VELOCITY_FACTORS_KEPT:
+                if len(factors) == _VELOCITY_FACTORS_KEPT:
                     factors.popitem(last=False)
+                factors[key] = spd_factor(self.velocity_block(j, rule))
             factors.move_to_end(key)
             return factors[key]
 
@@ -248,6 +250,64 @@ class FemSpace:
         return self._cached(
             self._mp_cache, rule, lambda q: spd_factor(self.operators(q).Mp)
         )
+
+
+@dataclass(frozen=True)
+class NormMatrices:
+    """Real symmetric element matrices of one basis at one quadrature rule.
+
+    Each is (nt, n, n) with n = 6 for P2 and 3 for P1: ``mass_r`` and
+    ``mass_inv_r`` are the element mass matrices weighted by r and 1/r,
+    ``stiff_r`` the r-weighted gradient form.  They carry the rule's
+    weights, so a quadratic form in them equals the rule's sum of the
+    squared samples.
+    """
+
+    mass_r: np.ndarray
+    mass_inv_r: np.ndarray
+    stiff_r: np.ndarray
+
+
+def _weighted_products(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_q weights[t, q] a[q, ...] b[q, ...] as one GEMM: (nt,) + a.shape[1:] + b.shape[1:]."""
+    nq = weights.shape[1]
+    outer = (a.reshape(nq, -1, 1) * b.reshape(nq, 1, -1)).reshape(nq, -1)
+    return (weights @ outer).reshape(weights.shape[:1] + a.shape[1:] + b.shape[1:])
+
+
+def _norm_matrices(space: FemSpace, rule: QuadratureRule) -> dict:
+    """{"p2": NormMatrices, "p1": NormMatrices} of ``space`` at ``rule``.
+
+    P2 gradients are taken on the reference coordinates (lambda_1,
+    lambda_2): with lambda_0 = 1 - lambda_1 - lambda_2, grad N_a is
+    sum_i dN[a, i] grad lambda_i over i = 1, 2, so the weighted products
+    of dN over the rule contract with the metric grad lambda_i . grad
+    lambda_j of each triangle and no table of physical gradients at the
+    rule points is formed.  A P1 gradient is constant on each triangle.
+    """
+    lam = rule.points
+    N = _p2_values(lam)
+    dN3 = _p2_dvalues(lam)
+    dN = dN3[:, :, 1:] - dN3[:, :, :1]
+    R, _, W = quadrature_geometry(space.mesh, rule)
+    WR, W_R = W * R, W / R
+    gl = space.grad_lambda
+    metric = gl @ gl.transpose(0, 2, 1)
+    stiff = np.einsum(
+        "taibj,tij->tab", _weighted_products(WR, dN, dN), metric[:, 1:, 1:], optimize=True
+    )
+    return {
+        "p2": NormMatrices(
+            mass_r=_weighted_products(WR, N, N),
+            mass_inv_r=_weighted_products(W_R, N, N),
+            stiff_r=stiff,
+        ),
+        "p1": NormMatrices(
+            mass_r=_weighted_products(WR, lam, lam),
+            mass_inv_r=_weighted_products(W_R, lam, lam),
+            stiff_r=WR.sum(axis=1)[:, None, None] * metric,
+        ),
+    }
 
 
 @dataclass(frozen=True)
@@ -628,7 +688,9 @@ class FemScalarField:
     """One scalar coefficient field over a FemSpace, P2 or P1.
 
     Implements the sampling protocol the norm engine consumes, plus point
-    evaluation anywhere in the domain.
+    evaluation anywhere in the domain.  The norm engine measures fields of
+    one space through ``FemSpace.norm_matrices`` instead, and samples them
+    only inside differences and mixed triples.
     """
 
     def __init__(self, space: FemSpace, dofs: np.ndarray, kind: str = "p2"):

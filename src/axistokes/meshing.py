@@ -52,6 +52,12 @@ class MeridianMesh:
         Vertex index pairs of boundary edges.
     boundary_tags : tuple of str
         Per-edge tag, ``G`` or ``G0``.
+    edges : ndarray, shape (n_edges, 2)
+        Every edge as its sorted vertex pair, numbered in order of first
+        occurrence in ``triangle_edges``.
+    triangle_edges : ndarray, shape (nt, 3)
+        Edge number of the side of each triangle opposite its vertex 0, 1
+        and 2, that is of the local edges (1, 2), (2, 0), (0, 1).
     """
 
     vertices: np.ndarray
@@ -60,15 +66,19 @@ class MeridianMesh:
     boundary_tags: tuple
     corner_nodes: np.ndarray = field(init=False)
     mesh_id: str = field(init=False)
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    triangle_edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
         tris = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
         edges = np.ascontiguousarray(np.asarray(self.boundary_edges, dtype=np.int64))
         tags = tuple(self.boundary_tags)
-        _validate(verts, tris, edges, tags)
-        for arr in (verts, tris, edges):
+        all_edges, tri_edges = _validate(verts, tris, edges, tags)
+        for arr in (verts, tris, edges, all_edges, tri_edges):
             arr.flags.writeable = False
+        object.__setattr__(self, "edges", all_edges)
+        object.__setattr__(self, "triangle_edges", tri_edges)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "boundary_edges", edges)
@@ -114,7 +124,32 @@ class MeridianMesh:
         return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
+def _edge_table(tris: np.ndarray, nv: int):
+    """Edges of a triangulation as (edges, triangle_edges, counts).
+
+    ``edges`` holds sorted vertex pairs numbered by first occurrence over
+    the triangles in order, each through its local edges (1, 2), (2, 0),
+    (0, 1); ``triangle_edges`` (nt, 3) gives the number of each local edge
+    and ``counts`` how many triangles share each edge.
+    """
+    pairs = np.sort(tris[:, [[1, 2], [2, 0], [0, 1]]], axis=2).reshape(-1, 2)
+    _, first, inverse, counts = np.unique(
+        pairs[:, 0] * nv + pairs[:, 1],
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return pairs[first[order]], rank[inverse].reshape(-1, 3), counts[order]
+
+
 def _validate(verts, tris, edges, tags):
+    """Raise MeshError for an invalid mesh; else return its edge table.
+
+    The result is (edges, triangle_edges) as ``MeridianMesh`` stores them.
+    """
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshError("vertices must have shape (nv, 2)")
     if tris.ndim != 2 or tris.shape[1] != 3:
@@ -145,12 +180,8 @@ def _validate(verts, tris, edges, tags):
             raise MeshError(f"unknown boundary tag {tag!r}")
 
     # Topological boundary: edges adjacent to exactly one triangle.
-    pairs = {}
-    for t in tris:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (min(a, b), max(a, b))
-            pairs[key] = pairs.get(key, 0) + 1
-    topo = {k for k, count in pairs.items() if count == 1}
+    all_edges, tri_edges, counts = _edge_table(tris, nv)
+    topo = set(map(tuple, all_edges[counts == 1]))
     tagged = set()
     for a, b in edges:
         key = (min(a, b), max(a, b))
@@ -190,6 +221,7 @@ def _validate(verts, tris, edges, tags):
             f"vertices {sorted(uncovered)[:4]} touch the axis r = 0 in isolated "
             "points; the domain must meet the axis along edges or not at all"
         )
+    return all_edges, tri_edges
 
 
 @dataclass(frozen=True)

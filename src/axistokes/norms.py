@@ -15,6 +15,15 @@ wavenumber k is accumulated from the pointwise regrouping
 
 a sum of squares that is real and nonnegative by construction and reduces
 to the special one-mode and axisymmetric forms without case splits.
+
+A field is measured in one of two ways that give the same sums at the
+same rule (the degree-10 ``triangle_rule`` by default).  Finite element
+fields of one space, such as the solved modes, are measured as sums of
+element quadratic forms over the space's cached norm-rule matrices
+(``FemSpace.norm_matrices``), with no samples formed.  Every other field
+(closed forms, ``FieldDifference`` error fields, stored samples, mixed
+triples) is sampled at the rule points, and that path stays the
+reference the quadratic forms are tested against.
 """
 
 import io
@@ -22,9 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import VectorModeFn, as_mode_function
+from .fem import FemScalarField
+from .fields import Poly2, VectorModeFn, as_mode_function, evaluate_polys
 from .meshing import MeridianMesh
-from .quadrature import DEFAULT_NORM_DEGREE, QuadratureRule, triangle_rule
+from .quadrature import (
+    DEFAULT_NORM_DEGREE,
+    QuadratureRule,
+    quadrature_geometry,
+    triangle_rule,
+)
 
 __all__ = [
     "FieldDifference",
@@ -51,9 +66,9 @@ class FieldDifference:
         self.a = a
         self.b = b
 
-    def sample_on(self, mesh, rule, need_grad=True):
-        va, dra, dza = sample_component(self.a, mesh, rule, need_grad)
-        vb, drb, dzb = sample_component(self.b, mesh, rule, need_grad)
+    def sample_on(self, mesh, rule, need_grad=True, geometry=None):
+        va, dra, dza = sample_component(self.a, mesh, rule, need_grad, geometry)
+        vb, drb, dzb = sample_component(self.b, mesh, rule, need_grad, geometry)
         if not need_grad:
             return va - vb, None, None
         return va - vb, dra - drb, dza - dzb
@@ -61,32 +76,30 @@ class FieldDifference:
 _COMPONENTS = ("r", "theta", "z")
 
 
-def quadrature_geometry(mesh: MeridianMesh, rule: QuadratureRule):
-    """Quadrature data on every triangle.
-
-    Returns (R, Z, W): global coordinates and weights, each (nt, nq), with
-    W already containing the triangle areas (but not the radial weight).
-    """
-    verts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-    R = np.einsum("qi,ti->tq", rule.points, verts[:, :, 0])
-    Z = np.einsum("qi,ti->tq", rule.points, verts[:, :, 1])
-    areas = mesh.triangle_areas()
-    W = areas[:, None] * rule.weights[None, :]
-    return R, Z, W
-
-
-def sample_component(comp, mesh: MeridianMesh, rule: QuadratureRule, need_grad=True):
+def sample_component(
+    comp, mesh: MeridianMesh, rule: QuadratureRule, need_grad=True, geometry=None
+):
     """Evaluate one field component at all quadrature points.
 
     Accepts any object with a ``sample_on(mesh, rule, need_grad)`` method
     (finite element fields) or a mode function / callable evaluated at the
-    quadrature coordinates.  Returns (val, d_r, d_z) arrays of shape
-    (nt, nq); the gradients are None when not requested.
+    quadrature coordinates; a ``Poly2`` takes one ``evaluate_polys`` call
+    for its value and both derivatives.  ``geometry`` is
+    ``quadrature_geometry(mesh, rule)`` when the caller has it already.
+    Returns (val, d_r, d_z) arrays of shape (nt, nq); the gradients are
+    None when not requested.
     """
+    if isinstance(comp, FieldDifference):
+        return comp.sample_on(mesh, rule, need_grad, geometry)
     if hasattr(comp, "sample_on"):
         return comp.sample_on(mesh, rule, need_grad)
+    R, Z, _ = geometry or quadrature_geometry(mesh, rule)
+    if isinstance(comp, Poly2):
+        if not need_grad:
+            return comp(R, Z), None, None
+        val, dr, dz = evaluate_polys([comp, comp.d_r(), comp.d_z()], R, Z)
+        return val, dr, dz
     fn = as_mode_function(comp)
-    R, Z, _ = quadrature_geometry(mesh, rule)
     val = np.asarray(fn.value(R, Z), dtype=complex)
     if not need_grad:
         return val, None, None
@@ -98,8 +111,9 @@ def sample_component(comp, mesh: MeridianMesh, rule: QuadratureRule, need_grad=T
 def integrate_weighted(mesh, f, weight_exponent: int = 1, rule: QuadratureRule = None):
     """Integral of f(r, z) * r**weight_exponent over the meshed domain."""
     rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
-    val, _, _ = sample_component(f, mesh, rule, need_grad=False)
-    R, _, W = quadrature_geometry(mesh, rule)
+    geometry = quadrature_geometry(mesh, rule)
+    val, _, _ = sample_component(f, mesh, rule, False, geometry)
+    R, _, W = geometry
     total = np.sum(W * val * R**weight_exponent)
     return complex(total)
 
@@ -170,22 +184,87 @@ def _real_sum(W, integrand) -> float:
     return float(np.sum(W * integrand))
 
 
+def _sampled_sums(val, dr, dz, R, W) -> ComponentNorms:
+    asq = val.real**2 + val.imag**2
+    gsq = dr.real**2 + dr.imag**2 + dz.real**2 + dz.imag**2
+    return ComponentNorms(
+        l2_1_sq=_real_sum(W, asq * R),
+        l2_m1_sq=_real_sum(W, asq / R),
+        h1_1_semi_sq=_real_sum(W, gsq * R),
+    )
+
+
+def _in_one_fem_space(mesh, comps) -> bool:
+    """Whether ``comps`` are finite element fields of one space and kind.
+
+    Raises when they are but do not live on ``mesh``.
+    """
+    first = comps[0]
+    if not all(
+        isinstance(c, FemScalarField) and c.space is first.space and c.kind == first.kind
+        for c in comps
+    ):
+        return False
+    if first.space.mesh.mesh_id != mesh.mesh_id:
+        raise ValueError("field measured on a mesh it does not live on")
+    return True
+
+
+def _quadratic_forms(M: np.ndarray, locs: np.ndarray) -> list:
+    """sum_t conj(loc_t) M_t loc_t for each column of ``locs`` (nt, n, m).
+
+    M_t is real symmetric, so each form is the real form of the real part
+    plus that of the imaginary part.  The forms are nonnegative; a sum
+    that rounds below zero is reported as 0.0, as sampling would give.
+    """
+    x = np.concatenate([locs.real, locs.imag], axis=2)
+    sums = np.einsum("tam,tam->m", x, M @ x)
+    m = locs.shape[2]
+    return np.maximum(sums[:m] + sums[m:], 0.0).tolist()
+
+
+def _fem_norm_sums(fields, rule: QuadratureRule, couple: bool = False):
+    """ComponentNorms of finite element fields as element quadratic forms.
+
+    The sums equal those of sampling each field at ``rule`` up to
+    round-off.  With ``couple`` the 1/r sums of fields[0] +- i fields[1]
+    are returned as well (else an empty list).
+    """
+    space, kind = fields[0].space, fields[0].kind
+    mats = space.norm_matrices(rule, kind)
+    cells = space.dof_map if kind == "p2" else space.mesh.triangles
+    locs = np.stack([f.dofs[cells] for f in fields], axis=2)
+    l2_1 = _quadratic_forms(mats.mass_r, locs)
+    # The gradient form annihilates constants.  Taking each element's
+    # coefficients relative to its first one keeps the form from summing
+    # O(1) products of values down to O(h**2) gradient terms.
+    semi = _quadratic_forms(mats.stiff_r, locs - locs[:, :1])
+    if couple:
+        r, t = locs[:, :, 0], locs[:, :, 1]
+        locs = np.concatenate([locs, np.stack([r + 1j * t, r - 1j * t], axis=2)], axis=2)
+    l2_m1 = _quadratic_forms(mats.mass_inv_r, locs)
+    n = len(fields)
+    comps = [ComponentNorms(*sums) for sums in zip(l2_1, l2_m1[:n], semi)]
+    return comps, l2_m1[n:]
+
+
 def scalar_mode_norm(mesh, q, k: int, rule: QuadratureRule = None) -> NormReport:
     """Mode norm of a scalar coefficient: L2(r) + H1 seminorm + k^2 L2(1/r).
 
     The 1/r term is omitted entirely for k = 0 instead of being multiplied
     by zero, so axisymmetric scalars need not lie in the 1/r-weighted space.
+    A finite element field is measured by element quadratic forms, any
+    other field by sampling.
     """
     rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
-    val, dr, dz = sample_component(q, mesh, rule)
-    R, _, W = quadrature_geometry(mesh, rule)
-    asq = (val.real**2 + val.imag**2)
-    gsq = dr.real**2 + dr.imag**2 + dz.real**2 + dz.imag**2
-    l2_1 = _real_sum(W, asq * R)
-    semi = _real_sum(W, gsq * R)
-    l2_m1 = _real_sum(W, asq / R)
+    if _in_one_fem_space(mesh, (q,)):
+        (comp,), _ = _fem_norm_sums((q,), rule)
+    else:
+        geometry = quadrature_geometry(mesh, rule)
+        R, _, W = geometry
+        comp = _sampled_sums(*sample_component(q, mesh, rule, True, geometry), R, W)
+    l2_1, l2_m1, semi = comp.l2_1_sq, comp.l2_m1_sq, comp.h1_1_semi_sq
     h1k = l2_1 + semi + (k * k * l2_m1 if k != 0 else 0.0)
-    comp = ComponentNorms(l2_1, l2_m1, semi)
     return NormReport(
         k=k,
         l2_1_sq=l2_1,
@@ -204,7 +283,9 @@ def vector_mode_norm(mesh, v, rule: QuadratureRule = None, k: int = None) -> Nor
     ``v`` is a VectorModeFn or any triple of component fields (then ``k``
     must be passed).  All quadratic terms are accumulated from squares and
     the sum-of-squares regrouping of the radial/angular coupling, so the
-    result is real and nonnegative by construction.
+    result is real and nonnegative by construction.  Three finite element
+    fields of one space are measured by element quadratic forms, any
+    other triple by sampling; both supply the same sums.
     """
     rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
     if isinstance(v, VectorModeFn):
@@ -216,27 +297,27 @@ def vector_mode_norm(mesh, v, rule: QuadratureRule = None, k: int = None) -> Nor
             raise ValueError("pass k when the vector is a bare component triple")
     if len(comps) != 3:
         raise ValueError("vector mode needs three components (r, theta, z)")
-    R, _, W = quadrature_geometry(mesh, rule)
-    vals = []
-    per_comp = {}
+    if _in_one_fem_space(mesh, comps):
+        sums, (p_plus, p_minus) = _fem_norm_sums(comps, rule, couple=True)
+        per_comp = dict(zip(_COMPONENTS, sums))
+    else:
+        geometry = quadrature_geometry(mesh, rule)
+        R, _, W = geometry
+        per_comp = {}
+        vals = []
+        for name, comp in zip(_COMPONENTS, comps):
+            val, dr, dz = sample_component(comp, mesh, rule, True, geometry)
+            per_comp[name] = _sampled_sums(val, dr, dz, R, W)
+            vals.append(val)
+        plus = vals[0] + 1j * vals[1]
+        minus = vals[0] - 1j * vals[1]
+        p_plus = _real_sum(W, (plus.real**2 + plus.imag**2) / R)
+        p_minus = _real_sum(W, (minus.real**2 + minus.imag**2) / R)
     l2_1_tot = l2_m1_tot = semi_tot = 0.0
-    for name, comp in zip(_COMPONENTS, comps):
-        val, dr, dz = sample_component(comp, mesh, rule)
-        asq = val.real**2 + val.imag**2
-        gsq = dr.real**2 + dr.imag**2 + dz.real**2 + dz.imag**2
-        l2_1 = _real_sum(W, asq * R)
-        semi = _real_sum(W, gsq * R)
-        l2_m1 = _real_sum(W, asq / R)
-        per_comp[name] = ComponentNorms(l2_1, l2_m1, semi)
-        l2_1_tot += l2_1
-        l2_m1_tot += l2_m1
-        semi_tot += semi
-        vals.append(val)
-    v_r, v_t, v_z = vals
-    plus = v_r + 1j * v_t
-    minus = v_r - 1j * v_t
-    p_plus = _real_sum(W, (plus.real**2 + plus.imag**2) / R)
-    p_minus = _real_sum(W, (minus.real**2 + minus.imag**2) / R)
+    for comp in per_comp.values():
+        l2_1_tot += comp.l2_1_sq
+        l2_m1_tot += comp.l2_m1_sq
+        semi_tot += comp.h1_1_semi_sq
     z_m1 = per_comp["z"].l2_m1_sq
     coupling = 0.5 * (k + 1) ** 2 * p_plus + 0.5 * (k - 1) ** 2 * p_minus + k * k * z_m1
     h1k_semi = semi_tot + coupling
@@ -262,9 +343,10 @@ def mode_energy_product(mesh, k: int, u, v, rule: QuadratureRule = None) -> comp
     radial/angular coupling.  Conjugation falls on ``v``.
     """
     rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
-    uu = [sample_component(c, mesh, rule) for c in _vector_components(u)]
-    vv = [sample_component(c, mesh, rule) for c in _vector_components(v)]
-    R, _, W = quadrature_geometry(mesh, rule)
+    geometry = quadrature_geometry(mesh, rule)
+    R, _, W = geometry
+    uu = [sample_component(c, mesh, rule, True, geometry) for c in _vector_components(u)]
+    vv = [sample_component(c, mesh, rule, True, geometry) for c in _vector_components(v)]
     grad = sum(
         (du[1] * np.conj(dv[1]) + du[2] * np.conj(dv[2])) for du, dv in zip(uu, vv)
     )
@@ -281,9 +363,12 @@ def mode_energy_product(mesh, k: int, u, v, rule: QuadratureRule = None) -> comp
 def mode_divergence_product(mesh, k: int, v, q, rule: QuadratureRule = None) -> complex:
     """Mixed form: minus the r-weighted integral of (div_k v) times conj(q)."""
     rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
-    vr, vt, vz = [sample_component(c, mesh, rule) for c in _vector_components(v)]
-    qval, _, _ = sample_component(q, mesh, rule, need_grad=False)
-    R, _, W = quadrature_geometry(mesh, rule)
+    geometry = quadrature_geometry(mesh, rule)
+    R, _, W = geometry
+    vr, vt, vz = [
+        sample_component(c, mesh, rule, True, geometry) for c in _vector_components(v)
+    ]
+    qval, _, _ = sample_component(q, mesh, rule, False, geometry)
     div = vr[1] + vr[0] / R + 1j * k * vt[0] / R + vz[2]
     return complex(-np.sum(W * div * np.conj(qval) * R))
 

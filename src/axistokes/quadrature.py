@@ -17,6 +17,7 @@ __all__ = [
     "edge_rule",
     "DEFAULT_ASSEMBLY_DEGREE",
     "DEFAULT_NORM_DEGREE",
+    "quadrature_geometry",
 ]
 
 # Degree used when assembling stiffness/divergence matrices (exact for the
@@ -138,3 +139,16 @@ def edge_rule(degree: int = 7) -> EdgeRule:
     n = max(1, (degree + 2) // 2)
     x, w = np.polynomial.legendre.leggauss(n)
     return EdgeRule(0.5 * (x + 1.0), 0.5 * w, degree=2 * n - 1)
+
+
+def quadrature_geometry(mesh, rule: QuadratureRule):
+    """Quadrature data of ``rule`` on every triangle of a meridian mesh.
+
+    Returns (R, Z, W): global coordinates and weights, each (nt, nq), with
+    W already containing the triangle areas (but not the radial weight).
+    """
+    verts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    R = np.einsum("qi,ti->tq", rule.points, verts[:, :, 0])
+    Z = np.einsum("qi,ti->tq", rule.points, verts[:, :, 1])
+    W = mesh.triangle_areas()[:, None] * rule.weights[None, :]
+    return R, Z, W

@@ -240,7 +240,13 @@ def test_space_caches_build_once_under_threads():
         barrier.wait(timeout=10)
         tab = space.tabulation(triangle_rule(5))
         got.append(
-            (tab, space.operators(), space.pressure_mass_factor(), space.velocity_factor(2))
+            (
+                tab,
+                space.operators(),
+                space.norm_matrices(triangle_rule(10)),
+                space.pressure_mass_factor(),
+                space.velocity_factor(2),
+            )
         )
 
     interval = sys.getswitchinterval()
@@ -275,3 +281,22 @@ def test_velocity_factors_shared_in_order_of_wavenumber(monkeypatch):
     space.release_velocity_factors()
     systems[2].a_solve(np.ones(systems[2].n_free))
     assert len(factored) == 6
+
+
+def test_velocity_factor_evicted_before_its_replacement_is_built(monkeypatch):
+    # The space holds at most three factors; the least recently used one is
+    # dropped before a new one is factored, not after, so a fourth is
+    # never alive next to them.
+    space = FemSpace(generate_structured((1.0, 1.0), 0.25))
+    held = []
+    spd_factor = fem.spd_factor
+
+    def recording_factor(A):
+        held.append(len(space._velocity_factors))
+        return spd_factor(A)
+
+    monkeypatch.setattr(fem, "spd_factor", recording_factor)
+    for j in (0, 1, 2, 3, 1, 4, 0):
+        space.velocity_factor(j)
+    assert held == [0, 1, 2, 2, 2, 2]
+    assert [key[0] for key in space._velocity_factors] == [1, 4, 0]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axistokes.fem import FemSpace
 from axistokes.meshing import (
     GAMMA,
     GAMMA0,
@@ -225,3 +226,44 @@ def test_locate_points_flags_outside():
     mesh = generate_structured((1.0, 1.0), 0.5)
     with pytest.raises(MeshError, match="outside"):
         locate_points(mesh, [(2.0, 2.0)])
+
+
+def _loop_edge_table(tris):
+    """Reference for the mesh's edge table, one triangle at a time.
+
+    Returns the edge numbering (sorted pair -> id by first occurrence over
+    the local edges (1, 2), (2, 0), (0, 1)), the edge id of each local
+    edge, and the set of edges adjacent to exactly one triangle.
+    """
+    edge_ids = {}
+    tri_edges = np.empty((len(tris), 3), dtype=np.int64)
+    for t in range(len(tris)):
+        for slot, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+            key = tuple(sorted((tris[t, a], tris[t, b])))
+            tri_edges[t, slot] = edge_ids.setdefault(key, len(edge_ids))
+    counts = {}
+    for t in tris:
+        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    return edge_ids, tri_edges, {k for k, c in counts.items() if c == 1}
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        generate_structured((1.0, 1.0), 0.25),
+        generate_structured((2.0, 1.0), 1.0 / 7.0),
+        triangulate_polygon(L_SHAPE, target_h=0.3),
+        refine(triangulate_polygon(L_SHAPE, target_h=0.6)),
+    ],
+    ids=["square", "rectangle", "L-shape", "refined-L-shape"],
+)
+def test_edge_table_matches_triangle_loops(mesh):
+    edge_ids, tri_edges, boundary = _loop_edge_table(mesh.triangles)
+    assert {tuple(e): i for i, e in enumerate(mesh.edges.tolist())} == edge_ids
+    np.testing.assert_array_equal(mesh.triangle_edges, tri_edges)
+    assert boundary == {tuple(sorted(e)) for e in mesh.boundary_edges.tolist()}
+    space = FemSpace(mesh)
+    assert space.edge_ids == edge_ids
+    np.testing.assert_array_equal(space.dof_map[:, 3:], mesh.n_vertices + tri_edges)

@@ -5,11 +5,14 @@ integral of r**a z**b r**w over the unit square = 1/((a + w + 1) (b + 1)),
 evaluated by hand for the polynomial fields used.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from axistokes.fem import FemScalarField, FemSpace
 from axistokes.fields import Poly2, VectorModeFn
-from axistokes.meshing import generate_structured, refine
+from axistokes.meshing import DomainSpec, generate_structured, mesh_from_spec, refine
 from axistokes.norms import (
     FieldDifference,
     NormReport,
@@ -181,3 +184,133 @@ def test_refinement_converges_for_smooth_fields():
     a = vector_mode_norm(coarse, v).h1k_sq
     b = vector_mode_norm(fine, v).h1k_sq
     assert a == pytest.approx(b, rel=1e-12)
+
+
+# Finite element fields: element quadratic forms against sampling.
+
+L_SHAPE = ((0.0, 0.5), (1.0, 0.5), (1.0, 0.0), (3.0, 0.0), (3.0, 1.0), (0.0, 1.0))
+ZERO = Poly2.zero()
+
+
+@pytest.fixture(scope="module")
+def fem_spaces():
+    return {
+        "structured": FemSpace(generate_structured((1.0, 1.0), 0.25)),
+        "L-shape": FemSpace(mesh_from_spec(DomainSpec(polygon=L_SHAPE, target_h=0.5))),
+    }
+
+
+def _random_field(rng, space, kind):
+    n = space.n_vel if kind == "p2" else space.n_p
+    return FemScalarField(space, rng.standard_normal(n) + 1j * rng.standard_normal(n), kind)
+
+
+def _sampled(fields):
+    # FieldDifference(f, 0) has the samples of f and no element matrices,
+    # so the norm engine takes the sampling path for it.
+    return tuple(FieldDifference(f, ZERO) for f in fields)
+
+
+def _report_values(rep):
+    """Every reported sum of a NormReport, per-component sums included."""
+    values = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+    del values["k"]
+    components = values.pop("components")
+    for name, comp in components.items():
+        for f in dataclasses.fields(comp):
+            values[f"{name}.{f.name}"] = getattr(comp, f.name)
+    return values
+
+
+def _assert_reports_agree(fast, sampled, rtol=1e-13):
+    assert fast.k == sampled.k
+    a, b = _report_values(fast), _report_values(sampled)
+    assert a.keys() == b.keys()
+    for name in a:
+        assert abs(a[name] - b[name]) <= rtol * abs(b[name]), (name, a[name], b[name])
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "L-shape"])
+@pytest.mark.parametrize("k", [0, 1, -1, 2, 5])
+def test_fem_field_norms_match_sampling(fem_spaces, mesh_name, k):
+    space = fem_spaces[mesh_name]
+    mesh = space.mesh
+    rng = np.random.default_rng(abs(k) * 10 + (k < 0) + len(mesh_name))
+    for kind in ("p2", "p1"):
+        triple = tuple(_random_field(rng, space, kind) for _ in range(3))
+        _assert_reports_agree(
+            vector_mode_norm(mesh, triple, k=k), vector_mode_norm(mesh, _sampled(triple), k=k)
+        )
+        q = _random_field(rng, space, kind)
+        _assert_reports_agree(
+            scalar_mode_norm(mesh, q, k), scalar_mode_norm(mesh, _sampled([q])[0], k)
+        )
+
+
+def test_zero_fem_field_has_zero_norms(fem_spaces):
+    space = fem_spaces["L-shape"]
+    triple = tuple(FemScalarField(space, np.zeros(space.n_vel)) for _ in range(3))
+    pressure = FemScalarField(space, np.zeros(space.n_p), kind="p1")
+    for rep in (
+        vector_mode_norm(space.mesh, triple, k=3),
+        scalar_mode_norm(space.mesh, pressure, 3),
+    ):
+        assert all(value == 0.0 for value in _report_values(rep).values())
+
+
+def test_fem_field_norms_are_nonnegative(fem_spaces):
+    # Constant fields have a zero gradient, so their seminorm sums are pure
+    # round-off; a sum that rounds below zero is reported as 0.0.
+    space = fem_spaces["structured"]
+    rng = np.random.default_rng(5)
+    fields = [
+        FemScalarField(space, np.full(space.n_vel, 1.0 - 2.0j)),
+        FemScalarField(space, np.full(space.n_p, 3.0 + 0.5j), kind="p1"),
+        _random_field(rng, space, "p2"),
+    ]
+    for k in (0, 1, -2):
+        reports = [scalar_mode_norm(space.mesh, f, k) for f in fields]
+        reports.append(vector_mode_norm(space.mesh, (fields[0], fields[2], fields[0]), k=k))
+        for rep in reports:
+            assert all(value >= 0.0 for value in _report_values(rep).values())
+
+
+def test_fem_field_norm_refuses_another_mesh(fem_spaces):
+    space = fem_spaces["structured"]
+    other = fem_spaces["L-shape"].mesh
+    triple = tuple(FemScalarField(space, np.ones(space.n_vel)) for _ in range(3))
+    with pytest.raises(ValueError, match="does not live on"):
+        vector_mode_norm(other, triple, k=1)
+    with pytest.raises(ValueError, match="does not live on"):
+        scalar_mode_norm(other, FemScalarField(space, np.ones(space.n_p), kind="p1"), 1)
+
+
+def test_mixed_triple_is_sampled(fem_spaces, monkeypatch):
+    space = fem_spaces["structured"]
+    rng = np.random.default_rng(11)
+    u_r, u_t = _random_field(rng, space, "p2"), _random_field(rng, space, "p2")
+    calls = []
+    sample_on = FemScalarField.sample_on
+    monkeypatch.setattr(
+        FemScalarField,
+        "sample_on",
+        lambda self, *args: calls.append(self) or sample_on(self, *args),
+    )
+    mixed = vector_mode_norm(space.mesh, (u_r, u_t, R * Z), k=2)
+    assert calls == [u_r, u_t]
+    reference = vector_mode_norm(space.mesh, (*_sampled([u_r, u_t]), R * Z), k=2)
+    _assert_reports_agree(mixed, reference, rtol=0.0)
+
+
+def test_fem_gradient_form_keeps_smooth_fields_accurate():
+    # A quadratic with a large constant part, interpolated exactly by P2 at
+    # h = 1/32: the weighted gradient form must not lose digits to the
+    # constant, which its element matrices annihilate.  The r-weighted
+    # seminorm of 10 + r z + i (5 - r**2) on the unit square is 17/12.
+    mesh = generate_structured((1.0, 1.0), 1.0 / 32.0)
+    space = FemSpace(mesh)
+    r, z = space.dof_coords.T
+    q = FemScalarField(space, 10.0 + r * z + 1j * (5.0 - r * r))
+    rep = scalar_mode_norm(mesh, q, 2)
+    assert rep.h1_1_semi_sq == pytest.approx(17.0 / 12.0, rel=1e-13)
+    _assert_reports_agree(rep, scalar_mode_norm(mesh, _sampled([q])[0], 2))
