@@ -783,30 +783,17 @@ def boundary_flux(space: FemSpace, u, rule_degree: int = 7) -> complex:
     """
     u = np.asarray(u, dtype=complex).reshape(3, space.n_vel)
     mesh = space.mesh
-    # Boundary edges in traversal order of their (counterclockwise) triangle.
-    seen = {}
-    for t, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                seen.pop(key)
-            else:
-                seen[key] = (int(a), int(b))
+    # Edges used once lie on the boundary.  Side s of a (counterclockwise)
+    # triangle runs from its vertex s + 1 to s + 2.
+    counts = np.bincount(mesh.triangle_edges.ravel())
+    t, s = np.nonzero(counts[mesh.triangle_edges] == 1)
+    a, b = mesh.triangles[t, (s + 1) % 3], mesh.triangles[t, (s + 2) % 3]
+    nodes = np.stack([a, b, mesh.n_vertices + mesh.triangle_edges[t, s]], axis=1)
+    # length * outward normal = (dz, -dr) along a -> b.
+    d = mesh.vertices[b] - mesh.vertices[a]
+    un = u[COMP_R][nodes] * d[:, 1:] - u[COMP_Z][nodes] * d[:, :1]
     erule = edge_rule(rule_degree)
-    t = erule.points
-    shape = np.stack([(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)], axis=1)
-    total = 0.0 + 0.0j
-    nv = mesh.n_vertices
-    for a, b in seen.values():
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        dvec = pb - pa
-        length = float(np.hypot(dvec[0], dvec[1]))
-        normal = np.array([dvec[1], -dvec[0]]) / length
-        mid = nv + space.edge_ids[(min(a, b), max(a, b))]
-        ur = shape @ np.array([u[COMP_R, a], u[COMP_R, b], u[COMP_R, mid]])
-        uz = shape @ np.array([u[COMP_Z, a], u[COMP_Z, b], u[COMP_Z, mid]])
-        rline = (1 - t) * pa[0] + t * pb[0]
-        total += length * np.sum(
-            erule.weights * (ur * normal[0] + uz * normal[1]) * rline
-        )
-    return complex(total)
+    x = erule.points
+    shape = np.stack([(1 - x) * (1 - 2 * x), x * (2 * x - 1), 4 * x * (1 - x)])
+    rline = np.outer(mesh.vertices[a, 0], 1 - x) + np.outer(mesh.vertices[b, 0], x)
+    return complex(np.sum((un @ shape) * rline * erule.weights))

@@ -1,27 +1,29 @@
 """Direct and iterative solvers for the per-mode saddle problems.
 
-The direct path factors the bordered Hermitian system; for the
-axisymmetric mode the border is the weighted-mean row that pins the
-constant pressure (and its multiplier absorbs incompatible data).  The
-iterative path is a conjugate gradient iteration on the pressure Schur
-complement S = B A^-1 B*, preconditioned by the r-weighted pressure mass
-matrix; for the axisymmetric mode the constant-pressure kernel is
-deflated by keeping residuals Euclidean-orthogonal to the constant
-vector, which makes every preconditioned iterate exactly mean-free.
+The direct path factors the bordered system, and refuses one whose LU
+would not fit in memory; for the axisymmetric mode the border is the
+weighted-mean row that pins the constant pressure (and its multiplier
+absorbs incompatible data).  The iterative path is a conjugate gradient
+iteration on the pressure Schur complement S = B A^-1 B*, preconditioned
+by the r-weighted pressure mass matrix; for the axisymmetric mode the
+constant-pressure kernel is deflated by keeping residuals
+Euclidean-orthogonal to the constant vector, which makes every
+preconditioned iterate exactly mean-free.
 
 Both paths run on the reduced blocks, which are exactly real for every
-mode (u_theta = i w, see ``fem.ModeConstraints``); the velocity block is
-the block diagonal of scalar operators L_j whose real factors the modes
-of a space share.  Real axisymmetric data has a real solution, so the
-fast path runs the same solve on the real parts of the blocks and the
-data, a real LU or a real iteration.
+mode (u_theta = i w, see ``fem.ModeConstraints``), so every factor is
+real and complex data takes two real columns; the velocity block is the
+block diagonal of scalar operators L_j whose factors the modes of a
+space share.  Real axisymmetric data has a real solution, so the fast
+path runs the same solve on the real parts of the blocks and the data.
 
 ``estimate_inf_sup`` measures the discrete stability constant as the
-smallest generalized eigenvalue of the Schur complement against the
+smallest generalized eigenvalue of the real Schur complement against the
 pressure mass matrix, densely for moderate pressure counts and by a
 blocked iterative eigensolver beyond.
 """
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,7 +32,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import ModeSolution, SaddleSystem
+from .fem import ModeSolution, SaddleSystem, _real_solve
 
 __all__ = [
     "InfSupEstimate",
@@ -107,38 +109,53 @@ def _true_residuals(system, u_free, p, F_hat, G_hat):
     return float(res_u), float(res_p)
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_lu_memory(n: int) -> None:
+    """Refuse a bordered LU of n unknowns that would need over half the memory.
+
+    Its real LU (COLAMD) has about 4.5e6 L+U nonzeros at n = 13,059 (h = 1/32),
+    6.6 times more per halving of h (4 times n).  SuperLU's peak was 11-29
+    bytes per estimated nonzero at h = 1/32 and 1/64, so 32 are charged.
+    """
+    need = 32 * 4.5e6 * 6.6 ** (np.log(n / 13059) / np.log(4))
+    have = _physical_memory()
+    if need > 0.5 * have:
+        raise SolverBreakdown(
+            f"direct LU of the {n}-unknown bordered system needs about "
+            f"{need / 2**20:,.0f} MB, more than half of the {have / 2**20:,.0f} MB "
+            "of physical memory; use method = uzawa"
+        )
+
+
 def _direct_bordered(A, B, F, G, m=None):
-    """LU solve of [[A, B*], [B, 0]] with an optional mean row for pressure.
+    """LU solve of [[A, B^T], [B, 0]] with an optional mean row for pressure.
 
     Returns (u, p, multiplier).  ``m`` is the weighted-mean functional; when
     given, the system is bordered once more so the pressure is mean-free
-    and inconsistent continuity data lands in the multiplier.  The LU is
-    real or complex as the blocks are.
+    and inconsistent continuity data lands in the multiplier.  The blocks
+    are exactly real whatever their dtype, so one real LU is factored and
+    complex data is solved as two real columns.
     """
-    nf = A.shape[0]
-    np_ = B.shape[0]
-    Bh = B.conj().T
-    if m is None:
-        mat = sp.bmat([[A, Bh], [B, None]], format="csc")
-        rhs = np.concatenate([F, G])
-    else:
-        mcol = sp.csr_matrix(m.reshape(-1, 1).astype(A.dtype))
-        mat = sp.bmat(
-            [[A, Bh, None], [B, None, mcol], [None, mcol.conj().T, None]],
-            format="csc",
-        )
-        rhs = np.concatenate([F, G, [0.0]])
+    np_, nf = B.shape
+    _check_lu_memory(nf + np_)
+    A, B = A.real, B.real
+    blocks, rhs = [[A, B.T], [B, None]], [F, G]
+    if m is not None:
+        mcol = sp.csr_matrix(m.reshape(-1, 1))
+        blocks = [[A, B.T, None], [B, None, mcol], [None, mcol.T, None]]
+        rhs.append([0.0])
     try:
-        lu = spla.splu(mat)
+        lu = spla.splu(sp.bmat(blocks, format="csc"))
     except RuntimeError as exc:
         raise SolverBreakdown(f"bordered factorization failed: {exc}") from exc
-    sol = lu.solve(rhs.astype(mat.dtype))
+    sol = _real_solve(lu, np.concatenate(rhs))
     if not np.all(np.isfinite(sol)):
         raise SolverBreakdown("bordered solve produced non-finite values")
-    u = sol[:nf]
-    p = sol[nf : nf + np_]
     mult = float(sol[-1].real) if m is not None else 0.0
-    return u, p, mult
+    return sol[:nf], sol[nf : nf + np_], mult
 
 
 def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config):
@@ -291,26 +308,21 @@ def estimate_inf_sup(
 ) -> InfSupEstimate:
     """Smallest eigenvalue of the pressure Schur complement against the mass.
 
-    beta**2 is the minimum of q* S q / q* Mp q over admissible pressures
-    (mean-free ones for the axisymmetric mode).  Moderate problems take
-    the dense symmetric eigensolver; larger ones use LOBPCG on the
-    implicitly applied Schur complement with the constant deflated.
+    beta**2 is the minimum of q^T S q / q^T Mp q over admissible pressures
+    (mean-free ones for the axisymmetric mode), with S = B_hat A_hat^-1
+    B_hat^T real.  Moderate problems take the dense symmetric eigensolver
+    on the whole pencil (S, Mp), skipping the constant kernel at k = 0;
+    larger ones use LOBPCG on the implicitly applied Schur complement with
+    the constant deflated.
     """
     np_ = system.n_p
     k = system.k
     if np_ <= dense_limit:
-        S = _dense_schur(system)
-        Mp = system.Mp.toarray()
-        if k == 0:
-            q, _ = np.linalg.qr(
-                np.hstack([system.m_vec.reshape(-1, 1), np.eye(np_)]).astype(float),
-            )
-            Z = q[:, 1:np_]
-            Sz = Z.conj().T @ S @ Z
-            Mz = Z.T @ Mp @ Z
-            vals = scipy.linalg.eigh(Sz, Mz, eigvals_only=True, subset_by_index=[0, 0])
-        else:
-            vals = scipy.linalg.eigh(S, Mp, eigvals_only=True, subset_by_index=[0, 0])
+        # At k = 0 the constant spans the kernel of S, and the other
+        # eigenvectors are Mp-orthogonal to it, that is mean-free.
+        index = [1, 1] if k == 0 else [0, 0]
+        S, Mp = _dense_schur(system), system.Mp.toarray()
+        vals = scipy.linalg.eigh(S, Mp, eigvals_only=True, subset_by_index=index)
         lam = float(vals[0])
         method = "dense"
     else:
@@ -329,36 +341,33 @@ def estimate_inf_sup(
 
 
 def _dense_schur(system, chunk: int = 128) -> np.ndarray:
-    Bh = system.B_hat.conj().T.tocsc()
+    B = system.B_hat.real
     np_ = system.n_p
-    S = np.empty((np_, np_), dtype=complex)
+    S = np.empty((np_, np_))
     for start in range(0, np_, chunk):
         stop = min(start + chunk, np_)
-        block = Bh[:, start:stop].toarray()
-        X = system.a_solve(block)
-        S[:, start:stop] = system.B_hat @ X
-    S = 0.5 * (S + S.conj().T)
-    return S
+        S[:, start:stop] = B @ system.a_solve(B.T[:, start:stop].toarray())
+    return 0.5 * (S + S.T)
 
 
 def _lobpcg_schur(system, *, tol, maxiter, seed) -> float:
     np_ = system.n_p
-    Bh = system.B_hat.conj().T
+    B = system.B_hat.real
 
     def apply_s(x):
-        return system.B_hat @ system.a_solve(Bh @ x)
+        return B @ system.a_solve(B.T @ x)
 
-    S_op = spla.LinearOperator((np_, np_), matvec=apply_s, matmat=apply_s, dtype=complex)
+    S_op = spla.LinearOperator((np_, np_), matvec=apply_s, matmat=apply_s, dtype=float)
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((np_, 3)) + 0j
-    Y = np.ones((np_, 1), dtype=complex) if system.k == 0 else None
+    X = rng.standard_normal((np_, 3))
+    Y = np.ones((np_, 1)) if system.k == 0 else None
     vals, _ = spla.lobpcg(
         S_op,
         X,
-        B=system.Mp.astype(complex),
+        B=system.Mp,
         Y=Y,
         tol=tol,
         maxiter=maxiter,
         largest=False,
     )
-    return float(np.min(vals.real))
+    return float(np.min(vals))

@@ -1,6 +1,7 @@
 """End-to-end command line runs: exit codes, outputs, and file formats."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,19 @@ def test_nonconverged_iteration_exits_2(tmp_path, capsys):
         rc = main(["solve", "--config", cfg])
     assert rc == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_direct_lu_over_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # The memory guard refuses before any factorization and names the way out.
+    monkeypatch.setattr("axistokes.solver._physical_memory", lambda: 2**20)
+    body = _base(tmp_path / "out").replace("h = 0.25", "h = 0.125")
+    assert main(["solve", "--config", _config(tmp_path, body)]) == 2
+    assert re.search(
+        r"numerical breakdown: direct LU of the \d+-unknown bordered system needs "
+        r"about [\d,]+ MB, more than half of the 1 MB of physical memory; "
+        r"use method = uzawa",
+        capsys.readouterr().err,
+    )
 
 
 @pytest.mark.parametrize(

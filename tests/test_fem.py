@@ -22,9 +22,9 @@ from axistokes.fem import (
     mode_matrices,
 )
 from axistokes.fields import Poly2
-from axistokes.meshing import generate_structured
+from axistokes.meshing import generate_structured, triangulate_polygon
 from axistokes.norms import mode_energy_product
-from axistokes.quadrature import triangle_rule
+from axistokes.quadrature import edge_rule, triangle_rule
 
 ONE = Poly2({(0, 0): 1.0})
 R = Poly2({(1, 0): 1.0})
@@ -189,6 +189,55 @@ def test_boundary_flux_closed_forms():
     u[COMP_R] = coords[:, 0] * coords[:, 1]
     u[COMP_Z] = -coords[:, 1] ** 2
     assert boundary_flux(space, u) == pytest.approx(0.0, abs=1e-12)
+
+
+def _loop_boundary_flux(space, u, rule_degree=7):
+    """Reference for boundary_flux: one boundary edge at a time."""
+    mesh = space.mesh
+    seen = {}
+    for tri in mesh.triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            if key in seen:
+                seen.pop(key)
+            else:
+                seen[key] = (int(a), int(b))
+    erule = edge_rule(rule_degree)
+    t = erule.points
+    shape = np.stack([(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)], axis=1)
+    total = 0.0 + 0.0j
+    for a, b in seen.values():
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        dvec = pb - pa
+        length = float(np.hypot(dvec[0], dvec[1]))
+        normal = np.array([dvec[1], -dvec[0]]) / length
+        mid = mesh.n_vertices + space.edge_ids[(min(a, b), max(a, b))]
+        ur = shape @ u[COMP_R, [a, b, mid]]
+        uz = shape @ u[COMP_Z, [a, b, mid]]
+        rline = (1 - t) * pa[0] + t * pb[0]
+        total += length * np.sum(erule.weights * (ur * normal[0] + uz * normal[1]) * rline)
+    return complex(total)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        generate_structured((1.0, 1.0), 0.125),
+        triangulate_polygon(((0.5, 0.0), (1.5, 0.0), (1.5, 1.0), (0.5, 1.0)), target_h=0.2),
+        triangulate_polygon(
+            ((0.0, 0.5), (1.0, 0.5), (1.0, 0.0), (3.0, 0.0), (3.0, 1.0), (0.0, 1.0)),
+            target_h=0.3,
+        ),
+    ],
+    ids=["square", "offset", "L-shape"],
+)
+def test_boundary_flux_matches_edge_loop(mesh):
+    space = FemSpace(mesh)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        u = rng.standard_normal((3, space.n_vel)) + 1j * rng.standard_normal((3, space.n_vel))
+        ref = _loop_boundary_flux(space, u)
+        assert abs(boundary_flux(space, u) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_scalar_field_point_evaluation(space):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from axistokes.solver import (
     SolverConfig,
     estimate_inf_sup,
     solve_mode,
+    _check_lu_memory,
     _direct_bordered,
 )
 from axistokes.verification import ManufacturedCase, builtin_cases
@@ -230,6 +232,45 @@ def test_unpreconditioned_uzawa_agrees_with_direct(space, cases, k, name):
     assert np.abs(direct.p - plain.p).max() <= 1e-8 * scale
 
 
+COMPLEX_FORCE = ((1 + 1j) * RZ, (0.5 - 1j) * Z, Poly2({(1, 0): 1j}))
+
+
+def _spy_splu(monkeypatch):
+    """Record the dtype of every matrix the bordered solve factors."""
+    factored = []
+    splu = spla.splu
+
+    def spy(mat, *args, **kwargs):
+        factored.append(mat.dtype)
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr("axistokes.solver.spla.splu", spy)
+    return factored
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 5])
+def test_direct_solve_factors_one_real_matrix(space, monkeypatch, k):
+    factored = _spy_splu(monkeypatch)
+    sol = solve_mode(assemble(space, k), f=COMPLEX_FORCE, config=SolverConfig("direct"))
+    assert not sol.report.fast_path
+    assert np.any(sol.u.imag) and np.any(sol.u.real)
+    assert factored == [np.dtype(np.float64)]
+
+
+def test_memory_guard_refuses_before_factoring(space, monkeypatch):
+    factored = _spy_splu(monkeypatch)
+    monkeypatch.setattr("axistokes.solver._physical_memory", lambda: 2**10)
+    with pytest.raises(SolverBreakdown, match="physical memory; use method = uzawa"):
+        solve_mode(assemble(space, 1), f=COMPLEX_FORCE)
+    assert factored == []
+    # On 7 GB the h = 1/64 bordered systems (52,740 unknowns at k = 0) may be
+    # factored; h = 1/128, with about four times as many, is refused.
+    monkeypatch.setattr("axistokes.solver._physical_memory", lambda: 7 * 2**30)
+    _check_lu_memory(52740)
+    with pytest.raises(SolverBreakdown, match=r"needs about [\d,]+ MB, more than half"):
+        _check_lu_memory(4 * 52740)
+
+
 def test_singular_system_breaks_down():
     A = sp.csr_matrix((3, 3), dtype=complex)
     B = sp.csr_matrix((2, 3), dtype=complex)
@@ -245,6 +286,31 @@ def test_inf_sup_estimate_in_plausible_range(space, k):
     assert est.n_p == space.n_p
     assert est.beta == pytest.approx(np.sqrt(est.lambda_min))
     assert 0.15 < est.beta < 1.0
+
+
+def _qr_projected_inf_sup(system):
+    """The complex dense estimate on a QR basis of the mean-free pressures."""
+    Bh = system.B_hat.conj().T.tocsc()
+    S = system.B_hat @ system.a_solve(Bh.toarray())
+    S = 0.5 * (S + S.conj().T)
+    Mp = system.Mp.toarray()
+    if system.k == 0:
+        eye = np.eye(system.n_p)
+        q, _ = np.linalg.qr(np.hstack([system.m_vec.reshape(-1, 1), eye]))
+        Z = q[:, 1:]
+        S, Mp = Z.conj().T @ S @ Z, Z.T @ Mp @ Z
+    return float(scipy.linalg.eigh(S, Mp, eigvals_only=True, subset_by_index=[0, 0])[0])
+
+
+@pytest.mark.parametrize("h", [1 / 8, 1 / 16])
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_inf_sup_matches_qr_projected_estimate(h, k):
+    # At k = 0 the second eigenvalue of the whole pencil (S, Mp) equals the
+    # smallest one on the mean-free pressures.
+    system = assemble(FemSpace(generate_structured((1.0, 1.0), h)), k)
+    est = estimate_inf_sup(system)
+    assert est.method == "dense"
+    assert est.lambda_min == pytest.approx(_qr_projected_inf_sup(system), rel=1e-12)
 
 
 def _rel_err(x, ref):
