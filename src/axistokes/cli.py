@@ -628,8 +628,20 @@ def cmd_mesh(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 3, like configuration errors.
+
+    argparse exits 2 on them, and 2 is the exit code of a breakdown.
+    Subcommand parsers are made by the same class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="axistokes",
         description="Fourier mode-by-mode Stokes solver for axisymmetric domains",
     )

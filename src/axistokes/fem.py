@@ -314,14 +314,13 @@ def _norm_matrices(space: FemSpace, rule: QuadratureRule) -> dict:
 class ModeOperators:
     """Wavenumber-independent ingredients of the per-mode matrices.
 
-    K: r-weighted stiffness.  M1 / Mm1: mass with weight r and 1/r.
+    K: r-weighted stiffness.  Mm1: velocity mass with weight 1/r.
     D0: unweighted pressure-velocity mass.  Br, Bz: divergence parts for
     the radial and axial components.  Mp: r-weighted pressure mass, and
     m = Mp @ 1 represents the weighted mean functional.
     """
 
     K: sp.csr_matrix
-    M1: sp.csr_matrix
     Mm1: sp.csr_matrix
     D0: sp.csr_matrix
     Br: sp.csr_matrix
@@ -342,7 +341,6 @@ def _build_operators(space: FemSpace, rule: QuadratureRule) -> ModeOperators:
     P1 = rule.points
     WR = W * R
     K_loc = np.einsum("tq,tqad,tqbd->tab", WR, grads, grads, optimize=True)
-    M1_loc = np.einsum("tq,qa,qb->tab", WR, N, N, optimize=True)
     Mm1_loc = np.einsum("tq,qa,qb->tab", W / R, N, N, optimize=True)
     div_r = N[None, :, :] + R[:, :, None] * grads[:, :, :, 0]
     Br_loc = -np.einsum("tq,qm,tqb->tmb", W, P1, div_r, optimize=True)
@@ -356,7 +354,6 @@ def _build_operators(space: FemSpace, rule: QuadratureRule) -> ModeOperators:
     rows66 = np.repeat(dm[:, :, None], 6, axis=2)
     cols66 = np.repeat(dm[:, None, :], 6, axis=1)
     K = _scatter(nvel, nvel, rows66, cols66, K_loc)
-    M1 = _scatter(nvel, nvel, rows66, cols66, M1_loc)
     Mm1 = _scatter(nvel, nvel, rows66, cols66, Mm1_loc)
     rows36 = np.repeat(tris[:, :, None], 6, axis=2)
     cols36 = np.repeat(dm[:, None, :], 3, axis=1)
@@ -367,7 +364,7 @@ def _build_operators(space: FemSpace, rule: QuadratureRule) -> ModeOperators:
     cols33 = np.repeat(tris[:, None, :], 3, axis=1)
     Mp = _scatter(np_, np_, rows33, cols33, Mp_loc)
     m = np.asarray(Mp @ np.ones(np_))
-    return ModeOperators(K=K, M1=M1, Mm1=Mm1, D0=D0, Br=Br, Bz=Bz, Mp=Mp, m=m)
+    return ModeOperators(K=K, Mm1=Mm1, D0=D0, Br=Br, Bz=Bz, Mp=Mp, m=m)
 
 
 def mode_matrices(space: FemSpace, k: int, rule: QuadratureRule = None):

@@ -117,10 +117,12 @@ def _check_lu_memory(n: int) -> None:
     """Refuse a bordered LU of n unknowns that would need over half the memory.
 
     Its real LU (COLAMD) has about 4.5e6 L+U nonzeros at n = 13,059 (h = 1/32),
-    6.6 times more per halving of h (4 times n).  SuperLU's peak was 11-29
-    bytes per estimated nonzero at h = 1/32 and 1/64, so 32 are charged.
+    9.8 times more per halving of h (4 times n): the k = 0 fill grew from
+    4.17e6 to 4.08e7 between h = 1/32 and 1/64, the most of any mode.
+    SuperLU's peak was 11-29 bytes per nonzero at h = 1/32 and 1/64, so 32
+    are charged.
     """
-    need = 32 * 4.5e6 * 6.6 ** (np.log(n / 13059) / np.log(4))
+    need = 32 * 4.5e6 * 9.8 ** (np.log(n / 13059) / np.log(4))
     have = _physical_memory()
     if need > 0.5 * have:
         raise SolverBreakdown(

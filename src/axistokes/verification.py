@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import Poly2, VectorModeFn, evaluate_polys
 from .fem import FemSpace, assemble
-from .fourier import angular_grid, fourier_coefficient, reconstruct, rotate_to_cartesian
+from .fourier import angular_grid, fourier_coefficient, reconstruct
 from .meshing import MeridianMesh, generate_structured
 from .norms import (
     FieldDifference,
@@ -523,17 +523,17 @@ class _Samples:
 class _ModeSamples:
     """Values and meridian gradients of one vector mode at quadrature points.
 
-    Each of ``val``, ``dr`` and ``dz`` has shape (3, nt, nq), one row per
-    cylindrical component; all nine come from one ``evaluate_polys`` call.
-    The 3D oracle reads these arrays, and ``components`` hands the same
-    arrays to the norm engine, so each mode is evaluated once per check.
+    ``table`` has shape (9, nt, nq): the three cylindrical components, then
+    their r and z derivatives, read as ``val``, ``dr`` and ``dz`` of shape
+    (3, nt, nq).  It is a slice of the table that ``_sample_modes``
+    evaluates for a whole field family at once.  The 3D oracle reads these
+    arrays, and ``components`` hands the same arrays to the norm engine, so
+    each mode is evaluated once per check.
     """
 
-    def __init__(self, mode: VectorModeFn, R, Z):
-        comps = mode.components
-        polys = [*comps, *(c.d_r() for c in comps), *(c.d_z() for c in comps)]
-        table = evaluate_polys(polys, R, Z)
-        self.k = mode.k
+    def __init__(self, k, table):
+        self.k = k
+        self.table = table
         self.val, self.dr, self.dz = table[0:3], table[3:6], table[6:9]
 
     def components(self, mesh, rule):
@@ -543,36 +543,91 @@ class _ModeSamples:
         )
 
 
-def _reconstruct_cartesian(samples, thetas, R):
+def _sample_modes(modes, scalars, R, Z):
+    """Samples of vector modes and scalar polynomials from one ``evaluate_polys``.
+
+    Returns one ``_ModeSamples`` per vector mode (nine polynomials each: the
+    components and their r and z derivatives) and the values of the scalars,
+    shape (len(scalars), nt, nq).
+    """
+    polys = []
+    for mode in modes:
+        comps = mode.components
+        polys += [*comps, *(c.d_r() for c in comps), *(c.d_z() for c in comps)]
+    table = evaluate_polys(polys + list(scalars), R, Z)
+    samples = [_ModeSamples(m.k, table[9 * i : 9 * i + 9]) for i, m in enumerate(modes)]
+    return samples, table[9 * len(modes) :]
+
+
+def _reconstruct_cartesian(samples, thetas, R, rows=slice(None)):
     """3D Cartesian components and derivatives of a mode family.
 
-    Returns val, d_x, d_y, d_z: each a triple of arrays of shape
-    (nt, nq, n_theta) for the Cartesian components (x, y, z).  Mode sums
-    give the cylindrical components of the value, of its radial and axial
-    derivatives, and of sum_k i k u_k exp(i k theta); the angular
-    derivative of the rotated field is Rot(theta) (that sum + J u) with
-    J (u_r, u_t, u_z) = (-u_t, u_r, 0).  The Cartesian chain rule divides
-    the angular part by r.
+    Returns val, d_x, d_y, d_z: each an array of shape (3, nt, nq, n_theta)
+    holding the Cartesian components (x, y, z), over the triangles ``rows``
+    of the samples and of R.  Mode sums give the cylindrical components of
+    the value, of its radial and axial derivatives, and of
+    sum_k i k u_k exp(i k theta); the angular derivative of the rotated
+    field is Rot(theta) (that sum + J u) with J (u_r, u_t, u_z) =
+    (-u_t, u_r, 0).  The Cartesian chain rule divides the angular part by r.
     """
-
-    def mode_sum(part):
-        return reconstruct({sm.k: part(sm) for sm in samples}, thetas)
-
-    # Each sum is rotated as soon as it is formed, so that the cylindrical
-    # sums are not all held next to the Cartesian ones (peak memory).
-    val = mode_sum(lambda sm: sm.val)
-    d_th = mode_sum(lambda sm: (1j * sm.k) * sm.val)
-    d_th[0] -= val[1]
-    d_th[1] += val[0]
-    val = rotate_to_cartesian(val, thetas)
-    d_th = rotate_to_cartesian(d_th, thetas)
-    d_r = rotate_to_cartesian(mode_sum(lambda sm: sm.dr), thetas)
-    d_z = rotate_to_cartesian(mode_sum(lambda sm: sm.dz), thetas)
     cos, sin = np.cos(thetas), np.sin(thetas)
-    R3 = R[..., None]
-    d_x = tuple(cos * dr - (sin / R3) * dt for dr, dt in zip(d_r, d_th))
-    d_y = tuple(sin * dr + (cos / R3) * dt for dr, dt in zip(d_r, d_th))
+    # One mode sum of the nine sampled rows: value, d_r, d_z by component.
+    sums = reconstruct({sm.k: sm.table[:, rows] for sm in samples}, thetas)
+    sums = sums.reshape((3, 3) + sums.shape[1:])
+    d_th = reconstruct({sm.k: (1j * sm.k) * sm.val[:, rows] for sm in samples}, thetas)
+    d_th[0] -= sums[0, 1]
+    d_th[1] += sums[0, 0]
+    # Rotate in place; the axial components stay as they are.
+    for v in (sums, d_th[None]):
+        x = v[:, 0] * cos - v[:, 1] * sin
+        v[:, 1] = v[:, 0] * sin + v[:, 1] * cos
+        v[:, 0] = x
+    val, d_r, d_z = sums
+    R3 = R[rows][..., None]
+    d_x = cos * d_r - (sin / R3) * d_th
+    d_y = sin * d_r + (cos / R3) * d_th
     return val, d_x, d_y, d_z
+
+
+# Points (triangles x quadrature points x angles) of one block of the 3D
+# oracle: its (block, nq, n_theta) arrays then stay in cache, and its memory
+# does not grow with the mesh.
+_ORACLE_BLOCK_POINTS = 12_000
+
+
+def _oracle_block(nq: int, n_theta: int) -> int:
+    """Triangles per block of the 3D oracle."""
+    return max(1, _ORACLE_BLOCK_POINTS // (nq * n_theta))
+
+
+def _oracle_integrals(R, W, thetas, su, sv, q_vals):
+    """The 3D integrals of one field family over the revolved domain.
+
+    ``su``, ``sv`` are the ``_ModeSamples`` of the vector fields u and v,
+    ``q_vals`` the values of the scalar q (one row per mode of ``su``), all
+    on quadrature points with coordinates R and weights W.  Each field is
+    summed into a genuine 3D field on the angles ``thetas`` and integrated
+    by the tensor rule, one block of triangles at a time.  Returns
+    (||u||^2, |u|_1^2, (grad u, grad v), -(div u, q)).
+    """
+    ks = [s.k for s in su]
+    block = _oracle_block(R.shape[1], len(thetas))
+    l2 = semi = 0.0
+    energy = div = 0j
+    for lo in range(0, R.shape[0], block):
+        rows = slice(lo, lo + block)
+        uval, *ugrad = _reconstruct_cartesian(su, thetas, R, rows)
+        _, *vgrad = _reconstruct_cartesian(sv, thetas, R, rows)
+        w3 = (W[rows] * R[rows])[..., None] * (2.0 * np.pi / len(thetas))
+        l2 += np.vdot(uval, w3 * uval).real
+        for ug, vg in zip(ugrad, vgrad):
+            wug = w3 * ug
+            semi += np.vdot(ug, wug).real
+            energy += np.vdot(vg, wug)
+        qval = reconstruct({k: q[rows] for k, q in zip(ks, q_vals)}, thetas)
+        ux, uy, uz = ugrad
+        div -= np.vdot(qval, w3 * (ux[0] + uy[1] + uz[2]))
+    return float(l2), float(semi), complex(energy), complex(div)
 
 
 def _relative_defect(a: float, b: float) -> float:
@@ -589,46 +644,23 @@ def _field_defects(mesh, rule, thetas, modes_u, modes_v, modes_q):
     same samples, and all of them are freed when this returns.
     """
     R, Z, W = quadrature_geometry(mesh, rule)
-    su = [_ModeSamples(m, R, Z) for m in modes_u]
-    sv = [_ModeSamples(m, R, Z) for m in modes_v]
-    sq = [_Samples(mesh, rule, q(R, Z)) for q in modes_q]
-    uval, ux, uy, uz = _reconstruct_cartesian(su, thetas, R)
-    vval, vx, vy, vz = _reconstruct_cartesian(sv, thetas, R)
+    samples, q_vals = _sample_modes([*modes_u, *modes_v], modes_q, R, Z)
+    su, sv = samples[: len(modes_u)], samples[len(modes_u) :]
+    three_l2, three_semi, three_energy, three_div = _oracle_integrals(
+        R, W, thetas, su, sv, q_vals
+    )
     ks = [s.k for s in su]
     cu = [s.components(mesh, rule) for s in su]
     cv = [s.components(mesh, rule) for s in sv]
+    sq = [_Samples(mesh, rule, q) for q in q_vals]
 
-    w3 = W[..., None] * R[..., None] * (2.0 * np.pi / len(thetas))
-
-    three_l2 = float(sum(np.sum(w3 * np.abs(c) ** 2) for c in uval))
-    three_semi = float(
-        sum(
-            np.sum(w3 * (np.abs(dx) ** 2 + np.abs(dy) ** 2 + np.abs(dz) ** 2))
-            for dx, dy, dz in zip(ux, uy, uz)
-        )
-    )
     reports = [vector_mode_norm(mesh, u, rule, k=k) for k, u in zip(ks, cu)]
     sum_l2 = sum(rep.l2_1_sq for rep in reports)
     sum_semi = sum(rep.h1k_semi_sq for rep in reports)
     sum_full = sum(rep.h1k_sq for rep in reports)
-
-    # Energy form against the 3D Dirichlet integral of gradients.
-    three_energy = complex(
-        sum(
-            np.sum(w3 * (udx * np.conj(vdx) + udy * np.conj(vdy) + udz * np.conj(vdz)))
-            for (udx, udy, udz), (vdx, vdy, vdz) in zip(
-                zip(ux, uy, uz), zip(vx, vy, vz)
-            )
-        )
-    )
     sum_energy = sum(
         mode_energy_product(mesh, k, u, v, rule) for k, u, v in zip(ks, cu, cv)
     )
-
-    # Divergence pairing against the 3D divergence.
-    div3 = ux[0] + uy[1] + uz[2]
-    qval = reconstruct({k: q.val for k, q in zip(ks, sq)}, thetas)
-    three_div = complex(-np.sum(w3 * div3 * np.conj(qval)))
     sum_div = sum(
         mode_divergence_product(mesh, k, u, q, rule) for k, u, q in zip(ks, cu, sq)
     )

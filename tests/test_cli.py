@@ -234,6 +234,27 @@ def test_missing_config_exits_3(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--config", "run.ini", "--bogus"], ["solve"]],
+    ids=["unknown-flag", "missing-config"],
+)
+def test_usage_errors_exit_3(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: axistokes")
+    assert "error:" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_load_config_validation_details(tmp_path):
     cfg = _config(
         tmp_path,

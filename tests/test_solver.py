@@ -271,6 +271,16 @@ def test_memory_guard_refuses_before_factoring(space, monkeypatch):
         _check_lu_memory(4 * 52740)
 
 
+def test_memory_guard_refuses_h128_on_16_gib(monkeypatch):
+    # The k = 0 fill grows 9.8 times per halving of h, so at h = 1/128
+    # (16 times the 13,059 unknowns of h = 1/32) the LU does not fit in half
+    # of 16 GiB; h = 1/64 still does.
+    monkeypatch.setattr("axistokes.solver._physical_memory", lambda: 16 * 2**30)
+    _check_lu_memory(52740)
+    with pytest.raises(SolverBreakdown, match=r"needs about [\d,]+ MB, more than half"):
+        _check_lu_memory(16 * 13059)
+
+
 def test_singular_system_breaks_down():
     A = sp.csr_matrix((3, 3), dtype=complex)
     B = sp.csr_matrix((2, 3), dtype=complex)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from axistokes.fields import Poly2, VectorModeFn
-from axistokes.fourier import angular_grid
-from axistokes.meshing import generate_structured
+from axistokes.cli import L_SHAPE
+from axistokes.fields import Poly2, VectorModeFn, evaluate_polys
+from axistokes.fourier import angular_grid, reconstruct, rotate_to_cartesian
+from axistokes.meshing import DomainSpec, generate_structured, mesh_from_spec
 from axistokes.norms import quadrature_geometry, vector_mode_norm
 from axistokes.quadrature import DEFAULT_NORM_DEGREE, triangle_rule
 from axistokes.verification import (
@@ -21,9 +22,12 @@ from axistokes.verification import (
     truncation_study,
 )
 from axistokes.verification import (
-    _ModeSamples,
+    _oracle_block,
+    _oracle_integrals,
     _random_mode_field,
+    _random_scalar,
     _reconstruct_cartesian,
+    _sample_modes,
     strong_divergence,
     strong_force,
 )
@@ -197,7 +201,7 @@ def test_cartesian_reconstruction_closed_forms(k, components, value, grad):
     r = np.array([[0.25, 0.5, 0.9]])
     z = np.array([[0.1, 0.4, 0.8]])
     thetas = angular_grid(16)
-    samples = [_ModeSamples(VectorModeFn(k, components), r, z)]
+    samples, _ = _sample_modes([VectorModeFn(k, components)], [], r, z)
     val, d_x, d_y, d_z = _reconstruct_cartesian(samples, thetas, r)
     norm = 1.0 / np.sqrt(2.0 * np.pi)
     x, y = r[..., None] * np.cos(thetas), r[..., None] * np.sin(thetas)
@@ -207,12 +211,93 @@ def test_cartesian_reconstruction_closed_forms(k, components, value, grad):
             np.testing.assert_allclose(deriv[c], norm * grad[a][c], rtol=0, atol=1e-15)
 
 
+def _whole_mesh_oracle(mesh, rule, thetas, modes_u, modes_v, modes_q):
+    """The 3D integrals as the isometry suite formed them over the whole mesh.
+
+    Each mode is sampled on its own, the mode sums span every triangle at
+    once and are rotated by ``rotate_to_cartesian``.
+    """
+    R, Z, W = quadrature_geometry(mesh, rule)
+
+    def cartesian(modes):
+        samples = []
+        for m in modes:
+            comps = m.components
+            polys = [*comps, *(c.d_r() for c in comps), *(c.d_z() for c in comps)]
+            samples.append((m.k, evaluate_polys(polys, R, Z)))
+
+        def mode_sum(part):
+            return reconstruct({k: part(k, t) for k, t in samples}, thetas)
+
+        val = mode_sum(lambda k, t: t[0:3])
+        d_th = mode_sum(lambda k, t: (1j * k) * t[0:3])
+        d_th[0] -= val[1]
+        d_th[1] += val[0]
+        val = rotate_to_cartesian(val, thetas)
+        d_th = rotate_to_cartesian(d_th, thetas)
+        d_r = rotate_to_cartesian(mode_sum(lambda k, t: t[3:6]), thetas)
+        d_z = rotate_to_cartesian(mode_sum(lambda k, t: t[6:9]), thetas)
+        cos, sin = np.cos(thetas), np.sin(thetas)
+        R3 = R[..., None]
+        d_x = tuple(cos * dr - (sin / R3) * dt for dr, dt in zip(d_r, d_th))
+        d_y = tuple(sin * dr + (cos / R3) * dt for dr, dt in zip(d_r, d_th))
+        return val, d_x, d_y, d_z
+
+    uval, ux, uy, uz = cartesian(modes_u)
+    _, vx, vy, vz = cartesian(modes_v)
+    w3 = W[..., None] * R[..., None] * (2.0 * np.pi / len(thetas))
+    l2 = sum(np.sum(w3 * np.abs(c) ** 2) for c in uval)
+    semi = sum(
+        np.sum(w3 * (np.abs(dx) ** 2 + np.abs(dy) ** 2 + np.abs(dz) ** 2))
+        for dx, dy, dz in zip(ux, uy, uz)
+    )
+    energy = sum(
+        np.sum(w3 * (udx * np.conj(vdx) + udy * np.conj(vdy) + udz * np.conj(vdz)))
+        for udx, udy, udz, vdx, vdy, vdz in zip(ux, uy, uz, vx, vy, vz)
+    )
+    qval = reconstruct({m.k: q(R, Z) for m, q in zip(modes_u, modes_q)}, thetas)
+    div = -np.sum(w3 * (ux[0] + uy[1] + uz[2]) * np.conj(qval))
+    return l2, semi, energy, div
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        generate_structured((1.0, 1.0), 0.25),
+        mesh_from_spec(DomainSpec(polygon=L_SHAPE, target_h=0.5)),
+    ],
+    ids=["unit-square", "L-shape"],
+)
+def test_blocked_oracle_matches_whole_mesh_integrals(mesh):
+    rule = triangle_rule(DEFAULT_NORM_DEGREE)
+    k_max = 5
+    thetas = angular_grid(4 * k_max + 8)
+    R, Z, W = quadrature_geometry(mesh, rule)
+    block = _oracle_block(R.shape[1], len(thetas))
+    # Several blocks, the last one partial.
+    assert mesh.triangles.shape[0] > 2 * block
+    assert mesh.triangles.shape[0] % block != 0
+    rng = np.random.default_rng(11)
+    ks = range(-k_max, k_max + 1)
+    modes_u = [_random_mode_field(rng, k) for k in ks]
+    modes_v = [_random_mode_field(rng, k) for k in ks]
+    modes_q = [_random_scalar(rng) for _ in ks]
+    samples, q_vals = _sample_modes([*modes_u, *modes_v], modes_q, R, Z)
+    blocked = _oracle_integrals(
+        R, W, thetas, samples[: len(modes_u)], samples[len(modes_u) :], q_vals
+    )
+    whole = _whole_mesh_oracle(mesh, rule, thetas, modes_u, modes_v, modes_q)
+    for got, want in zip(blocked, whole):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_mode_samples_serve_the_norm_engine_on_their_own_mesh_and_rule():
     mesh = generate_structured((1.0, 1.0), 0.5)
     rule = triangle_rule(DEFAULT_NORM_DEGREE)
     R, Z, _ = quadrature_geometry(mesh, rule)
     mode = _random_mode_field(np.random.default_rng(3), 2, min_r_power=1)
-    comps = _ModeSamples(mode, R, Z).components(mesh, rule)
+    (samples,), _ = _sample_modes([mode], [], R, Z)
+    comps = samples.components(mesh, rule)
     sampled = vector_mode_norm(mesh, comps, rule, k=2)
     direct = vector_mode_norm(mesh, mode, rule)
     assert sampled.h1k_sq == pytest.approx(direct.h1k_sq, rel=1e-13)
