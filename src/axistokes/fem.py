@@ -108,9 +108,9 @@ class FemSpace:
     are the vertices, so pressure index m refers to the same node as
     velocity index m.
 
-    Tabulations, operators, norm matrices and the pressure mass factor
-    are built on first use and cached per quadrature rule; factors of the
-    scalar velocity blocks L_j are kept for the last three j
+    Operators, norm matrices and the pressure mass factor are built on
+    first use and cached per quadrature rule; factors of the scalar
+    velocity blocks L_j are kept for the last three j
     (``velocity_factor``).  Solver
     threads (``solve --jobs``) share one space, so the caches fill under
     one re-entrant lock: each entry is built once, not once per thread
@@ -159,7 +159,6 @@ class FemSpace:
         grad[:, 0] = -grad[:, 1] - grad[:, 2]
         self.grad_lambda = grad
         self._lock = threading.RLock()
-        self._tab_cache = {}
         self._op_cache = {}
         self._mp_cache = {}
         self._norm_cache = {}
@@ -179,21 +178,6 @@ class FemSpace:
         """
         return self._free_nodes[j != 0]
 
-    def tabulation(self, rule: QuadratureRule):
-        """Basis values and physical gradients at the rule points.
-
-        Returns (N, grads, R, Z, W): values (nq, 6), gradients
-        (nt, nq, 6, 2), coordinates and weights (nt, nq).
-        """
-        return self._cached(self._tab_cache, rule, self._tabulate)
-
-    def _tabulate(self, rule: QuadratureRule):
-        lam = rule.points
-        N = _p2_values(lam)
-        dN = _p2_dvalues(lam)
-        grads = np.einsum("qbi,tid->tqbd", dN, self.grad_lambda)
-        return (N, grads, *quadrature_geometry(self.mesh, rule))
-
     def norm_matrices(self, rule: QuadratureRule, kind: str = "p2") -> "NormMatrices":
         """Element matrices of the weighted mode norms at ``rule``, P2 or P1.
 
@@ -201,9 +185,15 @@ class FemSpace:
         of its samples at the rule points is sum_t conj(loc_t) mass_r[t]
         loc_t, and likewise for the other two; see ``NormMatrices``.
         """
-        return self._cached(self._norm_cache, rule, lambda q: _norm_matrices(self, q))[kind]
+
+        def build(q):
+            mats = _element_matrices(self, q)
+            return {"p2": mats["p2"], "p1": mats["p1"]}
+
+        return self._cached(self._norm_cache, rule, build)[kind]
 
     def operators(self, rule: QuadratureRule = None) -> "ModeOperators":
+        """Global operators at ``rule``, scattered from its element matrices."""
         rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
         return self._cached(self._op_cache, rule, lambda q: _build_operators(self, q))
 
@@ -260,7 +250,9 @@ class NormMatrices:
     ``mass_inv_r`` are the element mass matrices weighted by r and 1/r,
     ``stiff_r`` the r-weighted gradient form.  They carry the rule's
     weights, so a quadratic form in them equals the rule's sum of the
-    squared samples.
+    squared samples.  Assembly and the norms share them: the operators K,
+    Mm1 and Mp are the P2 ``stiff_r``, P2 ``mass_inv_r`` and P1 ``mass_r``
+    at the assembly rule (see ``_element_matrices``).
     """
 
     mass_r: np.ndarray
@@ -275,14 +267,17 @@ def _weighted_products(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     return (weights @ outer).reshape(weights.shape[:1] + a.shape[1:] + b.shape[1:])
 
 
-def _norm_matrices(space: FemSpace, rule: QuadratureRule) -> dict:
-    """{"p2": NormMatrices, "p1": NormMatrices} of ``space`` at ``rule``.
+def _element_matrices(space: FemSpace, rule: QuadratureRule) -> dict:
+    """Every element matrix of ``space`` at ``rule``.
 
-    P2 gradients are taken on the reference coordinates (lambda_1,
-    lambda_2): with lambda_0 = 1 - lambda_1 - lambda_2, grad N_a is
-    sum_i dN[a, i] grad lambda_i over i = 1, 2, so the weighted products
-    of dN over the rule contract with the metric grad lambda_i . grad
-    lambda_j of each triangle and no table of physical gradients at the
+    Returns {"p2": NormMatrices, "p1": NormMatrices, "D0", "Br", "Bz"},
+    the last three the (nt, 3, 6) pressure-velocity blocks of
+    ``ModeOperators``.  All are weighted products over the rule on the
+    reference coordinates (lambda_1, lambda_2): with lambda_0 = 1 -
+    lambda_1 - lambda_2, grad N_a is sum_i dN[a, i] grad lambda_i over
+    i = 1, 2, so a product with P2 derivatives contracts with each
+    triangle's grad lambda_i, or with its metric grad lambda_i . grad
+    lambda_j for two of them, and no table of physical gradients at the
     rule points is formed.  A P1 gradient is constant on each triangle.
     """
     lam = rule.points
@@ -296,6 +291,10 @@ def _norm_matrices(space: FemSpace, rule: QuadratureRule) -> dict:
     stiff = np.einsum(
         "taibj,tij->tab", _weighted_products(WR, dN, dN), metric[:, 1:, 1:], optimize=True
     )
+    # The radial divergence part pairs psi_m with N_b + r d_r N_b, the axial
+    # one with r d_z N_b.
+    D0 = _weighted_products(W, lam, N)
+    lam_dN = _weighted_products(WR, lam, dN)
     return {
         "p2": NormMatrices(
             mass_r=_weighted_products(WR, N, N),
@@ -307,6 +306,9 @@ def _norm_matrices(space: FemSpace, rule: QuadratureRule) -> dict:
             mass_inv_r=_weighted_products(W_R, lam, lam),
             stiff_r=WR.sum(axis=1)[:, None, None] * metric,
         ),
+        "D0": D0,
+        "Br": -(D0 + np.einsum("tmbi,ti->tmb", lam_dN, gl[:, 1:, 0])),
+        "Bz": -np.einsum("tmbi,ti->tmb", lam_dN, gl[:, 1:, 1]),
     }
 
 
@@ -337,48 +339,24 @@ def _scatter(nrows, ncols, rows, cols, data) -> sp.csr_matrix:
 
 
 def _build_operators(space: FemSpace, rule: QuadratureRule) -> ModeOperators:
-    N, grads, R, Z, W = space.tabulation(rule)
-    P1 = rule.points
-    WR = W * R
-    K_loc = np.einsum("tq,tqad,tqbd->tab", WR, grads, grads, optimize=True)
-    Mm1_loc = np.einsum("tq,qa,qb->tab", W / R, N, N, optimize=True)
-    div_r = N[None, :, :] + R[:, :, None] * grads[:, :, :, 0]
-    Br_loc = -np.einsum("tq,qm,tqb->tmb", W, P1, div_r, optimize=True)
-    Bz_loc = -np.einsum("tq,qm,tqb->tmb", WR, P1, grads[:, :, :, 1], optimize=True)
-    D0_loc = np.einsum("tq,qm,qb->tmb", W, P1, N, optimize=True)
-    Mp_loc = np.einsum("tq,qm,qn->tmn", WR, P1, P1, optimize=True)
-
+    mats = _element_matrices(space, rule)
     dm = space.dof_map
     tris = space.mesh.triangles
     nvel, np_ = space.n_vel, space.n_p
     rows66 = np.repeat(dm[:, :, None], 6, axis=2)
     cols66 = np.repeat(dm[:, None, :], 6, axis=1)
-    K = _scatter(nvel, nvel, rows66, cols66, K_loc)
-    Mm1 = _scatter(nvel, nvel, rows66, cols66, Mm1_loc)
+    K = _scatter(nvel, nvel, rows66, cols66, mats["p2"].stiff_r)
+    Mm1 = _scatter(nvel, nvel, rows66, cols66, mats["p2"].mass_inv_r)
     rows36 = np.repeat(tris[:, :, None], 6, axis=2)
     cols36 = np.repeat(dm[:, None, :], 3, axis=1)
-    Br = _scatter(np_, nvel, rows36, cols36, Br_loc)
-    Bz = _scatter(np_, nvel, rows36, cols36, Bz_loc)
-    D0 = _scatter(np_, nvel, rows36, cols36, D0_loc)
+    Br = _scatter(np_, nvel, rows36, cols36, mats["Br"])
+    Bz = _scatter(np_, nvel, rows36, cols36, mats["Bz"])
+    D0 = _scatter(np_, nvel, rows36, cols36, mats["D0"])
     rows33 = np.repeat(tris[:, :, None], 3, axis=2)
     cols33 = np.repeat(tris[:, None, :], 3, axis=1)
-    Mp = _scatter(np_, np_, rows33, cols33, Mp_loc)
+    Mp = _scatter(np_, np_, rows33, cols33, mats["p1"].mass_r)
     m = np.asarray(Mp @ np.ones(np_))
     return ModeOperators(K=K, Mm1=Mm1, D0=D0, Br=Br, Bz=Bz, Mp=Mp, m=m)
-
-
-def mode_matrices(space: FemSpace, k: int, rule: QuadratureRule = None):
-    """Full (unconstrained) saddle blocks A (3n x 3n) and B (np x 3n)."""
-    ops = space.operators(rule)
-    K, Mm1 = ops.K, ops.Mm1
-    A_rr = (K + (1 + k * k) * Mm1).astype(complex)
-    A_zz = (K + (k * k) * Mm1).astype(complex)
-    A_rt = (2j * k) * Mm1 if k else None
-    A_tr = (-2j * k) * Mm1 if k else None
-    A = sp.bmat(
-        [[A_rr, A_rt, None], [A_tr, A_rr, None], [None, None, A_zz]], format="csr"
-    )
-    return A, _divergence_matrix(ops, k)
 
 
 def _divergence_matrix(ops: ModeOperators, k: int) -> sp.csr_matrix:
@@ -483,7 +461,8 @@ def assemble_rhs(space: FemSpace, f=None, rule: QuadratureRule = None) -> np.nda
     if f is None:
         return F
     rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
-    N, _, R, Z, W = space.tabulation(rule)
+    N = _p2_values(rule.points)
+    R, Z, W = quadrature_geometry(space.mesh, rule)
     comps = f.components if isinstance(f, VectorModeFn) else tuple(f)
     for c, comp in enumerate(comps):
         fn = as_mode_function(comp)
@@ -500,7 +479,7 @@ def assemble_divergence_rhs(space: FemSpace, g_div, rule: QuadratureRule = None)
     if g_div is None:
         return G
     rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
-    _, _, R, Z, W = space.tabulation(rule)
+    R, Z, W = quadrature_geometry(space.mesh, rule)
     fn = as_mode_function(g_div)
     vals = np.broadcast_to(np.asarray(fn.value(R, Z), dtype=complex), R.shape)
     loc = -np.einsum("tq,qm->tm", W * R * vals, rule.points)
@@ -704,23 +683,23 @@ class FemScalarField:
     def sample_on(self, mesh: MeridianMesh, rule: QuadratureRule, need_grad=True):
         if mesh.mesh_id != self.space.mesh.mesh_id:
             raise ValueError("field sampled on a mesh it does not live on")
-        N, grads, R, Z, W = self.space.tabulation(rule)
+        lam, gl = rule.points, self.space.grad_lambda
         if self.kind == "p2":
             loc = self.dofs[self.space.dof_map]
-            val = np.einsum("qb,tb->tq", N, loc)
+            val = np.einsum("qb,tb->tq", _p2_values(lam), loc)
             if not need_grad:
                 return val, None, None
-            dr = np.einsum("tqb,tb->tq", grads[:, :, :, 0], loc)
-            dz = np.einsum("tqb,tb->tq", grads[:, :, :, 1], loc)
-            return val, dr, dz
+            # Derivatives along the barycentric coordinates, pushed forward
+            # with each triangle's grad lambda_i.
+            grad = np.einsum("qbi,tb->tqi", _p2_dvalues(lam), loc) @ gl
+            return val, grad[:, :, 0], grad[:, :, 1]
         loc = self.dofs[self.space.mesh.triangles]
-        val = np.einsum("qb,tb->tq", rule.points, loc)
+        val = np.einsum("qb,tb->tq", lam, loc)
         if not need_grad:
             return val, None, None
-        gl = self.space.grad_lambda
         dr = np.einsum("tb,tb->t", gl[:, :, 0], loc)
         dz = np.einsum("tb,tb->t", gl[:, :, 1], loc)
-        nq = rule.points.shape[0]
+        nq = lam.shape[0]
         return val, np.repeat(dr[:, None], nq, 1), np.repeat(dz[:, None], nq, 1)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:

@@ -20,7 +20,10 @@ A field is measured in one of two ways that give the same sums at the
 same rule (the degree-10 ``triangle_rule`` by default).  Finite element
 fields of one space, such as the solved modes, are measured as sums of
 element quadratic forms over the space's cached norm-rule matrices
-(``FemSpace.norm_matrices``), with no samples formed.  Every other field
+(``FemSpace.norm_matrices``), with no samples formed.  Assembly and norms
+share one engine for these matrices: at the assembly rule, the same
+r-weighted stiffness, 1/r mass and r-weighted pressure mass are the
+operators K, Mm1 and Mp of every mode's saddle system.  Every other field
 (closed forms, ``FieldDifference`` error fields, stored samples, mixed
 triples) is sampled at the rule points, and that path stays the
 reference the quadratic forms are tested against.

@@ -123,8 +123,9 @@ def _collapsed_rule(degree: int) -> QuadratureRule:
 def triangle_rule(degree: int) -> QuadratureRule:
     """Interior rule exact for polynomials up to ``degree`` on a triangle.
 
-    Cached so equal-degree requests share one rule object, letting callers
-    key tabulation caches on the rule itself.
+    Cached so equal-degree requests share one rule object.  The caches of
+    ``FemSpace`` key on (degree, number of points), so they also hit for an
+    equal rule that was built elsewhere.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")

@@ -1,0 +1,98 @@
+"""Reference Taylor-Hood operators from a table of physical gradients.
+
+The package builds its element matrices from weighted products on the
+reference coordinates (``fem._element_matrices``).  This module keeps the
+direct formulation they are tested against: basis gradients pushed forward
+to every quadrature point of every triangle, (nt, nq, 6, 2), and each
+element matrix as one einsum over that table.  ``mode_matrices`` forms the
+full, unconstrained saddle blocks of one mode from the operators.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from axistokes.fem import ModeOperators, _divergence_matrix, _p2_dvalues, _p2_values
+from axistokes.quadrature import quadrature_geometry
+
+
+def gradient_table(space, rule):
+    """(N, grads, R, Z, W): P2 values (nq, 6), physical gradients (nt, nq, 6, 2),
+    coordinates and weights (nt, nq)."""
+    lam = rule.points
+    grads = np.einsum("qbi,tid->tqbd", _p2_dvalues(lam), space.grad_lambda)
+    return (_p2_values(lam), grads, *quadrature_geometry(space.mesh, rule))
+
+
+def _scatter(nrows, ncols, rows, cols, data):
+    mat = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(nrows, ncols))
+    return mat.tocsr()
+
+
+def reference_operators(space, rule) -> ModeOperators:
+    N, grads, R, Z, W = gradient_table(space, rule)
+    P1 = rule.points
+    WR = W * R
+    K_loc = np.einsum("tq,tqad,tqbd->tab", WR, grads, grads, optimize=True)
+    Mm1_loc = np.einsum("tq,qa,qb->tab", W / R, N, N, optimize=True)
+    div_r = N[None, :, :] + R[:, :, None] * grads[:, :, :, 0]
+    Br_loc = -np.einsum("tq,qm,tqb->tmb", W, P1, div_r, optimize=True)
+    Bz_loc = -np.einsum("tq,qm,tqb->tmb", WR, P1, grads[:, :, :, 1], optimize=True)
+    D0_loc = np.einsum("tq,qm,qb->tmb", W, P1, N, optimize=True)
+    Mp_loc = np.einsum("tq,qm,qn->tmn", WR, P1, P1, optimize=True)
+
+    dm = space.dof_map
+    tris = space.mesh.triangles
+    nvel, np_ = space.n_vel, space.n_p
+    rows66 = np.repeat(dm[:, :, None], 6, axis=2)
+    cols66 = np.repeat(dm[:, None, :], 6, axis=1)
+    rows36 = np.repeat(tris[:, :, None], 6, axis=2)
+    cols36 = np.repeat(dm[:, None, :], 3, axis=1)
+    rows33 = np.repeat(tris[:, :, None], 3, axis=2)
+    cols33 = np.repeat(tris[:, None, :], 3, axis=1)
+    Mp = _scatter(np_, np_, rows33, cols33, Mp_loc)
+    return ModeOperators(
+        K=_scatter(nvel, nvel, rows66, cols66, K_loc),
+        Mm1=_scatter(nvel, nvel, rows66, cols66, Mm1_loc),
+        D0=_scatter(np_, nvel, rows36, cols36, D0_loc),
+        Br=_scatter(np_, nvel, rows36, cols36, Br_loc),
+        Bz=_scatter(np_, nvel, rows36, cols36, Bz_loc),
+        Mp=Mp,
+        m=np.asarray(Mp @ np.ones(np_)),
+    )
+
+
+def reference_samples(field, rule):
+    """(value, d/dr, d/dz) of a FemScalarField at ``rule`` from the gradient table."""
+    space = field.space
+    N, grads, R, Z, W = gradient_table(space, rule)
+    if field.kind == "p2":
+        loc = field.dofs[space.dof_map]
+        return (
+            np.einsum("qb,tb->tq", N, loc),
+            np.einsum("tqb,tb->tq", grads[:, :, :, 0], loc),
+            np.einsum("tqb,tb->tq", grads[:, :, :, 1], loc),
+        )
+    loc = field.dofs[space.mesh.triangles]
+    gl = space.grad_lambda
+    nq = rule.points.shape[0]
+    dr = np.einsum("tb,tb->t", gl[:, :, 0], loc)
+    dz = np.einsum("tb,tb->t", gl[:, :, 1], loc)
+    return (
+        np.einsum("qb,tb->tq", rule.points, loc),
+        np.repeat(dr[:, None], nq, 1),
+        np.repeat(dz[:, None], nq, 1),
+    )
+
+
+def mode_matrices(space, k: int, rule=None):
+    """Full (unconstrained) saddle blocks A (3n x 3n) and B (np x 3n) of mode k."""
+    ops = space.operators(rule)
+    K, Mm1 = ops.K, ops.Mm1
+    A_rr = (K + (1 + k * k) * Mm1).astype(complex)
+    A_zz = (K + (k * k) * Mm1).astype(complex)
+    A_rt = (2j * k) * Mm1 if k else None
+    A_tr = (-2j * k) * Mm1 if k else None
+    A = sp.bmat(
+        [[A_rr, A_rt, None], [A_tr, A_rr, None], [None, None, A_zz]], format="csr"
+    )
+    return A, _divergence_matrix(ops, k)

@@ -19,17 +19,31 @@ from axistokes.fem import (
     assemble_rhs,
     boundary_flux,
     mode_constraints,
-    mode_matrices,
 )
 from axistokes.fields import Poly2
 from axistokes.meshing import generate_structured, triangulate_polygon
 from axistokes.norms import mode_energy_product
-from axistokes.quadrature import edge_rule, triangle_rule
+from axistokes.quadrature import DEFAULT_NORM_DEGREE, edge_rule, triangle_rule
+
+from fem_reference import mode_matrices, reference_operators, reference_samples
 
 ONE = Poly2({(0, 0): 1.0})
 R = Poly2({(1, 0): 1.0})
 Z = Poly2({(0, 1): 1.0})
 ZERO = 0.0 * ONE
+
+MESHES = pytest.mark.parametrize(
+    "mesh",
+    [
+        generate_structured((1.0, 1.0), 0.125),
+        triangulate_polygon(((0.5, 0.0), (1.5, 0.0), (1.5, 1.0), (0.5, 1.0)), target_h=0.2),
+        triangulate_polygon(
+            ((0.0, 0.5), (1.0, 0.5), (1.0, 0.0), (3.0, 0.0), (3.0, 1.0), (0.0, 1.0)),
+            target_h=0.3,
+        ),
+    ],
+    ids=["square", "offset", "L-shape"],
+)
 
 
 @pytest.fixture(scope="module")
@@ -219,18 +233,7 @@ def _loop_boundary_flux(space, u, rule_degree=7):
     return complex(total)
 
 
-@pytest.mark.parametrize(
-    "mesh",
-    [
-        generate_structured((1.0, 1.0), 0.125),
-        triangulate_polygon(((0.5, 0.0), (1.5, 0.0), (1.5, 1.0), (0.5, 1.0)), target_h=0.2),
-        triangulate_polygon(
-            ((0.0, 0.5), (1.0, 0.5), (1.0, 0.0), (3.0, 0.0), (3.0, 1.0), (0.0, 1.0)),
-            target_h=0.3,
-        ),
-    ],
-    ids=["square", "offset", "L-shape"],
-)
+@MESHES
 def test_boundary_flux_matches_edge_loop(mesh):
     space = FemSpace(mesh)
     rng = np.random.default_rng(11)
@@ -238,6 +241,34 @@ def test_boundary_flux_matches_edge_loop(mesh):
         u = rng.standard_normal((3, space.n_vel)) + 1j * rng.standard_normal((3, space.n_vel))
         ref = _loop_boundary_flux(space, u)
         assert abs(boundary_flux(space, u) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@MESHES
+def test_operators_match_gradient_table_reference(mesh):
+    # The operators are scattered from weighted products on the reference
+    # coordinates; the reference pushes every basis gradient forward to
+    # every quadrature point and integrates the physical forms directly.
+    space = FemSpace(mesh)
+    ops, ref = space.operators(), reference_operators(space, triangle_rule(5))
+    for name in ("K", "Mm1", "D0", "Br", "Bz", "Mp"):
+        got, want = getattr(ops, name), getattr(ref, name)
+        scale = abs(want).max()
+        assert abs(got - want).max() <= 1e-14 * scale, name
+    assert np.abs(ops.m - ref.m).max() <= 1e-14 * np.abs(ref.m).max()
+
+
+@MESHES
+def test_sampling_matches_gradient_table_reference(mesh):
+    space = FemSpace(mesh)
+    rule = triangle_rule(DEFAULT_NORM_DEGREE)
+    rng = np.random.default_rng(23)
+    for kind, n in (("p2", space.n_vel), ("p1", space.n_p)):
+        field = FemScalarField(
+            space, rng.standard_normal(n) + 1j * rng.standard_normal(n), kind=kind
+        )
+        for got, want in zip(field.sample_on(mesh, rule), reference_samples(field, rule)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), kind
 
 
 def test_scalar_field_point_evaluation(space):
@@ -287,10 +318,8 @@ def test_space_caches_build_once_under_threads():
 
     def worker():
         barrier.wait(timeout=10)
-        tab = space.tabulation(triangle_rule(5))
         got.append(
             (
-                tab,
                 space.operators(),
                 space.norm_matrices(triangle_rule(10)),
                 space.pressure_mass_factor(),
