@@ -22,7 +22,6 @@ import configparser
 import dataclasses
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -336,30 +335,23 @@ def _solution_norm_rows(mesh, space, results: dict, real_data: bool) -> dict:
     return rows
 
 
-def _solve_modes(config: RunConfig, space: FemSpace, ks, real_data: bool, jobs: int):
-    """{k: solution} for each k in ks.
+def _solve_modes(config: RunConfig, space: FemSpace, ks, real_data: bool):
+    """{k: solution} for each k in ks, solved one at a time in order of (|k|, k).
 
+    In this order each L_j is factored once (``FemSpace.velocity_factor``).
     Real data makes mode -k the conjugate of mode k, so each |k| is solved
     once.  The sampled data and the space's velocity factors are dropped on
     return, before the output stage.
     """
-    solve_ks = sorted({abs(k) for k in ks}) if real_data else ks
-    data = _mode_data(config, solve_ks)
-
-    def solve_one(k: int):
-        f, g_div = data[k]
-        system = assemble(space, k)
-        return solve_mode(system, f=f, g_div=g_div, config=config.solver)
-
+    wanted = {abs(k) if real_data else k for k in ks}
+    solve_ks = sorted(wanted, key=lambda k: (abs(k), k))
     solved = {}
-    if jobs == 1:
-        for k in solve_ks:
-            solved[k] = solve_one(k)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {k: pool.submit(solve_one, k) for k in solve_ks}
-            for k, fut in futures.items():
-                solved[k] = fut.result()
+    for k, (f, g_div) in _mode_data(config, solve_ks).items():
+        # The system holds its velocity factors: pass it unnamed, so that it
+        # is freed before the next mode is assembled.
+        solved[k] = solve_mode(
+            assemble(space, k), f=f, g_div=g_div, config=config.solver
+        )
     space.release_velocity_factors()
     return {k: solved[k] if k in solved else solved[-k].conj() for k in ks}
 
@@ -370,10 +362,9 @@ def cmd_solve(args) -> int:
     space = FemSpace(mesh)
     real_data = _data_is_real(config)
     ks = _mode_list(config, real_data)
-    jobs = 1 if args.deterministic else max(1, args.jobs)
 
     started = time.perf_counter()
-    results = _solve_modes(config, space, ks, real_data, jobs)
+    results = _solve_modes(config, space, ks, real_data)
     elapsed = time.perf_counter() - started
 
     out = config.out_dir
@@ -650,12 +641,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve all requested modes")
     p_solve.add_argument("--config", required=True, help="INI run configuration")
     p_solve.add_argument(
-        "--jobs", type=int, default=1, help="worker threads across modes"
-    )
-    p_solve.add_argument(
         "--deterministic",
         action="store_true",
-        help="solve sequentially in ascending wavenumber order",
+        help="accepted for compatibility, no effect: modes are always solved "
+        "one at a time in order of |k|",
     )
     p_solve.set_defaults(fn=cmd_solve)
 

@@ -16,7 +16,6 @@ grid come from one sampling.
 
 import ast
 import functools
-import threading
 
 import numpy as np
 
@@ -122,8 +121,8 @@ class _SharedSampling:
     The first evaluation at a set of points samples each expression there
     once on the n-point angular grid and keeps the requested FFT bins of
     all of them; later evaluations at the same points reuse those bins.
-    The lock makes solver threads that reach the first evaluation at the
-    same time sample once, not once each.
+    Like the finite element space, a sampling serves one thread: the
+    modes that share it are solved one after another.
     """
 
     def __init__(self, fns, ks, n: int):
@@ -131,17 +130,15 @@ class _SharedSampling:
         self.row = {k: j for j, k in enumerate(ks)}
         self.bins = [k % n for k in ks]
         self.thetas = angular_grid(n)
-        self._lock = threading.Lock()
         self._points = None
         self._coeffs = None
 
     def coefficient(self, c: int, k: int, r, z) -> np.ndarray:
         r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
-        with self._lock:
-            if not self._holds(r, z):
-                self._coeffs = self._sample(r, z)
-                self._points = (r.copy(), z.copy())
-            return self._coeffs[self.row[k], c].copy()
+        if not self._holds(r, z):
+            self._coeffs = self._sample(r, z)
+            self._points = (r.copy(), z.copy())
+        return self._coeffs[self.row[k], c].copy()
 
     def _holds(self, r, z) -> bool:
         if self._points is None:

@@ -30,7 +30,6 @@ instead of silently moving the problem.
 
 import collections
 import dataclasses
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -110,14 +109,8 @@ class FemSpace:
 
     Operators, norm matrices and the pressure mass factor are built on
     first use and cached per quadrature rule; factors of the scalar
-    velocity blocks L_j are kept for the last three j
-    (``velocity_factor``).  Solver
-    threads (``solve --jobs``) share one space, so the caches fill under
-    one re-entrant lock: each entry is built once, not once per thread
-    that asks at the same time.
-    Cached entries are only read afterwards: a SuperLU solve reads the
-    factor and works on its own copy of the right side, so threads may
-    solve with the shared factor at the same time.
+    velocity blocks L_j are kept for the last three j (``velocity_factor``).
+    A space and its caches serve one thread.
     """
 
     def __init__(self, mesh: MeridianMesh):
@@ -158,7 +151,6 @@ class FemSpace:
         grad[:, 2, 1] = e1[:, 0] / det
         grad[:, 0] = -grad[:, 1] - grad[:, 2]
         self.grad_lambda = grad
-        self._lock = threading.RLock()
         self._op_cache = {}
         self._mp_cache = {}
         self._norm_cache = {}
@@ -166,10 +158,9 @@ class FemSpace:
 
     def _cached(self, cache: dict, rule: QuadratureRule, build):
         key = (rule.degree, len(rule.weights))
-        with self._lock:
-            if key not in cache:
-                cache[key] = build(rule)
-            return cache[key]
+        if key not in cache:
+            cache[key] = build(rule)
+        return cache[key]
 
     def free_nodes(self, j: int) -> np.ndarray:
         """Velocity nodes where a component with scalar index j is unknown.
@@ -208,28 +199,26 @@ class FemSpace:
     def velocity_factor(self, j: int, rule: QuadratureRule = None):
         """Real factor of ``velocity_block(j)``, shared by the modes using it.
 
-        The space keeps the factors of the last three j asked for.  Mode
-        k != 0 uses j = |k| - 1, |k|, |k| + 1 (mode 0 uses 0 and 1), so modes
-        solved in order of |k| factor each L_j once, and a many-mode run
-        does not hold all its factors at the same time.  The least recently
-        used factor is dropped before its replacement is factored, so at
-        most three are alive while one is being built.
+        The space keeps the factors of the last three j asked for, for one
+        thread.  Mode k != 0 uses j = |k| - 1, |k|, |k| + 1 (mode 0 uses 0
+        and 1), so modes solved in order of (|k|, k) factor each L_j once,
+        and a many-mode run does not hold all its factors at the same time.
+        The least recently used factor is dropped before its replacement is
+        factored, so at most three are alive while one is being built.
         """
         rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
         key = (j, rule.degree, len(rule.weights))
-        with self._lock:
-            factors = self._velocity_factors
-            if key not in factors:
-                if len(factors) == _VELOCITY_FACTORS_KEPT:
-                    factors.popitem(last=False)
-                factors[key] = spd_factor(self.velocity_block(j, rule))
-            factors.move_to_end(key)
-            return factors[key]
+        factors = self._velocity_factors
+        if key not in factors:
+            if len(factors) == _VELOCITY_FACTORS_KEPT:
+                factors.popitem(last=False)
+            factors[key] = spd_factor(self.velocity_block(j, rule))
+        factors.move_to_end(key)
+        return factors[key]
 
     def release_velocity_factors(self) -> None:
         """Forget the kept velocity factors; a system holding one keeps it."""
-        with self._lock:
-            self._velocity_factors.clear()
+        self._velocity_factors.clear()
 
     def pressure_mass_factor(self, rule: QuadratureRule = None):
         """Real factor of the r-weighted pressure mass matrix Mp.

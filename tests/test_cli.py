@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from axistokes import fem
 from axistokes.cli import ConfigError, load_config, main
 from axistokes.fem import FemSpace, assemble
 from axistokes.fourier import FourierStack, ModeVectors, read_stack
@@ -236,8 +237,12 @@ def test_missing_config_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["solve", "--config", "run.ini", "--bogus"], ["solve"]],
-    ids=["unknown-flag", "missing-config"],
+    [
+        ["solve", "--config", "run.ini", "--bogus"],
+        ["solve"],
+        ["solve", "--config", "run.ini", "--jobs", "2"],
+    ],
+    ids=["unknown-flag", "missing-config", "removed-jobs"],
 )
 def test_usage_errors_exit_3(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -350,26 +355,54 @@ def test_vtk_bytes_are_pinned(tmp_path):
     )
 
 
-def test_parallel_and_deterministic_agree(tmp_path):
-    for i, modes in enumerate(("n_max = 2", "wavenumbers = -3 -2 -1 0 1 2 3")):
-        body = lambda out: _base(
-            out,
-            data="fr = cos(theta)*r + z\nftheta = sin(theta)\nfz = r*z",
-            extra=f"\n[modes]\n{modes}\n",
-        )
-        out_a, out_b = tmp_path / f"a{i}", tmp_path / f"b{i}"
-        cfg_a = _config(tmp_path, body(out_a), f"a{i}.ini")
-        cfg_b = _config(tmp_path, body(out_b), f"b{i}.ini")
-        assert main(["solve", "--config", cfg_a, "--deterministic"]) == 0
-        assert main(["solve", "--config", cfg_b, "--jobs", "3"]) == 0
-        assert (out_a / "norms_velocity.csv").read_bytes() == (
-            out_b / "norms_velocity.csv"
-        ).read_bytes()
-        stack_a = read_stack(out_a / "stack")
-        stack_b = read_stack(out_b / "stack")
-        assert stack_a.wavenumbers == stack_b.wavenumbers
-        for k in stack_a.wavenumbers:
-            np.testing.assert_array_equal(stack_a.modes[k].u, stack_b.modes[k].u)
+REAL_DATA = "fr = cos(theta)*r + z\nftheta = sin(theta)\nfz = r*z"
+COMPLEX_DATA = "fr = cos(theta)*r + z\nftheta = (-1)**0.5*sin(theta)\nfz = r*z"
+
+
+def _stack_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_solve_is_deterministic(tmp_path):
+    # --deterministic is accepted with no effect: both runs solve the
+    # modes one at a time in the same order and write the same bytes.
+    cases = [
+        (REAL_DATA, "n_max = 2"),
+        (REAL_DATA, "wavenumbers = -3 -2 -1 0 1 2 3"),
+        (COMPLEX_DATA, "n_max = 2"),
+    ]
+    for i, (data, modes) in enumerate(cases):
+        outs = []
+        for name, flags in ((f"a{i}", ["--deterministic"]), (f"b{i}", [])):
+            out = tmp_path / name
+            body = _base(out, data, f"\n[modes]\n{modes}\n")
+            assert main(["solve", "--config", _config(tmp_path, body), *flags]) == 0
+            outs.append(out)
+        out_a, out_b = outs
+        assert read_stack(out_a / "stack").real_data == (data == REAL_DATA)
+        for table in ("norms_velocity.csv", "norms_pressure.csv"):
+            assert (out_a / table).read_bytes() == (out_b / table).read_bytes()
+        assert _stack_bytes(out_a / "stack") == _stack_bytes(out_b / "stack")
+
+
+def test_complex_data_factors_each_velocity_block_once(tmp_path, monkeypatch):
+    # Complex data at n_max = 4 solves k = -4..4.  In order of (|k|, k)
+    # the three kept factors cover each mode, so Uzawa factors L_0..L_5
+    # and Mp once each; ascending k would refactor L_3, L_4 and L_5.
+    calls = []
+    spd_factor = fem.spd_factor
+
+    def counted(A):
+        calls.append(A.shape)
+        return spd_factor(A)
+
+    monkeypatch.setattr(fem, "spd_factor", counted)
+    out = tmp_path / "out"
+    extra = "\n[modes]\nn_max = 4\n\n[solver]\nmethod = uzawa\n"
+    cfg = _config(tmp_path, _base(out, COMPLEX_DATA, extra))
+    assert main(["solve", "--config", cfg]) == 0
+    assert read_stack(out / "stack").wavenumbers == list(range(-4, 5))
+    assert len(calls) == 7
 
 
 def test_verify_on_configured_coarse_domain(tmp_path, capsys):
