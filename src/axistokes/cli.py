@@ -80,45 +80,30 @@ class RunConfig:
     trunc_h: float = 0.25
 
 
-def _floats(text: str, context: str):
+def _numbers(text: str, context: str, kind=float):
     try:
-        return [float(tok) for tok in text.split()]
+        return [kind(tok) for tok in text.split()]
     except ValueError as exc:
-        raise ConfigError(f"{context}: expected numbers, got {text!r}") from exc
+        what = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{context}: expected {what}, got {text!r}") from exc
 
 
-def _ints(text: str, context: str):
-    try:
-        return [int(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise ConfigError(f"{context}: expected integers, got {text!r}") from exc
+_READERS = {
+    float: ("getfloat", "not a number"),
+    int: ("getint", "not an integer"),
+    bool: ("getboolean", "not a boolean"),
+}
 
 
-def _get_float(cp, section: str, key: str, default: float) -> float:
+def _get(cp, section: str, key: str, default):
+    """``key`` of ``section`` read as the type of ``default``, which it defaults to."""
     if not cp.has_option(section, key):
         return default
+    reader, what = _READERS[type(default)]
     try:
-        return cp.getfloat(section, key)
+        return getattr(cp, reader)(section, key)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number") from exc
-
-
-def _get_int(cp, section: str, key: str, default: int) -> int:
-    if not cp.has_option(section, key):
-        return default
-    try:
-        return cp.getint(section, key)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer") from exc
-
-
-def _get_bool(cp, section: str, key: str, default: bool) -> bool:
-    if not cp.has_option(section, key):
-        return default
-    try:
-        return cp.getboolean(section, key)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a boolean") from exc
+        raise ConfigError(f"[{section}] {key}: {what}") from exc
 
 
 def _parse_domain(cp, config: RunConfig) -> None:
@@ -130,7 +115,7 @@ def _parse_domain(cp, config: RunConfig) -> None:
             "[domain] needs exactly one of rectangle, polygon, mesh; "
             f"got {given or 'none'}"
         )
-    h = _get_float(cp, "domain", "h", 0.125)
+    h = _get(cp, "domain", "h", 0.125)
     if h <= 0:
         raise ConfigError("[domain] h must be positive")
     kind = given[0]
@@ -138,14 +123,14 @@ def _parse_domain(cp, config: RunConfig) -> None:
         config.mesh_path = cp.get("domain", "mesh")
         return
     if kind == "rectangle":
-        vals = _floats(cp.get("domain", "rectangle"), "[domain] rectangle")
+        vals = _numbers(cp.get("domain", "rectangle"), "[domain] rectangle")
         if len(vals) not in (2, 4):
             raise ConfigError(
                 "[domain] rectangle takes 'rmax zmax' or 'rmin rmax zmin zmax'"
             )
         config.domain = DomainSpec(rectangle=tuple(vals), target_h=h)
         return
-    vals = _floats(cp.get("domain", "polygon"), "[domain] polygon")
+    vals = _numbers(cp.get("domain", "polygon"), "[domain] polygon")
     if len(vals) < 6 or len(vals) % 2:
         raise ConfigError("[domain] polygon takes at least three 'r z' pairs")
     pts = tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
@@ -175,7 +160,7 @@ def _parse_data(cp, config: RunConfig) -> None:
     missing = [key for key in ("fr", "ftheta", "fz") if not cp.has_option("data", key)]
     if missing:
         raise ConfigError(f"[data] expression keys missing: {', '.join(missing)}")
-    n_theta = _get_int(cp, "data", "n_theta", 0) or None
+    n_theta = _get(cp, "data", "n_theta", 0) or None
     config.force = ExpressionField(
         cp.get("data", "fr"),
         cp.get("data", "ftheta"),
@@ -188,11 +173,11 @@ def _parse_data(cp, config: RunConfig) -> None:
 
 def _parse_modes(cp, config: RunConfig) -> None:
     if cp.has_option("modes", "n_max"):
-        config.n_max = _get_int(cp, "modes", "n_max", 0)
+        config.n_max = _get(cp, "modes", "n_max", 0)
         if config.n_max < 0:
             raise ConfigError("[modes] n_max must be nonnegative")
     if cp.has_option("modes", "wavenumbers"):
-        ks = _ints(cp.get("modes", "wavenumbers"), "[modes] wavenumbers")
+        ks = _numbers(cp.get("modes", "wavenumbers"), "[modes] wavenumbers", int)
         if not ks:
             raise ConfigError("[modes] wavenumbers cannot be empty")
         config.wavenumbers = sorted(set(ks))
@@ -204,9 +189,9 @@ def _parse_modes(cp, config: RunConfig) -> None:
 
 def _parse_solver(cp, config: RunConfig) -> None:
     method = cp.get("solver", "method", fallback="direct").strip()
-    tol = _get_float(cp, "solver", "tol", 1e-10)
-    max_iter = _get_int(cp, "solver", "max_iter", 500)
-    precond = _get_bool(cp, "solver", "pressure_mass_precond", True)
+    tol = _get(cp, "solver", "tol", 1e-10)
+    max_iter = _get(cp, "solver", "max_iter", 500)
+    precond = _get(cp, "solver", "pressure_mass_precond", True)
     if tol <= 0 or max_iter <= 0:
         raise ConfigError("[solver] tol and max_iter must be positive")
     try:
@@ -222,8 +207,8 @@ def _parse_solver(cp, config: RunConfig) -> None:
 
 def _parse_output(cp, config: RunConfig) -> None:
     config.out_dir = Path(cp.get("output", "directory", fallback="out"))
-    config.vtk = _get_bool(cp, "output", "vtk", False)
-    config.vtk_n_theta = _get_int(cp, "output", "vtk_n_theta", 32)
+    config.vtk = _get(cp, "output", "vtk", False)
+    config.vtk_n_theta = _get(cp, "output", "vtk_n_theta", 32)
     if config.vtk and config.vtk_n_theta < 8:
         raise ConfigError("[output] vtk_n_theta must be at least 8")
 
@@ -232,16 +217,16 @@ def _parse_truncation(cp, config: RunConfig) -> None:
     if not cp.has_section("truncation"):
         return
     if cp.has_option("truncation", "s"):
-        svals = _floats(cp.get("truncation", "s"), "[truncation] s")
+        svals = _numbers(cp.get("truncation", "s"), "[truncation] s")
         if not svals or any(s <= 0 for s in svals):
             raise ConfigError("[truncation] s values must be positive")
         config.trunc_s = tuple(svals)
     if cp.has_option("truncation", "ns"):
-        ns = _ints(cp.get("truncation", "ns"), "[truncation] ns")
+        ns = _numbers(cp.get("truncation", "ns"), "[truncation] ns", int)
         if not ns or any(n < 1 for n in ns):
             raise ConfigError("[truncation] ns must be positive integers")
         config.trunc_ns = tuple(sorted(set(ns)))
-    config.trunc_h = _get_float(cp, "truncation", "h", 0.25)
+    config.trunc_h = _get(cp, "truncation", "h", 0.25)
     if config.trunc_h <= 0:
         raise ConfigError("[truncation] h must be positive")
 

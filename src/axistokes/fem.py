@@ -652,10 +652,11 @@ def assemble(
 class FemScalarField:
     """One scalar coefficient field over a FemSpace, P2 or P1.
 
-    Implements the sampling protocol the norm engine consumes, plus point
-    evaluation anywhere in the domain.  The norm engine measures fields of
-    one space through ``FemSpace.norm_matrices`` instead, and samples them
-    only inside differences and mixed triples.
+    ``sample_on`` gives its values and gradients at quadrature points, and
+    calling it evaluates it anywhere in the domain.  The norm engine
+    measures fields of one space through ``FemSpace.norm_matrices`` and
+    samples them (``norms.sample_component``) only inside differences and
+    mixed triples.
     """
 
     def __init__(self, space: FemSpace, dofs: np.ndarray, kind: str = "p2"):

@@ -24,9 +24,12 @@ element quadratic forms over the space's cached norm-rule matrices
 share one engine for these matrices: at the assembly rule, the same
 r-weighted stiffness, 1/r mass and r-weighted pressure mass are the
 operators K, Mm1 and Mp of every mode's saddle system.  Every other field
-(closed forms, ``FieldDifference`` error fields, stored samples, mixed
-triples) is sampled at the rule points, and that path stays the
-reference the quadratic forms are tested against.
+(closed forms, ``FieldDifference`` error fields, mixed triples) is sampled
+at the rule points, and that path stays the reference the quadratic forms
+are tested against.  The sampled sums are array cores
+(``sampled_vector_norm``, ``sampled_energy_product``,
+``sampled_divergence_product``) that a caller holding samples calls
+directly; both routes of a vector norm meet in ``_vector_report``.
 """
 
 import io
@@ -58,23 +61,18 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
 class FieldDifference:
-    """Pointwise difference of two samplable fields, itself samplable.
+    """Pointwise difference a - b of two fields, measured like any field.
 
     Lets error norms reuse the norm engine: the difference of a finite
-    element field and a closed-form one is just another field.
+    element field and a closed-form one is sampled as the difference of
+    their samples.
     """
 
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
+    a: object
+    b: object
 
-    def sample_on(self, mesh, rule, need_grad=True, geometry=None):
-        va, dra, dza = sample_component(self.a, mesh, rule, need_grad, geometry)
-        vb, drb, dzb = sample_component(self.b, mesh, rule, need_grad, geometry)
-        if not need_grad:
-            return va - vb, None, None
-        return va - vb, dra - drb, dza - dzb
 
 _COMPONENTS = ("r", "theta", "z")
 
@@ -84,8 +82,9 @@ def sample_component(
 ):
     """Evaluate one field component at all quadrature points.
 
-    Accepts any object with a ``sample_on(mesh, rule, need_grad)`` method
-    (finite element fields) or a mode function / callable evaluated at the
+    Accepts a ``FieldDifference`` (the difference of its parts' samples),
+    any object with a ``sample_on(mesh, rule, need_grad)`` method (finite
+    element fields) or a mode function / callable evaluated at the
     quadrature coordinates; a ``Poly2`` takes one ``evaluate_polys`` call
     for its value and both derivatives.  ``geometry`` is
     ``quadrature_geometry(mesh, rule)`` when the caller has it already.
@@ -93,7 +92,9 @@ def sample_component(
     None when not requested.
     """
     if isinstance(comp, FieldDifference):
-        return comp.sample_on(mesh, rule, need_grad, geometry)
+        a = sample_component(comp.a, mesh, rule, need_grad, geometry)
+        b = sample_component(comp.b, mesh, rule, need_grad, geometry)
+        return tuple(None if x is None else x - y for x, y in zip(a, b))
     if hasattr(comp, "sample_on"):
         return comp.sample_on(mesh, rule, need_grad)
     R, Z, _ = geometry or quadrature_geometry(mesh, rule)
@@ -280,42 +281,11 @@ def scalar_mode_norm(mesh, q, k: int, rule: QuadratureRule = None) -> NormReport
     )
 
 
-def vector_mode_norm(mesh, v, rule: QuadratureRule = None, k: int = None) -> NormReport:
-    """Mode norm of a vector coefficient at its wavenumber.
+def _vector_report(k, per_comp: dict, p_plus: float, p_minus: float) -> NormReport:
+    """NormReport of a vector mode from its components' ComponentNorms.
 
-    ``v`` is a VectorModeFn or any triple of component fields (then ``k``
-    must be passed).  All quadratic terms are accumulated from squares and
-    the sum-of-squares regrouping of the radial/angular coupling, so the
-    result is real and nonnegative by construction.  Three finite element
-    fields of one space are measured by element quadratic forms, any
-    other triple by sampling; both supply the same sums.
+    ``p_plus``, ``p_minus`` are the 1/r sums of v_r + i v_t and v_r - i v_t.
     """
-    rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
-    if isinstance(v, VectorModeFn):
-        comps = v.components
-        k = v.k if k is None else k
-    else:
-        comps = tuple(v)
-        if k is None:
-            raise ValueError("pass k when the vector is a bare component triple")
-    if len(comps) != 3:
-        raise ValueError("vector mode needs three components (r, theta, z)")
-    if _in_one_fem_space(mesh, comps):
-        sums, (p_plus, p_minus) = _fem_norm_sums(comps, rule, couple=True)
-        per_comp = dict(zip(_COMPONENTS, sums))
-    else:
-        geometry = quadrature_geometry(mesh, rule)
-        R, _, W = geometry
-        per_comp = {}
-        vals = []
-        for name, comp in zip(_COMPONENTS, comps):
-            val, dr, dz = sample_component(comp, mesh, rule, True, geometry)
-            per_comp[name] = _sampled_sums(val, dr, dz, R, W)
-            vals.append(val)
-        plus = vals[0] + 1j * vals[1]
-        minus = vals[0] - 1j * vals[1]
-        p_plus = _real_sum(W, (plus.real**2 + plus.imag**2) / R)
-        p_minus = _real_sum(W, (minus.real**2 + minus.imag**2) / R)
     l2_1_tot = l2_m1_tot = semi_tot = 0.0
     for comp in per_comp.values():
         l2_1_tot += comp.l2_1_sq
@@ -338,6 +308,63 @@ def vector_mode_norm(mesh, v, rule: QuadratureRule = None, k: int = None) -> Nor
     )
 
 
+def sampled_vector_norm(k: int, val, dr, dz, R, W) -> NormReport:
+    """Mode norm of a vector coefficient from its samples.
+
+    ``val``, ``dr`` and ``dz`` hold the values and r, z derivatives of the
+    components (r, theta, z), each (nt, nq), at the quadrature points with
+    coordinates R and weights W of ``quadrature_geometry``.
+    """
+    per_comp = {n: _sampled_sums(*s, R, W) for n, *s in zip(_COMPONENTS, val, dr, dz)}
+    plus = val[0] + 1j * val[1]
+    minus = val[0] - 1j * val[1]
+    p_plus = _real_sum(W, (plus.real**2 + plus.imag**2) / R)
+    p_minus = _real_sum(W, (minus.real**2 + minus.imag**2) / R)
+    return _vector_report(k, per_comp, p_plus, p_minus)
+
+
+def vector_mode_norm(mesh, v, rule: QuadratureRule = None, k: int = None) -> NormReport:
+    """Mode norm of a vector coefficient at its wavenumber.
+
+    ``v`` is a VectorModeFn or any triple of component fields (then ``k``
+    must be passed).  All quadratic terms are accumulated from squares and
+    the sum-of-squares regrouping of the radial/angular coupling, so the
+    result is real and nonnegative by construction.  Three finite element
+    fields of one space are measured by element quadratic forms, any
+    other triple by sampling; both supply the same sums.
+    """
+    rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
+    if isinstance(v, VectorModeFn):
+        comps = v.components
+        k = v.k if k is None else k
+    else:
+        comps = tuple(v)
+        if k is None:
+            raise ValueError("pass k when the vector is a bare component triple")
+    if len(comps) != 3:
+        raise ValueError("vector mode needs three components (r, theta, z)")
+    if _in_one_fem_space(mesh, comps):
+        sums, (p_plus, p_minus) = _fem_norm_sums(comps, rule, couple=True)
+        return _vector_report(k, dict(zip(_COMPONENTS, sums)), p_plus, p_minus)
+    geometry = quadrature_geometry(mesh, rule)
+    R, _, W = geometry
+    return sampled_vector_norm(k, *_sample_vector(comps, mesh, rule, geometry), R, W)
+
+
+def sampled_energy_product(k: int, u, v, R, W) -> complex:
+    """``mode_energy_product`` of samples ``u``, ``v``, each (val, dr, dz)."""
+    (uval, udr, udz), (vval, vdr, vdz) = u, v
+    grad = sum(udr[c] * np.conj(vdr[c]) + udz[c] * np.conj(vdz[c]) for c in range(3))
+    ur, ut, uz = uval
+    vr, vt, vz = vval
+    mass = (
+        (1 + k * k) * (ur * np.conj(vr) + ut * np.conj(vt))
+        + k * k * uz * np.conj(vz)
+        + 2j * k * (ut * np.conj(vr) - ur * np.conj(vt))
+    )
+    return complex(np.sum(W * (grad * R + mass / R)))
+
+
 def mode_energy_product(mesh, k: int, u, v, rule: QuadratureRule = None) -> complex:
     """Sesquilinear energy form of mode k between two vector coefficients.
 
@@ -348,19 +375,15 @@ def mode_energy_product(mesh, k: int, u, v, rule: QuadratureRule = None) -> comp
     rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
     geometry = quadrature_geometry(mesh, rule)
     R, _, W = geometry
-    uu = [sample_component(c, mesh, rule, True, geometry) for c in _vector_components(u)]
-    vv = [sample_component(c, mesh, rule, True, geometry) for c in _vector_components(v)]
-    grad = sum(
-        (du[1] * np.conj(dv[1]) + du[2] * np.conj(dv[2])) for du, dv in zip(uu, vv)
-    )
-    ur, ut, uz = (s[0] for s in uu)
-    vr, vt, vz = (s[0] for s in vv)
-    mass = (
-        (1 + k * k) * (ur * np.conj(vr) + ut * np.conj(vt))
-        + k * k * uz * np.conj(vz)
-        + 2j * k * (ut * np.conj(vr) - ur * np.conj(vt))
-    )
-    return complex(np.sum(W * (grad * R + mass / R)))
+    su, sv = (_sample_vector(x, mesh, rule, geometry) for x in (u, v))
+    return sampled_energy_product(k, su, sv, R, W)
+
+
+def sampled_divergence_product(k: int, v, qval, R, W) -> complex:
+    """``mode_divergence_product`` of samples ``v`` = (val, dr, dz) and ``qval``."""
+    (vr, vt, _), (vr_r, _, _), (_, _, vz_z) = v
+    div = vr_r + vr / R + 1j * k * vt / R + vz_z
+    return complex(-np.sum(W * div * np.conj(qval) * R))
 
 
 def mode_divergence_product(mesh, k: int, v, q, rule: QuadratureRule = None) -> complex:
@@ -368,18 +391,14 @@ def mode_divergence_product(mesh, k: int, v, q, rule: QuadratureRule = None) -> 
     rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
     geometry = quadrature_geometry(mesh, rule)
     R, _, W = geometry
-    vr, vt, vz = [
-        sample_component(c, mesh, rule, True, geometry) for c in _vector_components(v)
-    ]
+    sv = _sample_vector(v, mesh, rule, geometry)
     qval, _, _ = sample_component(q, mesh, rule, False, geometry)
-    div = vr[1] + vr[0] / R + 1j * k * vt[0] / R + vz[2]
-    return complex(-np.sum(W * div * np.conj(qval) * R))
+    return sampled_divergence_product(k, sv, qval, R, W)
 
 
-def _vector_components(v):
-    if isinstance(v, VectorModeFn):
-        return v.components
-    comps = tuple(v)
+def _sample_vector(v, mesh, rule, geometry):
+    """(val, dr, dz) of a vector field, each a tuple over its three components."""
+    comps = v.components if isinstance(v, VectorModeFn) else tuple(v)
     if len(comps) != 3:
         raise ValueError("vector field needs three components")
-    return comps
+    return tuple(zip(*(sample_component(c, mesh, rule, True, geometry) for c in comps)))

@@ -25,9 +25,10 @@ from .meshing import MeridianMesh, generate_structured
 from .norms import (
     FieldDifference,
     integrate_weighted,
-    mode_divergence_product,
-    mode_energy_product,
     quadrature_geometry,
+    sampled_divergence_product,
+    sampled_energy_product,
+    sampled_vector_norm,
     scalar_mode_norm,
     vector_mode_norm,
 )
@@ -473,19 +474,6 @@ class CheckResult:
         return f"CHECK {self.name} {word} {self.value:.6e} {self.tolerance:.6e}"
 
 
-def _random_mode_field(rng, k, degree=2, min_r_power=2) -> VectorModeFn:
-    """Random polynomial mode shape with enough radial decay for 3D checks."""
-    comps = []
-    for _ in range(3):
-        coeffs = {}
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
-                val = rng.standard_normal() + 1j * rng.standard_normal()
-                coeffs[(a + min_r_power, b)] = val
-        comps.append(Poly2(coeffs))
-    return VectorModeFn(k, tuple(comps))
-
-
 def _random_scalar(rng, degree=2, min_r_power=2) -> Poly2:
     coeffs = {}
     for a in range(degree + 1):
@@ -496,85 +484,46 @@ def _random_scalar(rng, degree=2, min_r_power=2) -> Poly2:
     return Poly2(coeffs)
 
 
-class _Samples:
-    """Stored quadrature samples of one component, served through ``sample_on``.
-
-    Stands in for the field it was sampled from wherever the norm engine
-    takes a component, like a finite element field does, and refuses a
-    mesh or rule it was not sampled on.  ``dr`` and ``dz`` may be None when
-    only values were sampled.
-    """
-
-    def __init__(self, mesh, rule, val, dr=None, dz=None):
-        self.mesh_id = mesh.mesh_id
-        self.rule = rule
-        self.val, self.dr, self.dz = val, dr, dz
-
-    def sample_on(self, mesh, rule, need_grad=True):
-        if mesh.mesh_id != self.mesh_id or rule is not self.rule:
-            raise ValueError("samples taken on a different mesh or rule")
-        if not need_grad:
-            return self.val, None, None
-        if self.dr is None:
-            raise ValueError("these samples carry no gradient")
-        return self.val, self.dr, self.dz
-
-
-class _ModeSamples:
-    """Values and meridian gradients of one vector mode at quadrature points.
-
-    ``table`` has shape (9, nt, nq): the three cylindrical components, then
-    their r and z derivatives, read as ``val``, ``dr`` and ``dz`` of shape
-    (3, nt, nq).  It is a slice of the table that ``_sample_modes``
-    evaluates for a whole field family at once.  The 3D oracle reads these
-    arrays, and ``components`` hands the same arrays to the norm engine, so
-    each mode is evaluated once per check.
-    """
-
-    def __init__(self, k, table):
-        self.k = k
-        self.table = table
-        self.val, self.dr, self.dz = table[0:3], table[3:6], table[6:9]
-
-    def components(self, mesh, rule):
-        """The three components, served for the mesh and rule R, Z came from."""
-        return tuple(
-            _Samples(mesh, rule, self.val[c], self.dr[c], self.dz[c]) for c in range(3)
-        )
+def _random_mode_field(rng, k, degree=2, min_r_power=2) -> VectorModeFn:
+    """Random polynomial mode shape with enough radial decay for 3D checks."""
+    comps = tuple(_random_scalar(rng, degree, min_r_power) for _ in range(3))
+    return VectorModeFn(k, comps)
 
 
 def _sample_modes(modes, scalars, R, Z):
     """Samples of vector modes and scalar polynomials from one ``evaluate_polys``.
 
-    Returns one ``_ModeSamples`` per vector mode (nine polynomials each: the
-    components and their r and z derivatives) and the values of the scalars,
-    shape (len(scalars), nt, nq).
+    Returns the table of the vector modes, shape (len(modes), 9, nt, nq):
+    for each mode its three cylindrical components, then their r and z
+    derivatives; and the values of the scalars, shape (len(scalars), nt, nq).
     """
     polys = []
     for mode in modes:
         comps = mode.components
         polys += [*comps, *(c.d_r() for c in comps), *(c.d_z() for c in comps)]
     table = evaluate_polys(polys + list(scalars), R, Z)
-    samples = [_ModeSamples(m.k, table[9 * i : 9 * i + 9]) for i, m in enumerate(modes)]
-    return samples, table[9 * len(modes) :]
+    n = 9 * len(modes)
+    return table[:n].reshape((len(modes), 9) + R.shape), table[n:]
 
 
-def _reconstruct_cartesian(samples, thetas, R, rows=slice(None)):
+def _reconstruct_cartesian(ks, table, thetas, R, rows=slice(None)):
     """3D Cartesian components and derivatives of a mode family.
 
-    Returns val, d_x, d_y, d_z: each an array of shape (3, nt, nq, n_theta)
-    holding the Cartesian components (x, y, z), over the triangles ``rows``
-    of the samples and of R.  Mode sums give the cylindrical components of
-    the value, of its radial and axial derivatives, and of
-    sum_k i k u_k exp(i k theta); the angular derivative of the rotated
-    field is Rot(theta) (that sum + J u) with J (u_r, u_t, u_z) =
-    (-u_t, u_r, 0).  The Cartesian chain rule divides the angular part by r.
+    ``table`` holds the samples of the modes ``ks`` as ``_sample_modes``
+    returns them.  Returns val, d_x, d_y, d_z: each an array of shape
+    (3, nt, nq, n_theta) holding the Cartesian components (x, y, z), over
+    the triangles ``rows`` of the table and of R.  Mode sums give the
+    cylindrical components of the value, of its radial and axial
+    derivatives, and of sum_k i k u_k exp(i k theta); the angular
+    derivative of the rotated field is Rot(theta) (that sum + J u) with
+    J (u_r, u_t, u_z) = (-u_t, u_r, 0).  The Cartesian chain rule divides
+    the angular part by r.
     """
     cos, sin = np.cos(thetas), np.sin(thetas)
     # One mode sum of the nine sampled rows: value, d_r, d_z by component.
-    sums = reconstruct({sm.k: sm.table[:, rows] for sm in samples}, thetas)
+    sums = reconstruct({k: t[:, rows] for k, t in zip(ks, table)}, thetas)
     sums = sums.reshape((3, 3) + sums.shape[1:])
-    d_th = reconstruct({sm.k: (1j * sm.k) * sm.val[:, rows] for sm in samples}, thetas)
+    d_th = reconstruct({k: (1j * k) * t[0:3, rows] for k, t in zip(ks, table)}, thetas)
     d_th[0] -= sums[0, 1]
     d_th[1] += sums[0, 0]
     # Rotate in place; the axial components stay as they are.
@@ -600,24 +549,24 @@ def _oracle_block(nq: int, n_theta: int) -> int:
     return max(1, _ORACLE_BLOCK_POINTS // (nq * n_theta))
 
 
-def _oracle_integrals(R, W, thetas, su, sv, q_vals):
+def _oracle_integrals(R, W, thetas, ks, table_u, table_v, q_vals):
     """The 3D integrals of one field family over the revolved domain.
 
-    ``su``, ``sv`` are the ``_ModeSamples`` of the vector fields u and v,
-    ``q_vals`` the values of the scalar q (one row per mode of ``su``), all
-    on quadrature points with coordinates R and weights W.  Each field is
-    summed into a genuine 3D field on the angles ``thetas`` and integrated
-    by the tensor rule, one block of triangles at a time.  Returns
-    (||u||^2, |u|_1^2, (grad u, grad v), -(div u, q)).
+    ``table_u``, ``table_v`` are the ``_sample_modes`` tables of the vector
+    fields u and v with wavenumbers ``ks``, ``q_vals`` the values of the
+    scalar q (one row per wavenumber), all on quadrature points with
+    coordinates R and weights W.  Each field is summed into a genuine 3D
+    field on the angles ``thetas`` and integrated by the tensor rule, one
+    block of triangles at a time.  Returns (||u||^2, |u|_1^2,
+    (grad u, grad v), -(div u, q)).
     """
-    ks = [s.k for s in su]
     block = _oracle_block(R.shape[1], len(thetas))
     l2 = semi = 0.0
     energy = div = 0j
     for lo in range(0, R.shape[0], block):
         rows = slice(lo, lo + block)
-        uval, *ugrad = _reconstruct_cartesian(su, thetas, R, rows)
-        _, *vgrad = _reconstruct_cartesian(sv, thetas, R, rows)
+        uval, *ugrad = _reconstruct_cartesian(ks, table_u, thetas, R, rows)
+        _, *vgrad = _reconstruct_cartesian(ks, table_v, thetas, R, rows)
         w3 = (W[rows] * R[rows])[..., None] * (2.0 * np.pi / len(thetas))
         l2 += np.vdot(uval, w3 * uval).real
         for ug, vg in zip(ugrad, vgrad):
@@ -640,29 +589,26 @@ def _field_defects(mesh, rule, thetas, modes_u, modes_v, modes_q):
     ``modes_u``, ``modes_v`` (vector) and ``modes_q`` (scalar) hold one
     polynomial mode per wavenumber.  Returns the relative defects of the
     L2 norm, H1 seminorm, full norm, energy form and divergence pairing.
-    Each mode is sampled once: the 3D oracle and the norm engine read the
-    same samples, and all of them are freed when this returns.
+    The quadrature geometry is built once and each mode sampled once: the
+    3D oracle and the norm engine's array cores read the same samples, and
+    all of them are freed when this returns.
     """
     R, Z, W = quadrature_geometry(mesh, rule)
-    samples, q_vals = _sample_modes([*modes_u, *modes_v], modes_q, R, Z)
-    su, sv = samples[: len(modes_u)], samples[len(modes_u) :]
+    ks = [m.k for m in modes_u]
+    table, q_vals = _sample_modes([*modes_u, *modes_v], modes_q, R, Z)
+    table_u, table_v = table[: len(ks)], table[len(ks) :]
     three_l2, three_semi, three_energy, three_div = _oracle_integrals(
-        R, W, thetas, su, sv, q_vals
+        R, W, thetas, ks, table_u, table_v, q_vals
     )
-    ks = [s.k for s in su]
-    cu = [s.components(mesh, rule) for s in su]
-    cv = [s.components(mesh, rule) for s in sv]
-    sq = [_Samples(mesh, rule, q) for q in q_vals]
-
-    reports = [vector_mode_norm(mesh, u, rule, k=k) for k, u in zip(ks, cu)]
+    # Each mode's (val, dr, dz), each of shape (3, nt, nq).
+    su, sv = ([np.split(t, 3) for t in tab] for tab in (table_u, table_v))
+    reports = [sampled_vector_norm(k, *u, R, W) for k, u in zip(ks, su)]
     sum_l2 = sum(rep.l2_1_sq for rep in reports)
     sum_semi = sum(rep.h1k_semi_sq for rep in reports)
     sum_full = sum(rep.h1k_sq for rep in reports)
-    sum_energy = sum(
-        mode_energy_product(mesh, k, u, v, rule) for k, u, v in zip(ks, cu, cv)
-    )
+    sum_energy = sum(sampled_energy_product(k, u, v, R, W) for k, u, v in zip(ks, su, sv))
     sum_div = sum(
-        mode_divergence_product(mesh, k, u, q, rule) for k, u, q in zip(ks, cu, sq)
+        sampled_divergence_product(k, u, q, R, W) for k, u, q in zip(ks, su, q_vals)
     )
     return (
         _relative_defect(three_l2, sum_l2),

@@ -230,6 +230,26 @@ def test_bad_configs_exit_3(tmp_path, capsys, body):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("h = 0.25", "h = abc", "[domain] h: not a number"),
+        ("[modes]\n", "[modes]\nn_max = 1.5\n", "[modes] n_max: not an integer"),
+        ("[output]\n", "[output]\nvtk = maybe\n", "[output] vtk: not a boolean"),
+        (
+            "[modes]\n",
+            "[modes]\nwavenumbers = 1 x\n",
+            "[modes] wavenumbers: expected integers, got '1 x'",
+        ),
+    ],
+    ids=["float", "int", "bool", "int-list"],
+)
+def test_bad_config_values_name_key_and_type(tmp_path, capsys, old, new, message):
+    body = (_base(tmp_path / "out") + "\n[modes]\n").replace(old, new)
+    assert main(["solve", "--config", _config(tmp_path, body)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_config_exits_3(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 3
     assert "not found" in capsys.readouterr().err

@@ -3,11 +3,20 @@
 import numpy as np
 import pytest
 
+from axistokes import norms, verification
 from axistokes.cli import L_SHAPE
 from axistokes.fields import Poly2, VectorModeFn, evaluate_polys
 from axistokes.fourier import angular_grid, reconstruct, rotate_to_cartesian
 from axistokes.meshing import DomainSpec, generate_structured, mesh_from_spec
-from axistokes.norms import quadrature_geometry, vector_mode_norm
+from axistokes.norms import (
+    mode_divergence_product,
+    mode_energy_product,
+    quadrature_geometry,
+    sampled_divergence_product,
+    sampled_energy_product,
+    sampled_vector_norm,
+    vector_mode_norm,
+)
 from axistokes.quadrature import DEFAULT_NORM_DEGREE, triangle_rule
 from axistokes.verification import (
     CheckResult,
@@ -22,6 +31,7 @@ from axistokes.verification import (
     truncation_study,
 )
 from axistokes.verification import (
+    _field_defects,
     _oracle_block,
     _oracle_integrals,
     _random_mode_field,
@@ -201,8 +211,8 @@ def test_cartesian_reconstruction_closed_forms(k, components, value, grad):
     r = np.array([[0.25, 0.5, 0.9]])
     z = np.array([[0.1, 0.4, 0.8]])
     thetas = angular_grid(16)
-    samples, _ = _sample_modes([VectorModeFn(k, components)], [], r, z)
-    val, d_x, d_y, d_z = _reconstruct_cartesian(samples, thetas, r)
+    table, _ = _sample_modes([VectorModeFn(k, components)], [], r, z)
+    val, d_x, d_y, d_z = _reconstruct_cartesian([k], table, thetas, r)
     norm = 1.0 / np.sqrt(2.0 * np.pi)
     x, y = r[..., None] * np.cos(thetas), r[..., None] * np.sin(thetas)
     for c in range(3):
@@ -282,29 +292,65 @@ def test_blocked_oracle_matches_whole_mesh_integrals(mesh):
     modes_u = [_random_mode_field(rng, k) for k in ks]
     modes_v = [_random_mode_field(rng, k) for k in ks]
     modes_q = [_random_scalar(rng) for _ in ks]
-    samples, q_vals = _sample_modes([*modes_u, *modes_v], modes_q, R, Z)
-    blocked = _oracle_integrals(
-        R, W, thetas, samples[: len(modes_u)], samples[len(modes_u) :], q_vals
-    )
+    table, q_vals = _sample_modes([*modes_u, *modes_v], modes_q, R, Z)
+    n = len(modes_u)
+    blocked = _oracle_integrals(R, W, thetas, list(ks), table[:n], table[n:], q_vals)
     whole = _whole_mesh_oracle(mesh, rule, thetas, modes_u, modes_v, modes_q)
     for got, want in zip(blocked, whole):
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
-def test_mode_samples_serve_the_norm_engine_on_their_own_mesh_and_rule():
+@pytest.mark.parametrize("k", [-1, 0, 2])
+def test_array_cores_reproduce_the_mode_norm_functions(k):
     mesh = generate_structured((1.0, 1.0), 0.5)
     rule = triangle_rule(DEFAULT_NORM_DEGREE)
-    R, Z, _ = quadrature_geometry(mesh, rule)
-    mode = _random_mode_field(np.random.default_rng(3), 2, min_r_power=1)
-    (samples,), _ = _sample_modes([mode], [], R, Z)
-    comps = samples.components(mesh, rule)
-    sampled = vector_mode_norm(mesh, comps, rule, k=2)
-    direct = vector_mode_norm(mesh, mode, rule)
-    assert sampled.h1k_sq == pytest.approx(direct.h1k_sq, rel=1e-13)
-    with pytest.raises(ValueError, match="different mesh or rule"):
-        vector_mode_norm(generate_structured((1.0, 1.0), 0.25), comps, rule, k=2)
-    with pytest.raises(ValueError, match="different mesh or rule"):
-        vector_mode_norm(mesh, comps, triangle_rule(DEFAULT_NORM_DEGREE - 1), k=2)
+    R, Z, W = quadrature_geometry(mesh, rule)
+    rng = np.random.default_rng(3)
+    u, v = (_random_mode_field(rng, k, min_r_power=1) for _ in range(2))
+    q = _random_scalar(rng)
+    table, (q_val,) = _sample_modes([u, v], [q], R, Z)
+    su, sv = np.split(table[0], 3), np.split(table[1], 3)
+
+    def close(got, want):
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    got, want = sampled_vector_norm(k, *su, R, W), vector_mode_norm(mesh, u, rule)
+    assert got.k == want.k == k
+    for name in ("l2_1_sq", "l2_m1_sq", "h1_1_semi_sq", "h1k_sq", "h1k_semi_sq", "h1k_star_sq"):
+        close(getattr(got, name), getattr(want, name))
+    assert list(got.components) == list(want.components) == ["r", "theta", "z"]
+    for comp in want.components:
+        for name in ("l2_1_sq", "l2_m1_sq", "h1_1_semi_sq"):
+            close(getattr(got.components[comp], name), getattr(want.components[comp], name))
+    close(sampled_energy_product(k, su, sv, R, W), mode_energy_product(mesh, k, u, v, rule))
+    close(
+        sampled_divergence_product(k, su, q_val, R, W),
+        mode_divergence_product(mesh, k, u, q, rule),
+    )
+
+
+def test_field_defects_build_the_quadrature_geometry_once(monkeypatch):
+    calls = []
+
+    def counted(mesh, rule):
+        calls.append(mesh)
+        return quadrature_geometry(mesh, rule)
+
+    monkeypatch.setattr(verification, "quadrature_geometry", counted)
+    monkeypatch.setattr(norms, "quadrature_geometry", counted)
+    mesh = generate_structured((1.0, 1.0), 0.5)
+    k_max = 2
+    rng = np.random.default_rng(5)
+    ks = range(-k_max, k_max + 1)
+    modes_u = [_random_mode_field(rng, k) for k in ks]
+    modes_v = [_random_mode_field(rng, k) for k in ks]
+    modes_q = [_random_scalar(rng) for _ in ks]
+    rule = triangle_rule(DEFAULT_NORM_DEGREE)
+    defects = _field_defects(
+        mesh, rule, angular_grid(4 * k_max + 8), modes_u, modes_v, modes_q
+    )
+    assert len(calls) == 1
+    assert max(defects) <= 1e-8
 
 
 def test_stability_study_small_wavenumbers():
