@@ -506,47 +506,30 @@ def _sample_modes(modes, scalars, R, Z):
     return table[:n].reshape((len(modes), 9) + R.shape), table[n:]
 
 
-def _reconstruct_cartesian(ks, table, thetas, R, rows=slice(None)):
-    """3D Cartesian components and derivatives of a mode family.
-
-    ``table`` holds the samples of the modes ``ks`` as ``_sample_modes``
-    returns them.  Returns val, d_x, d_y, d_z: each an array of shape
-    (3, nt, nq, n_theta) holding the Cartesian components (x, y, z), over
-    the triangles ``rows`` of the table and of R.  Mode sums give the
-    cylindrical components of the value, of its radial and axial
-    derivatives, and of sum_k i k u_k exp(i k theta); the angular
-    derivative of the rotated field is Rot(theta) (that sum + J u) with
-    J (u_r, u_t, u_z) = (-u_t, u_r, 0).  The Cartesian chain rule divides
-    the angular part by r.
-    """
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    # One mode sum of the nine sampled rows: value, d_r, d_z by component.
-    sums = reconstruct({k: t[:, rows] for k, t in zip(ks, table)}, thetas)
-    sums = sums.reshape((3, 3) + sums.shape[1:])
-    d_th = reconstruct({k: (1j * k) * t[0:3, rows] for k, t in zip(ks, table)}, thetas)
-    d_th[0] -= sums[0, 1]
-    d_th[1] += sums[0, 0]
-    # Rotate in place; the axial components stay as they are.
-    for v in (sums, d_th[None]):
-        x = v[:, 0] * cos - v[:, 1] * sin
-        v[:, 1] = v[:, 0] * sin + v[:, 1] * cos
-        v[:, 0] = x
-    val, d_r, d_z = sums
-    R3 = R[rows][..., None]
-    d_x = cos * d_r - (sin / R3) * d_th
-    d_y = sin * d_r + (cos / R3) * d_th
-    return val, d_x, d_y, d_z
-
-
 # Points (triangles x quadrature points x angles) of one block of the 3D
 # oracle: its (block, nq, n_theta) arrays then stay in cache, and its memory
 # does not grow with the mesh.
-_ORACLE_BLOCK_POINTS = 12_000
+_ORACLE_BLOCK_POINTS = 6_000
 
 
 def _oracle_block(nq: int, n_theta: int) -> int:
     """Triangles per block of the 3D oracle."""
     return max(1, _ORACLE_BLOCK_POINTS // (nq * n_theta))
+
+
+def _gradient_rows(t, ik, inv_r, out):
+    """Write the nine cylindrical-frame gradient rows of a block into ``out``.
+
+    ``t`` holds the (value, d_r, d_z) rows by component, modes on the last
+    axis; the rows are d_r u, (i k u + J u) / r and d_z u, with
+    J (u_r, u_t, u_z) = (-u_t, u_r, 0).
+    """
+    out[0:3] = t[3:6]
+    np.multiply(t[0:3], ik, out=out[3:6])
+    out[3] -= t[1]
+    out[4] += t[0]
+    out[3:6] *= inv_r
+    out[6:9] = t[6:9]
 
 
 def _oracle_integrals(R, W, thetas, ks, table_u, table_v, q_vals):
@@ -559,23 +542,38 @@ def _oracle_integrals(R, W, thetas, ks, table_u, table_v, q_vals):
     field on the angles ``thetas`` and integrated by the tensor rule, one
     block of triangles at a time.  Returns (||u||^2, |u|_1^2,
     (grad u, grad v), -(div u, q)).
+
+    The Cartesian gradient is Rot(theta) G Rot(theta)^T, with G the rows
+    of ``_gradient_rows``; |u|^2, |grad u|^2, grad u : conj(grad v) and
+    div u = tr G are invariant under it, so they are formed in the
+    cylindrical frame.  Every factor free of theta, the square root of the
+    tensor weight too, goes onto the mode coefficients, so one product with
+    the phases gives a block's weighted samples and each integral is a vdot.
     """
-    block = _oracle_block(R.shape[1], len(thetas))
+    n_theta = len(thetas)
+    block = _oracle_block(R.shape[1], n_theta)
+    ik = 1j * np.asarray(ks)
+    phases = np.exp(np.outer(ik, thetas)) / np.sqrt(2.0 * np.pi)
+    scale = np.sqrt(W * R * (2.0 * np.pi / n_theta))[..., None]
+    inv_r = 1.0 / R[..., None]
     l2 = semi = 0.0
     energy = div = 0j
     for lo in range(0, R.shape[0], block):
         rows = slice(lo, lo + block)
-        uval, *ugrad = _reconstruct_cartesian(ks, table_u, thetas, R, rows)
-        _, *vgrad = _reconstruct_cartesian(ks, table_v, thetas, R, rows)
-        w3 = (W[rows] * R[rows])[..., None] * (2.0 * np.pi / len(thetas))
-        l2 += np.vdot(uval, w3 * uval).real
-        for ug, vg in zip(ugrad, vgrad):
-            wug = w3 * ug
-            semi += np.vdot(ug, wug).real
-            energy += np.vdot(vg, wug)
-        qval = reconstruct({k: q[rows] for k, q in zip(ks, q_vals)}, thetas)
-        ux, uy, uz = ugrad
-        div -= np.vdot(qval, w3 * (ux[0] + uy[1] + uz[2]))
+        tu, tv = (np.moveaxis(t[:, :, rows], 0, -1) for t in (table_u, table_v))
+        # Rows: u (3), grad u (9), div u, q, grad v (9).
+        coef = np.empty((23,) + tu.shape[1:], dtype=complex)
+        coef[0:3] = tu[0:3]
+        _gradient_rows(tu, ik, inv_r[rows], coef[3:12])
+        coef[12] = coef[3] + coef[7] + coef[11]  # the diagonal of grad u
+        coef[13] = np.moveaxis(q_vals[:, rows], 0, -1)
+        _gradient_rows(tv, ik, inv_r[rows], coef[14:23])
+        coef *= scale[rows]
+        samples = (coef.reshape(-1, len(ks)) @ phases).reshape(23, -1)
+        l2 += np.vdot(samples[0:3], samples[0:3]).real
+        semi += np.vdot(samples[3:12], samples[3:12]).real
+        energy += np.vdot(samples[14:23], samples[3:12])
+        div -= np.vdot(samples[13], samples[12])
     return float(l2), float(semi), complex(energy), complex(div)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from axistokes import norms, verification
+from axistokes import fourier, norms, verification
 from axistokes.cli import L_SHAPE
 from axistokes.fields import Poly2, VectorModeFn, evaluate_polys
 from axistokes.fourier import angular_grid, reconstruct, rotate_to_cartesian
@@ -36,7 +36,6 @@ from axistokes.verification import (
     _oracle_integrals,
     _random_mode_field,
     _random_scalar,
-    _reconstruct_cartesian,
     _sample_modes,
     strong_divergence,
     strong_force,
@@ -187,38 +186,24 @@ def test_isometry_suite_smoke():
 
 
 @pytest.mark.parametrize(
-    "k, components, value, grad",
+    "k, components, want",
     [
-        # Rigid rotation (0, r, 0) = (-y, x, 0): d_x u_y = 1, d_y u_x = -1.
-        (
-            0,
-            (ZERO, R, ZERO),
-            lambda x, y: (-y, x, 0 * x),
-            [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
-        ),
+        # Rigid rotation (0, r, 0) = (-y, x, 0) on the revolved unit square:
+        # ||u||^2 = int r^3 dr = 1/4, |grad u|^2 = 2 over a volume of pi
+        # (times 1/(2 pi) from the normalization), divergence-free.
+        (0, (ZERO, R, ZERO), (0.25, 1.0, 1.0, 0.0)),
         # Translation (1, i, 0) exp(i theta) = (1, i, 0), constant.
-        (
-            1,
-            (ONE, 1j * ONE, ZERO),
-            lambda x, y: (1 + 0 * x, 1j + 0 * x, 0 * x),
-            [[0, 0, 0]] * 3,
-        ),
+        (1, (ONE, 1j * ONE, ZERO), (1.0, 0.0, 0.0, 0.0)),
     ],
     ids=["rotation", "translation"],
 )
-def test_cartesian_reconstruction_closed_forms(k, components, value, grad):
-    # grad[a][c] is d_a u_c for a, c in (x, y, z), before the 1/sqrt(2 pi).
-    r = np.array([[0.25, 0.5, 0.9]])
-    z = np.array([[0.1, 0.4, 0.8]])
-    thetas = angular_grid(16)
-    table, _ = _sample_modes([VectorModeFn(k, components)], [], r, z)
-    val, d_x, d_y, d_z = _reconstruct_cartesian([k], table, thetas, r)
-    norm = 1.0 / np.sqrt(2.0 * np.pi)
-    x, y = r[..., None] * np.cos(thetas), r[..., None] * np.sin(thetas)
-    for c in range(3):
-        np.testing.assert_allclose(val[c], norm * value(x, y)[c], rtol=0, atol=1e-15)
-        for a, deriv in enumerate((d_x, d_y, d_z)):
-            np.testing.assert_allclose(deriv[c], norm * grad[a][c], rtol=0, atol=1e-15)
+def test_oracle_closed_forms(k, components, want):
+    mesh = generate_structured((1.0, 1.0), 0.25)
+    R_, Z_, W = quadrature_geometry(mesh, triangle_rule(DEFAULT_NORM_DEGREE))
+    table, q_vals = _sample_modes([VectorModeFn(k, components)], [ONE], R_, Z_)
+    got = _oracle_integrals(R_, W, angular_grid(16), [k], table, table, q_vals)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14
 
 
 def _whole_mesh_oracle(mesh, rule, thetas, modes_u, modes_v, modes_q):
@@ -329,6 +314,21 @@ def test_array_cores_reproduce_the_mode_norm_functions(k):
     )
 
 
+def _small_family_defects(seed):
+    """``_field_defects`` of one random family with k_max = 2 on a coarse square."""
+    mesh = generate_structured((1.0, 1.0), 0.5)
+    k_max = 2
+    rng = np.random.default_rng(seed)
+    ks = range(-k_max, k_max + 1)
+    modes_u = [_random_mode_field(rng, k) for k in ks]
+    modes_v = [_random_mode_field(rng, k) for k in ks]
+    modes_q = [_random_scalar(rng) for _ in ks]
+    rule = triangle_rule(DEFAULT_NORM_DEGREE)
+    return _field_defects(
+        mesh, rule, angular_grid(4 * k_max + 8), modes_u, modes_v, modes_q
+    )
+
+
 def test_field_defects_build_the_quadrature_geometry_once(monkeypatch):
     calls = []
 
@@ -338,19 +338,19 @@ def test_field_defects_build_the_quadrature_geometry_once(monkeypatch):
 
     monkeypatch.setattr(verification, "quadrature_geometry", counted)
     monkeypatch.setattr(norms, "quadrature_geometry", counted)
-    mesh = generate_structured((1.0, 1.0), 0.5)
-    k_max = 2
-    rng = np.random.default_rng(5)
-    ks = range(-k_max, k_max + 1)
-    modes_u = [_random_mode_field(rng, k) for k in ks]
-    modes_v = [_random_mode_field(rng, k) for k in ks]
-    modes_q = [_random_scalar(rng) for _ in ks]
-    rule = triangle_rule(DEFAULT_NORM_DEGREE)
-    defects = _field_defects(
-        mesh, rule, angular_grid(4 * k_max + 8), modes_u, modes_v, modes_q
-    )
+    defects = _small_family_defects(5)
     assert len(calls) == 1
     assert max(defects) <= 1e-8
+
+
+def test_field_defects_take_no_angular_mode_sum_or_rotation(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the 3D oracle works on mode coefficients")
+
+    for module in (fourier, verification):
+        for name in ("reconstruct", "rotate_to_cartesian"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    assert max(_small_family_defects(7)) <= 1e-8
 
 
 def test_stability_study_small_wavenumbers():
