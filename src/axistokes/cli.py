@@ -191,16 +191,8 @@ def _parse_solver(cp, config: RunConfig) -> None:
     method = cp.get("solver", "method", fallback="direct").strip()
     tol = _get(cp, "solver", "tol", 1e-10)
     max_iter = _get(cp, "solver", "max_iter", 500)
-    precond = _get(cp, "solver", "pressure_mass_precond", True)
-    if tol <= 0 or max_iter <= 0:
-        raise ConfigError("[solver] tol and max_iter must be positive")
     try:
-        config.solver = SolverConfig(
-            method=method,
-            tol=tol,
-            max_iter=max_iter,
-            pressure_mass_precond=precond,
-        )
+        config.solver = SolverConfig(method=method, tol=tol, max_iter=max_iter)
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
 
@@ -266,7 +258,7 @@ def _data_is_real(config: RunConfig) -> bool:
     if config.case is not None:
         if config.case.k != 0:
             return False
-        polys = list(config.case.f.components)
+        polys = [*config.case.f.components, *config.case.u.components]
         if config.case.g_div is not None:
             polys.append(config.case.g_div)
         return all(_poly_is_real(p) for p in polys)
@@ -288,13 +280,19 @@ def _mode_list(config: RunConfig, real_data: bool):
 
 
 def _mode_data(config: RunConfig, ks) -> dict:
-    """{k: (f, g_div)} for each k; expression data is sampled once for all."""
+    """{k: (f, g_div, g)} for each k, g the wall velocity.
+
+    A manufactured case has data at its own wavenumber only, its exact
+    velocity on the walls included.  Expression data has homogeneous walls
+    and is sampled once for all modes.
+    """
     case = config.case
     if case is not None:
-        return {k: (case.f, case.g_div) if k == case.k else (None, None) for k in ks}
+        data = (case.f, case.g_div, case.u)
+        return {k: data if k == case.k else (None, None, None) for k in ks}
     forces = config.force.modes(ks)
     divs = config.divergence.modes(ks) if config.divergence is not None else {}
-    return {k: (forces[k], divs.get(k)) for k in ks}
+    return {k: (forces[k], divs.get(k), None) for k in ks}
 
 
 def _mode_norm_rows(mesh, space, k, u, p):
@@ -331,11 +329,11 @@ def _solve_modes(config: RunConfig, space: FemSpace, ks, real_data: bool):
     wanted = {abs(k) if real_data else k for k in ks}
     solve_ks = sorted(wanted, key=lambda k: (abs(k), k))
     solved = {}
-    for k, (f, g_div) in _mode_data(config, solve_ks).items():
+    for k, (f, g_div, g) in _mode_data(config, solve_ks).items():
         # The system holds its velocity factors: pass it unnamed, so that it
         # is freed before the next mode is assembled.
         solved[k] = solve_mode(
-            assemble(space, k), f=f, g_div=g_div, config=config.solver
+            assemble(space, k, g=g), f=f, g_div=g_div, config=config.solver
         )
     space.release_velocity_factors()
     return {k: solved[k] if k in solved else solved[-k].conj() for k in ks}

@@ -66,6 +66,17 @@ COMP_R, COMP_T, COMP_Z = 0, 1, 2
 # Velocity factors a space keeps: the three scalar indices of one mode.
 _VELOCITY_FACTORS_KEPT = 3
 
+# The one rule every operator and right side is integrated with.
+_ASSEMBLY_RULE = triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
+
+# Warning thresholds: corner wall data along a direction the axis pins, and
+# the net axisymmetric volume flux relative to the wall data.
+_CORNER_TOL = 1e-10
+_COMPAT_TOL = 1e-10
+
+# Degree of the Gauss rule of the boundary flux on each edge.
+_FLUX_RULE_DEGREE = 7
+
 
 def _p2_values(lam: np.ndarray) -> np.ndarray:
     """Quadratic basis at barycentric points, local order v0 v1 v2 m12 m20 m01."""
@@ -107,8 +118,8 @@ class FemSpace:
     are the vertices, so pressure index m refers to the same node as
     velocity index m.
 
-    Operators, norm matrices and the pressure mass factor are built on
-    first use and cached per quadrature rule; factors of the scalar
+    Operators and the pressure mass factor are built on first use at the
+    assembly rule, norm matrices per norm rule; factors of the scalar
     velocity blocks L_j are kept for the last three j (``velocity_factor``).
     A space and its caches serve one thread.
     """
@@ -151,16 +162,10 @@ class FemSpace:
         grad[:, 2, 1] = e1[:, 0] / det
         grad[:, 0] = -grad[:, 1] - grad[:, 2]
         self.grad_lambda = grad
-        self._op_cache = {}
-        self._mp_cache = {}
+        self._operators = None
+        self._mp_factor = None
         self._norm_cache = {}
         self._velocity_factors = collections.OrderedDict()
-
-    def _cached(self, cache: dict, rule: QuadratureRule, build):
-        key = (rule.degree, len(rule.weights))
-        if key not in cache:
-            cache[key] = build(rule)
-        return cache[key]
 
     def free_nodes(self, j: int) -> np.ndarray:
         """Velocity nodes where a component with scalar index j is unknown.
@@ -175,28 +180,30 @@ class FemSpace:
         For a field with element coefficients loc_t, the r-weighted L2 sum
         of its samples at the rule points is sum_t conj(loc_t) mass_r[t]
         loc_t, and likewise for the other two; see ``NormMatrices``.
+        The matrices of a rule are built once, keyed by its degree and
+        number of points.
         """
+        key = (rule.degree, len(rule.weights))
+        if key not in self._norm_cache:
+            mats = _element_matrices(self, rule)
+            self._norm_cache[key] = {"p2": mats["p2"], "p1": mats["p1"]}
+        return self._norm_cache[key][kind]
 
-        def build(q):
-            mats = _element_matrices(self, q)
-            return {"p2": mats["p2"], "p1": mats["p1"]}
+    def operators(self) -> "ModeOperators":
+        """Global operators at the assembly rule, scattered from its element matrices."""
+        if self._operators is None:
+            self._operators = _build_operators(self)
+        return self._operators
 
-        return self._cached(self._norm_cache, rule, build)[kind]
-
-    def operators(self, rule: QuadratureRule = None) -> "ModeOperators":
-        """Global operators at ``rule``, scattered from its element matrices."""
-        rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
-        return self._cached(self._op_cache, rule, lambda q: _build_operators(self, q))
-
-    def velocity_block(self, j: int, rule: QuadratureRule = None) -> sp.csr_matrix:
+    def velocity_block(self, j: int) -> sp.csr_matrix:
         """L_j = K + j**2 Mm1 restricted to ``free_nodes(j)``, real.
 
         Every mode builds its reduced velocity block from three of these.
         """
-        ops, idx = self.operators(rule), self.free_nodes(j)
+        ops, idx = self.operators(), self.free_nodes(j)
         return (ops.K + (j * j) * ops.Mm1)[idx][:, idx].tocsr()
 
-    def velocity_factor(self, j: int, rule: QuadratureRule = None):
+    def velocity_factor(self, j: int):
         """Real factor of ``velocity_block(j)``, shared by the modes using it.
 
         The space keeps the factors of the last three j asked for, for one
@@ -206,29 +213,26 @@ class FemSpace:
         The least recently used factor is dropped before its replacement is
         factored, so at most three are alive while one is being built.
         """
-        rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
-        key = (j, rule.degree, len(rule.weights))
         factors = self._velocity_factors
-        if key not in factors:
+        if j not in factors:
             if len(factors) == _VELOCITY_FACTORS_KEPT:
                 factors.popitem(last=False)
-            factors[key] = spd_factor(self.velocity_block(j, rule))
-        factors.move_to_end(key)
-        return factors[key]
+            factors[j] = spd_factor(self.velocity_block(j))
+        factors.move_to_end(j)
+        return factors[j]
 
     def release_velocity_factors(self) -> None:
         """Forget the kept velocity factors; a system holding one keeps it."""
         self._velocity_factors.clear()
 
-    def pressure_mass_factor(self, rule: QuadratureRule = None):
+    def pressure_mass_factor(self):
         """Real factor of the r-weighted pressure mass matrix Mp.
 
         Mp does not depend on the wavenumber, so every mode shares it.
         """
-        rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
-        return self._cached(
-            self._mp_cache, rule, lambda q: spd_factor(self.operators(q).Mp)
-        )
+        if self._mp_factor is None:
+            self._mp_factor = spd_factor(self.operators().Mp)
+        return self._mp_factor
 
 
 @dataclass(frozen=True)
@@ -327,8 +331,8 @@ def _scatter(nrows, ncols, rows, cols, data) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def _build_operators(space: FemSpace, rule: QuadratureRule) -> ModeOperators:
-    mats = _element_matrices(space, rule)
+def _build_operators(space: FemSpace) -> ModeOperators:
+    mats = _element_matrices(space, _ASSEMBLY_RULE)
     dm = space.dof_map
     tris = space.mesh.triangles
     nvel, np_ = space.n_vel, space.n_p
@@ -394,16 +398,14 @@ def _mode_basis(k: int):
     )
 
 
-def mode_constraints(
-    space: FemSpace, k: int, g=None, *, corner_tol: float = 1e-10
-) -> ModeConstraints:
+def mode_constraints(space: FemSpace, k: int, g=None) -> ModeConstraints:
     """Dirichlet and axis conditions for wavenumber k.
 
     ``g`` is the wall velocity data (vector mode function or component
     triple); omitted means homogeneous.  Wall values are interpolated at
     wall degrees of freedom.  At wall/axis corners the wall data wins; a
     warning reports data whose component along any direction with j != 0
-    exceeds ``corner_tol``.
+    exceeds ``_CORNER_TOL``.
     """
     n = space.n_vel
     js, dirs = _mode_basis(k)
@@ -421,7 +423,7 @@ def mode_constraints(
         pinned = dirs[:, [c for c in range(3) if js[c]]]
         bad = np.abs(pinned.conj().T @ fix.reshape(3, n)[:, corners]).max(axis=0)
         for d, b in zip(corners, bad):
-            if b > corner_tol:
+            if b > _CORNER_TOL:
                 r0, z0 = space.dof_coords[d]
                 warnings.warn(
                     f"wall data at corner node ({r0:.3g}, {z0:.3g}) violates the "
@@ -443,15 +445,14 @@ def mode_constraints(
     return ModeConstraints(k=k, C=C, fix=fix, j=js, dirs=dirs, blocks=blocks)
 
 
-def assemble_rhs(space: FemSpace, f=None, rule: QuadratureRule = None) -> np.ndarray:
+def assemble_rhs(space: FemSpace, f=None) -> np.ndarray:
     """Load vector of the momentum equations, component-major, length 3n."""
     n = space.n_vel
     F = np.zeros(3 * n, dtype=complex)
     if f is None:
         return F
-    rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
-    N = _p2_values(rule.points)
-    R, Z, W = quadrature_geometry(space.mesh, rule)
+    N = _p2_values(_ASSEMBLY_RULE.points)
+    R, Z, W = quadrature_geometry(space.mesh, _ASSEMBLY_RULE)
     comps = f.components if isinstance(f, VectorModeFn) else tuple(f)
     for c, comp in enumerate(comps):
         fn = as_mode_function(comp)
@@ -462,16 +463,15 @@ def assemble_rhs(space: FemSpace, f=None, rule: QuadratureRule = None) -> np.nda
     return F
 
 
-def assemble_divergence_rhs(space: FemSpace, g_div, rule: QuadratureRule = None):
+def assemble_divergence_rhs(space: FemSpace, g_div):
     """Continuity right side G_m = -(g_div, psi_m) weighted by r."""
     G = np.zeros(space.n_p, dtype=complex)
     if g_div is None:
         return G
-    rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
-    R, Z, W = quadrature_geometry(space.mesh, rule)
+    R, Z, W = quadrature_geometry(space.mesh, _ASSEMBLY_RULE)
     fn = as_mode_function(g_div)
     vals = np.broadcast_to(np.asarray(fn.value(R, Z), dtype=complex), R.shape)
-    loc = -np.einsum("tq,qm->tm", W * R * vals, rule.points)
+    loc = -np.einsum("tq,qm->tm", W * R * vals, _ASSEMBLY_RULE.points)
     np.add.at(G, space.mesh.triangles.ravel(), loc.ravel())
     return G
 
@@ -522,7 +522,6 @@ class SaddleSystem:
 
     space: FemSpace
     k: int
-    rule: QuadratureRule
     constraints: ModeConstraints
     B_full: sp.csr_matrix
     A_hat: sp.csr_matrix
@@ -539,7 +538,7 @@ class SaddleSystem:
     def n_p(self) -> int:
         return self.B_hat.shape[0]
 
-    def rhs(self, f=None, g_div=None, *, compat_tol: float = 1e-10):
+    def rhs(self, f=None, g_div=None):
         """Reduced right sides (F_hat, G_hat) for body force and divergence data.
 
         For the axisymmetric mode a net volume defect between the wall data
@@ -548,8 +547,8 @@ class SaddleSystem:
         finite raises DataError.
         """
         with np.errstate(invalid="ignore", over="ignore"):
-            F = assemble_rhs(self.space, f, self.rule)
-            G = assemble_divergence_rhs(self.space, g_div, self.rule)
+            F = assemble_rhs(self.space, f)
+            G = assemble_divergence_rhs(self.space, g_div)
             fix = self.constraints.fix
             F_hat = self.constraints.C.conj().T @ F - self._lift(fix)
             G_hat = G - self.B_full @ fix
@@ -561,7 +560,7 @@ class SaddleSystem:
         if self.k == 0:
             defect = complex(np.sum(G_hat))
             scale = max(1.0, float(np.abs(fix).max(initial=0.0)))
-            if abs(defect) > compat_tol * scale:
+            if abs(defect) > _COMPAT_TOL * scale:
                 warnings.warn(
                     f"axisymmetric data carries net volume flux {defect:.3e}; "
                     "the mean-free pressure solve will balance it",
@@ -577,7 +576,7 @@ class SaddleSystem:
         module docstring), so the lift of component c is L_j applied to
         the pinned values along that direction, kept at its free nodes.
         """
-        cons, ops = self.constraints, self.space.operators(self.rule)
+        cons, ops = self.constraints, self.space.operators()
         along = cons.dirs.conj().T @ fix.reshape(3, -1)
         return np.concatenate(
             [
@@ -603,13 +602,13 @@ class SaddleSystem:
         for j, block in zip(self.constraints.j, self.constraints.blocks):
             if np.any(rhs[block]):
                 if j not in self._factors:
-                    self._factors[j] = self.space.velocity_factor(j, self.rule)
+                    self._factors[j] = self.space.velocity_factor(j)
                 out[block] = _real_solve(self._factors[j], rhs[block])
         return out
 
     def mp_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Mp^-1 rhs on the real factor of Mp that all modes of the space share."""
-        return _real_solve(self.space.pressure_mass_factor(self.rule), rhs)
+        return _real_solve(self.space.pressure_mass_factor(), rhs)
 
     def dual_norm(self, f) -> float:
         """Norm of a velocity functional in the dual of the constrained space.
@@ -619,27 +618,23 @@ class SaddleSystem:
         if isinstance(f, np.ndarray) and f.shape == (self.n_free,):
             F_hat = f
         else:
-            F = assemble_rhs(self.space, f, self.rule)
+            F = assemble_rhs(self.space, f)
             F_hat = self.constraints.C.conj().T @ F
         w = self.a_solve(F_hat)
         return float(np.sqrt(max(np.vdot(F_hat, w).real, 0.0)))
 
 
-def assemble(
-    space: FemSpace, k: int, g=None, rule: QuadratureRule = None
-) -> SaddleSystem:
+def assemble(space: FemSpace, k: int, g=None) -> SaddleSystem:
     """Build the constrained saddle system of mode k with wall data g."""
-    rule = rule or triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
-    ops = space.operators(rule)
+    ops = space.operators()
     B = _divergence_matrix(ops, k)
     cons = mode_constraints(space, k, g)
-    blocks = [space.velocity_block(j, rule) for j in cons.j]
+    blocks = [space.velocity_block(j) for j in cons.j]
     A_hat = sp.block_diag(blocks, format="csr", dtype=complex)
     B_hat = (B @ cons.C).tocsr()
     return SaddleSystem(
         space=space,
         k=k,
-        rule=rule,
         constraints=cons,
         B_full=B,
         A_hat=A_hat,
@@ -740,7 +735,7 @@ class ModeSolution:
         return u, self.pressure_field()(points)
 
 
-def boundary_flux(space: FemSpace, u, rule_degree: int = 7) -> complex:
+def boundary_flux(space: FemSpace, u) -> complex:
     """Net outward volume flux of the meridian velocity through the boundary.
 
     Integrates (u_r n_r + u_z n_z) r along every boundary edge with the
@@ -758,7 +753,7 @@ def boundary_flux(space: FemSpace, u, rule_degree: int = 7) -> complex:
     # length * outward normal = (dz, -dr) along a -> b.
     d = mesh.vertices[b] - mesh.vertices[a]
     un = u[COMP_R][nodes] * d[:, 1:] - u[COMP_Z][nodes] * d[:, :1]
-    erule = edge_rule(rule_degree)
+    erule = edge_rule(_FLUX_RULE_DEGREE)
     x = erule.points
     shape = np.stack([(1 - x) * (1 - 2 * x), x * (2 * x - 1), 4 * x * (1 - x)])
     rline = np.outer(mesh.vertices[a, 0], 1 - x) + np.outer(mesh.vertices[b, 0], x)

@@ -1,10 +1,10 @@
 """Closed-form Fourier coefficient functions on the meridian domain.
 
-A "mode function" is a complex-valued function of (r, z) together with its
-first partial derivatives.  Polynomials in r and z (with integer, possibly
-negative, powers of r) cover every manufactured solution and induced datum
-in the package while keeping differentiation exact, so they get a small
-dedicated class; arbitrary callables can be wrapped as well.
+A "mode function" is a complex-valued function of (r, z).  Polynomials in
+r and z (with integer, possibly negative, powers of r) cover every
+manufactured solution and induced datum in the package while keeping
+differentiation exact, so they get a small dedicated class; arbitrary
+callables can be wrapped as well, for their values only.
 
 Polynomials are evaluated in batches: ``evaluate_polys`` takes a list of
 them at the same points as one product of their coefficient matrix with a
@@ -55,12 +55,6 @@ class Poly2:
 
     def d_z(self) -> "Poly2":
         return Poly2({(a, b - 1): b * c for (a, b), c in self.coeffs.items() if b != 0})
-
-    def grad_r(self, r, z):
-        return self.d_r()(r, z)
-
-    def grad_z(self, r, z):
-        return self.d_z()(r, z)
 
     def div_r(self, n: int = 1) -> "Poly2":
         """Divide by r**n exactly (shifts every r exponent)."""
@@ -167,11 +161,9 @@ def _as_poly(x) -> Poly2:
 
 @dataclass(frozen=True)
 class FnMode:
-    """Mode function from plain callables; derivative callables optional."""
+    """Mode function from a plain callable; it has values, no derivatives."""
 
     fn: object
-    fn_r: object = None
-    fn_z: object = None
 
     def __call__(self, r, z):
         return np.asarray(self.fn(r, z), dtype=complex)
@@ -179,20 +171,10 @@ class FnMode:
     def value(self, r, z):
         return self(r, z)
 
-    def grad_r(self, r, z):
-        if self.fn_r is None:
-            raise ValueError("this mode function has no r-derivative")
-        return np.asarray(self.fn_r(r, z), dtype=complex)
-
-    def grad_z(self, r, z):
-        if self.fn_z is None:
-            raise ValueError("this mode function has no z-derivative")
-        return np.asarray(self.fn_z(r, z), dtype=complex)
-
 
 def as_mode_function(obj):
     """Coerce a Poly2, FnMode, mode-function-like object or callable."""
-    if hasattr(obj, "value") and hasattr(obj, "grad_r"):
+    if hasattr(obj, "value"):
         return obj
     if callable(obj):
         return FnMode(obj)
@@ -228,9 +210,4 @@ class VectorModeFn:
 
 
 def _conj_wrap(mode):
-    # Gradient wrappers raise lazily if the underlying mode has none.
-    return FnMode(
-        lambda r, z: np.conj(mode.value(r, z)),
-        lambda r, z: np.conj(mode.grad_r(r, z)),
-        lambda r, z: np.conj(mode.grad_z(r, z)),
-    )
+    return FnMode(lambda r, z: np.conj(mode.value(r, z)))

@@ -33,6 +33,10 @@ GAMMA0 = "G0"
 
 _SNAP_REL = 1e-12
 
+# How far outside every triangle, relative to the mesh diameter, a point
+# may lie and still be located.
+_LOCATE_TOL = 1e-10
+
 
 class MeshError(ValueError):
     """Raised for invalid geometry, tagging or mesh file contents."""
@@ -231,20 +235,16 @@ class DomainSpec:
     Exactly one of ``rectangle`` (rmin, rmax, zmin, zmax) or ``polygon``
     (sequence of (r, z) vertices of a simple polygon) must be given.
     ``target_h`` bounds the structured grid pitch, and for polygons drives
-    extra uniform refinements; ``refinement_level`` uniform refinements are
-    applied to polygon triangulations first.
+    uniform refinements.
     """
 
     rectangle: tuple | None = None
     polygon: tuple | None = None
     target_h: float = 0.0
-    refinement_level: int = 0
 
     def __post_init__(self):
         if (self.rectangle is None) == (self.polygon is None):
             raise MeshError("specify exactly one of rectangle or polygon")
-        if self.refinement_level < 0:
-            raise MeshError("refinement_level must be nonnegative")
 
 
 def _snap_axis(coords: np.ndarray) -> np.ndarray:
@@ -380,7 +380,7 @@ def _point_in_triangle(p, a, b, c, eps) -> bool:
     return d1 >= -eps and d2 >= -eps and d3 >= -eps
 
 
-def triangulate_polygon(vertices, refinement_level: int = 0, target_h: float = 0.0) -> MeridianMesh:
+def triangulate_polygon(vertices, target_h: float = 0.0) -> MeridianMesh:
     """Mesh a simple polygon in the half plane r >= 0.
 
     Sides with both endpoints on r = 0 are tagged as axis boundary; all
@@ -413,11 +413,8 @@ def triangulate_polygon(vertices, refinement_level: int = 0, target_h: float = 0
         edges.append((i, j))
         tags.append(GAMMA0 if on_axis[i] and on_axis[j] else GAMMA)
     mesh = MeridianMesh(pts, tris, np.array(edges), tuple(tags))
-    for _ in range(refinement_level):
+    while target_h > 0.0 and mesh.h_max > target_h:
         mesh = refine(mesh)
-    if target_h > 0.0:
-        while mesh.h_max > target_h:
-            mesh = refine(mesh)
     return mesh
 
 
@@ -463,13 +460,8 @@ def mesh_from_spec(spec: DomainSpec) -> MeridianMesh:
     if spec.rectangle is not None:
         if spec.target_h <= 0.0:
             raise MeshError("rectangle domains need a positive target_h")
-        mesh = generate_structured(spec.rectangle, spec.target_h)
-        for _ in range(spec.refinement_level):
-            mesh = refine(mesh)
-        return mesh
-    return triangulate_polygon(
-        spec.polygon, refinement_level=spec.refinement_level, target_h=spec.target_h
-    )
+        return generate_structured(spec.rectangle, spec.target_h)
+    return triangulate_polygon(spec.polygon, target_h=spec.target_h)
 
 
 _HEADER = "axistokes-mesh v1"
@@ -567,11 +559,11 @@ def read_mesh(path) -> MeridianMesh:
         raise MeshError(f"{path}: {err}") from None
 
 
-def locate_points(mesh: MeridianMesh, points, tol: float = 1e-10):
+def locate_points(mesh: MeridianMesh, points):
     """Find the containing triangle and barycentric coordinates of points.
 
     Returns (tri_index, barycentric) arrays; raises MeshError for points
-    outside the mesh beyond ``tol`` (relative to the mesh diameter).
+    outside the mesh beyond ``_LOCATE_TOL`` (relative to the mesh diameter).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     verts = mesh.vertices
@@ -581,7 +573,7 @@ def locate_points(mesh: MeridianMesh, points, tol: float = 1e-10):
     e2 = verts[tris[:, 2]] - v0
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     scale = float(np.ptp(verts, axis=0).max())
-    atol = tol * max(scale, 1.0)
+    atol = _LOCATE_TOL * max(scale, 1.0)
 
     n = len(pts)
     tri_idx = np.full(n, -1, dtype=np.int64)

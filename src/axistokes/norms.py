@@ -86,8 +86,9 @@ def sample_component(
     any object with a ``sample_on(mesh, rule, need_grad)`` method (finite
     element fields) or a mode function / callable evaluated at the
     quadrature coordinates; a ``Poly2`` takes one ``evaluate_polys`` call
-    for its value and both derivatives.  ``geometry`` is
-    ``quadrature_geometry(mesh, rule)`` when the caller has it already.
+    for its value and both derivatives.  Other mode functions have values
+    only, and asking for their gradients raises TypeError.  ``geometry``
+    is ``quadrature_geometry(mesh, rule)`` when the caller has it already.
     Returns (val, d_r, d_z) arrays of shape (nt, nq); the gradients are
     None when not requested.
     """
@@ -97,19 +98,13 @@ def sample_component(
         return tuple(None if x is None else x - y for x, y in zip(a, b))
     if hasattr(comp, "sample_on"):
         return comp.sample_on(mesh, rule, need_grad)
+    if need_grad and not isinstance(comp, Poly2):
+        raise TypeError(f"{comp!r} has no derivatives to sample")
     R, Z, _ = geometry or quadrature_geometry(mesh, rule)
-    if isinstance(comp, Poly2):
-        if not need_grad:
-            return comp(R, Z), None, None
+    if need_grad:
         val, dr, dz = evaluate_polys([comp, comp.d_r(), comp.d_z()], R, Z)
         return val, dr, dz
-    fn = as_mode_function(comp)
-    val = np.asarray(fn.value(R, Z), dtype=complex)
-    if not need_grad:
-        return val, None, None
-    dr = np.asarray(fn.grad_r(R, Z), dtype=complex)
-    dz = np.asarray(fn.grad_z(R, Z), dtype=complex)
-    return val, dr, dz
+    return np.asarray(as_mode_function(comp).value(R, Z), dtype=complex), None, None
 
 
 def integrate_weighted(mesh, f, weight_exponent: int = 1, rule: QuadratureRule = None):

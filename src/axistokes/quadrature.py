@@ -123,9 +123,10 @@ def _collapsed_rule(degree: int) -> QuadratureRule:
 def triangle_rule(degree: int) -> QuadratureRule:
     """Interior rule exact for polynomials up to ``degree`` on a triangle.
 
-    Cached so equal-degree requests share one rule object.  The caches of
-    ``FemSpace`` key on (degree, number of points), so they also hit for an
-    equal rule that was built elsewhere.
+    Cached so equal-degree requests share one rule object.  Assembly uses
+    the rule of ``DEFAULT_ASSEMBLY_DEGREE`` alone; the norm matrices of a
+    ``FemSpace`` are cached per rule, keyed on (degree, number of points),
+    so they also hit for an equal rule that was built elsewhere.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")

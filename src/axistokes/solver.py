@@ -44,6 +44,12 @@ __all__ = [
 ]
 
 
+# LOBPCG's residual tolerance, iteration cap and the seed of its start block.
+_LOBPCG_TOL = 1e-6
+_LOBPCG_MAXITER = 2000
+_LOBPCG_SEED = 0
+
+
 class SolverBreakdown(RuntimeError):
     """The iteration or factorization cannot continue on this system."""
 
@@ -55,15 +61,13 @@ class SolverConfig:
     method: 'direct' (sparse LU of the bordered system) or 'uzawa'
     (Schur-complement conjugate gradients; 'uzawa_cg' is accepted as a
     synonym).  tol is relative, and with max_iter controls the iteration.
-    pressure_mass_precond applies the r-weighted pressure mass matrix as
-    the preconditioner (recommended); k0_real_fast_path lets real
-    axisymmetric data take the real-arithmetic route.
+    k0_real_fast_path lets real axisymmetric data take the real-arithmetic
+    route.
     """
 
     method: str = "direct"
     tol: float = 1e-10
     max_iter: int = 500
-    pressure_mass_precond: bool = True
     k0_real_fast_path: bool = True
 
     def __post_init__(self):
@@ -73,6 +77,8 @@ class SolverConfig:
             raise ValueError("method must be 'direct' or 'uzawa'")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -164,10 +170,9 @@ def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config):
     """Schur-complement CG.  Returns (u, p, iterations, converged, history).
 
     ``a_solve`` applies the inverse velocity block; ``mp_solve`` applies
-    the inverse pressure mass preconditioner (None runs plain CG);
-    ``m``/``e`` are the mean functional and the constant vector for
-    deflation (None when the Schur complement is definite on the whole
-    pressure space).
+    the inverse pressure mass preconditioner; ``m``/``e`` are the mean
+    functional and the constant vector for deflation (None when the Schur
+    complement is definite on the whole pressure space).
     """
     Bh = B.conj().T
 
@@ -191,10 +196,7 @@ def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config):
     converged = False
     iterations = 0
     for it in range(1, config.max_iter + 1):
-        if mp_solve is not None:
-            z = deflate_mean(mp_solve(r))
-        else:
-            z = deflate(r)
+        z = deflate_mean(mp_solve(r))
         rho = np.vdot(r, z).real
         if rho <= 0.0:
             if float(np.linalg.norm(r)) <= config.tol * ref:
@@ -224,7 +226,7 @@ def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config):
             converged = True
             break
     # Constants lie in the Schur null space, so the gauge can be fixed
-    # after the fact; with the mass preconditioner this is a no-op.
+    # after the fact; the preconditioned steps are mean-free up to round-off.
     p = deflate_mean(p)
     return u, p, iterations, converged, history
 
@@ -264,15 +266,7 @@ def solve_mode(
     else:
         e = np.ones(system.n_p) if k == 0 else None
         u_free, p, its, conv, hist = _uzawa_core(
-            system.a_solve,
-            A,
-            B,
-            F,
-            G,
-            system.mp_solve if config.pressure_mass_precond else None,
-            m,
-            e,
-            config,
+            system.a_solve, A, B, F, G, system.mp_solve, m, e, config
         )
         report.iterations, report.converged, report.residuals = its, conv, hist
         if not conv:
@@ -300,14 +294,7 @@ class InfSupEstimate:
     h_max: float
 
 
-def estimate_inf_sup(
-    system: SaddleSystem,
-    *,
-    dense_limit: int = 1500,
-    tol: float = 1e-6,
-    maxiter: int = 2000,
-    seed: int = 0,
-) -> InfSupEstimate:
+def estimate_inf_sup(system: SaddleSystem, *, dense_limit: int = 1500) -> InfSupEstimate:
     """Smallest eigenvalue of the pressure Schur complement against the mass.
 
     beta**2 is the minimum of q^T S q / q^T Mp q over admissible pressures
@@ -328,7 +315,7 @@ def estimate_inf_sup(
         lam = float(vals[0])
         method = "dense"
     else:
-        lam = _lobpcg_schur(system, tol=tol, maxiter=maxiter, seed=seed)
+        lam = _lobpcg_schur(system)
         method = "lobpcg"
     lam = max(lam, 0.0)
     return InfSupEstimate(
@@ -352,7 +339,7 @@ def _dense_schur(system, chunk: int = 128) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _lobpcg_schur(system, *, tol, maxiter, seed) -> float:
+def _lobpcg_schur(system) -> float:
     np_ = system.n_p
     B = system.B_hat.real
 
@@ -360,7 +347,7 @@ def _lobpcg_schur(system, *, tol, maxiter, seed) -> float:
         return B @ system.a_solve(B.T @ x)
 
     S_op = spla.LinearOperator((np_, np_), matvec=apply_s, matmat=apply_s, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_LOBPCG_SEED)
     X = rng.standard_normal((np_, 3))
     Y = np.ones((np_, 1)) if system.k == 0 else None
     vals, _ = spla.lobpcg(
@@ -368,8 +355,8 @@ def _lobpcg_schur(system, *, tol, maxiter, seed) -> float:
         X,
         B=system.Mp,
         Y=Y,
-        tol=tol,
-        maxiter=maxiter,
+        tol=_LOBPCG_TOL,
+        maxiter=_LOBPCG_MAXITER,
         largest=False,
     )
     return float(np.min(vals))

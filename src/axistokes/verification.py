@@ -33,7 +33,7 @@ from .norms import (
     vector_mode_norm,
 )
 from .quadrature import DEFAULT_NORM_DEGREE, triangle_rule
-from .solver import SolverConfig, solve_mode
+from .solver import solve_mode
 
 __all__ = [
     "CheckResult",
@@ -53,6 +53,16 @@ _R = Poly2.monomial(1, 0)
 _Z = Poly2.monomial(0, 1)
 _ONE = Poly2.monomial(0, 0)
 _ZERO = Poly2.zero()
+
+# The bounds of the isometry suite: the 3D integrals against the mode sums,
+# the polarization identity, and the conjugation symmetry of real samples.
+_TOL_ISO = 1e-8
+_TOL_POLAR = 1e-12
+_TOL_CONJ = 1e-10
+
+# truncation_study doubles its analytic cutoff until the largest tail
+# changes by less than this fraction.
+_TAIL_REL_CHANGE = 0.001
 
 
 def mode_gradient(k: int, p: Poly2):
@@ -130,7 +140,7 @@ class ManufacturedCase:
             name=name, k=k, u=u, p=p, f=f, g_div=g_div, description=description
         )
 
-    def pressure_offset(self, mesh: MeridianMesh, rule=None) -> float:
+    def pressure_offset(self, mesh: MeridianMesh) -> float:
         """Weighted mean of the exact pressure over the meshed domain.
 
         The axisymmetric solve pins the weighted mean of the discrete
@@ -139,9 +149,8 @@ class ManufacturedCase:
         """
         if self.k != 0:
             return 0.0
-        rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
-        num = integrate_weighted(mesh, self.p, 1, rule).real
-        den = integrate_weighted(mesh, _ONE, 1, rule).real
+        num = integrate_weighted(mesh, self.p, 1).real
+        den = integrate_weighted(mesh, _ONE, 1).real
         return num / den
 
 
@@ -268,34 +277,28 @@ class ConvergenceStudy:
 
 
 def convergence_study(
-    case: ManufacturedCase,
-    hs=(1 / 8, 1 / 16, 1 / 32),
-    rectangle=(1.0, 1.0),
-    config: SolverConfig = None,
-    norm_rule=None,
+    case: ManufacturedCase, hs=(1 / 8, 1 / 16, 1 / 32)
 ) -> ConvergenceStudy:
-    """Solve a manufactured case on a refinement family and tabulate errors.
+    """Solve a manufactured case on unit-square meshes and tabulate errors.
 
     Velocity error in the full mode norm, pressure error in the r-weighted
     L2 norm with the weighted mean aligned for the axisymmetric mode.
     """
-    norm_rule = norm_rule or triangle_rule(DEFAULT_NORM_DEGREE)
     started = time.perf_counter()
     err_u, err_p = [], []
     for h in hs:
-        mesh = generate_structured(rectangle, h)
+        mesh = generate_structured((1.0, 1.0), h)
         space = FemSpace(mesh)
         system = assemble(space, case.k, g=case.u)
-        sol = solve_mode(system, f=case.f, g_div=case.g_div, config=config)
+        sol = solve_mode(system, f=case.f, g_div=case.g_div)
         fields = sol.velocity_fields()
         diffs = tuple(
             FieldDifference(fields[c], case.u.components[c]) for c in range(3)
         )
-        err_u.append(vector_mode_norm(mesh, diffs, norm_rule, k=case.k).h1k)
-        offset = case.pressure_offset(mesh, norm_rule)
-        p_exact = case.p - offset * _ONE
+        err_u.append(vector_mode_norm(mesh, diffs, k=case.k).h1k)
+        p_exact = case.p - case.pressure_offset(mesh) * _ONE
         diff_p = FieldDifference(sol.pressure_field(), p_exact)
-        err_p.append(scalar_mode_norm(mesh, diff_p, 0, norm_rule).l2_1)
+        err_p.append(scalar_mode_norm(mesh, diff_p, 0).l2_1)
     return ConvergenceStudy(
         case=case.name,
         k=case.k,
@@ -424,13 +427,12 @@ def truncation_study(
     *,
     with_solves: bool = False,
     h: float = 0.25,
-    rel_change: float = 0.001,
 ) -> TruncationStudy:
     """Tails of the mode family beyond each truncation order.
 
     tail(N)**2 sums the squared velocity and pressure mode norms over
     |k| > N.  The cutoff starts at four times the largest N and doubles
-    until the largest tail changes by less than ``rel_change``; solved
+    until the largest tail changes by less than ``_TAIL_REL_CHANGE``; solved
     norms use the fixed starting cutoff for tractability.
     """
     ns = sorted(ns)
@@ -447,7 +449,7 @@ def truncation_study(
             u2, p2 = _analytic_norms(family, bigger)
             sq2 = u2**2 + p2**2
             tail_sq2 = 2.0 * np.sum(sq2[n_max + 1 :])
-            if tail_sq2 - tail_sq <= rel_change * tail_sq:
+            if tail_sq2 - tail_sq <= _TAIL_REL_CHANGE * tail_sq:
                 break
             k_max = bigger
             u_norms, p_norms = u2, p2
@@ -618,14 +620,7 @@ def _field_defects(mesh, rule, thetas, modes_u, modes_v, modes_q):
 
 
 def isometry_suite(
-    mesh: MeridianMesh,
-    k_max: int = 5,
-    n_fields: int = 10,
-    seed: int = 0,
-    rule=None,
-    tol_iso: float = 1e-8,
-    tol_polar: float = 1e-12,
-    tol_conj: float = 1e-10,
+    mesh: MeridianMesh, k_max: int = 5, n_fields: int = 10, seed: int = 0
 ) -> list:
     """Cross-checks between meridian mode quantities and honest 3D integrals.
 
@@ -638,7 +633,7 @@ def isometry_suite(
     extracted from real samples.
     """
     rng = np.random.default_rng(seed)
-    rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
+    rule = triangle_rule(DEFAULT_NORM_DEGREE)
     thetas = angular_grid(4 * k_max + 8)
 
     worst = [0.0] * 5
@@ -727,21 +722,21 @@ def isometry_suite(
             worst_conj = max(worst_conj, float(np.max(np.abs(dn - np.conj(up)))))
 
     return [
-        CheckResult("l2_isometry", worst_l2 <= tol_iso, worst_l2, tol_iso),
-        CheckResult("h1_semi_isometry", worst_semi <= tol_iso, worst_semi, tol_iso),
-        CheckResult("h1_full_isometry", worst_full <= tol_iso, worst_full, tol_iso),
+        CheckResult("l2_isometry", worst_l2 <= _TOL_ISO, worst_l2, _TOL_ISO),
+        CheckResult("h1_semi_isometry", worst_semi <= _TOL_ISO, worst_semi, _TOL_ISO),
+        CheckResult("h1_full_isometry", worst_full <= _TOL_ISO, worst_full, _TOL_ISO),
         CheckResult(
-            "energy_form_consistency", worst_energy <= tol_iso, worst_energy, tol_iso
+            "energy_form_consistency", worst_energy <= _TOL_ISO, worst_energy, _TOL_ISO
         ),
         CheckResult(
-            "divergence_form_consistency", worst_div <= tol_iso, worst_div, tol_iso
+            "divergence_form_consistency", worst_div <= _TOL_ISO, worst_div, _TOL_ISO
         ),
-        CheckResult("polarization", worst_polar <= tol_polar, worst_polar, tol_polar),
+        CheckResult("polarization", worst_polar <= _TOL_POLAR, worst_polar, _TOL_POLAR),
         CheckResult(
             "equivalence_bounds", worst_bounds == 0.0, worst_bounds, 0.0
         ),
         CheckResult("equivalence_trend", trend_ok, trend_defect, 0.0),
-        CheckResult("conjugation", worst_conj <= tol_conj, worst_conj, tol_conj),
+        CheckResult("conjugation", worst_conj <= _TOL_CONJ, worst_conj, _TOL_CONJ),
     ]
 
 
@@ -765,16 +760,14 @@ class StabilityStudy:
         return all(r <= factor * self.reference for r in self.ratios)
 
 
-def stability_study(
-    ks=range(0, 21), h: float = 1 / 8, rectangle=(1.0, 1.0), config=None
-) -> StabilityStudy:
+def stability_study(ks=range(0, 21), h: float = 1 / 8) -> StabilityStudy:
     """Measure (velocity + pressure) / dual data norm across wavenumbers.
 
-    One fixed polynomial body force drives every mode on the same mesh;
-    stability of the family shows as ratios that stay comparable to the
-    axisymmetric one instead of growing with k.
+    One fixed polynomial body force drives every mode on the same
+    unit-square mesh; stability of the family shows as ratios that stay
+    comparable to the axisymmetric one instead of growing with k.
     """
-    mesh = generate_structured(rectangle, h)
+    mesh = generate_structured((1.0, 1.0), h)
     space = FemSpace(mesh)
     f = VectorModeFn(0, (_R * _Z, _R * _Z, _R + _Z))
     ks = list(ks)
@@ -782,7 +775,7 @@ def stability_study(
     for k in ks:
         fk = VectorModeFn(k, f.components)
         system = assemble(space, k)
-        sol = solve_mode(system, f=fk, config=config)
+        sol = solve_mode(system, f=fk)
         dual = system.dual_norm(fk)
         u_norm = vector_mode_norm(mesh, sol.velocity_fields(), k=k).h1k
         p_norm = scalar_mode_norm(mesh, sol.pressure_field(), k).l2_1

@@ -84,9 +84,9 @@ def reference_samples(field, rule):
     )
 
 
-def mode_matrices(space, k: int, rule=None):
+def mode_matrices(space, k: int):
     """Full (unconstrained) saddle blocks A (3n x 3n) and B (np x 3n) of mode k."""
-    ops = space.operators(rule)
+    ops = space.operators()
     K, Mm1 = ops.K, ops.Mm1
     A_rr = (K + (1 + k * k) * Mm1).astype(complex)
     A_zz = (K + (k * k) * Mm1).astype(complex)

@@ -276,7 +276,7 @@ def test_criterion_10_compatibility_flux(square8, cases, tmp_path, capsys):
         system = assemble(square8, 0, g=case.u)
         sol = solve_mode(system, f=case.f)
         worst = max(worst, abs(boundary_flux(square8, sol.u)))
-        G = assemble_divergence_rhs(square8, case.g_div, system.rule)
+        G = assemble_divergence_rhs(square8, case.g_div)
         worst = max(
             worst, abs(complex(np.sum(G - system.B_full @ system.constraints.fix)))
         )

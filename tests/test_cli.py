@@ -12,6 +12,7 @@ from axistokes.fem import FemSpace, assemble
 from axistokes.fourier import FourierStack, ModeVectors, read_stack
 from axistokes.meshing import generate_structured, read_mesh
 from axistokes.solver import solve_mode
+from axistokes.verification import builtin_cases
 from axistokes.vtk_export import write_vtk
 
 
@@ -46,6 +47,27 @@ def test_solve_axisymmetric_manufactured(tmp_path, capsys):
     assert stack.real_data
     mesh = read_mesh(out / "mesh.txt")
     assert mesh.mesh_id == stack.mesh_id
+
+
+@pytest.mark.parametrize("name", ["k0_exact", "k1_exact", "k2_exact"])
+def test_manufactured_solve_reproduces_exact_field(tmp_path, name):
+    # These flows lie in the Taylor-Hood space, so solve must return them at
+    # the nodes once it imposes the case's wall velocity; every other
+    # requested mode has no data and stays zero.
+    out = tmp_path / "out"
+    body = _base(out, data=f"manufactured = {name}").replace("h = 0.25", "h = 0.125")
+    assert main(["solve", "--config", _config(tmp_path, body)]) == 0
+    case = builtin_cases()[name]
+    stack = read_stack(out / "stack")
+    mesh = read_mesh(out / "mesh.txt")
+    space = FemSpace(mesh)
+    r, z = space.dof_coords.T
+    u_exact = np.stack([c(r, z) for c in case.u.components])
+    p_exact = case.p(*mesh.vertices.T) - case.pressure_offset(mesh)
+    for k, mode in stack.modes.items():
+        want_u, want_p = (u_exact, p_exact) if k == case.k else (0.0, 0.0)
+        assert np.abs(mode.u - want_u).max() <= 1e-9
+        assert np.abs(mode.p - want_p).max() <= 1e-9
 
 
 def test_solve_real_expression_data_keeps_nonnegative_modes(tmp_path):
@@ -241,8 +263,9 @@ def test_bad_configs_exit_3(tmp_path, capsys, body):
             "[modes]\nwavenumbers = 1 x\n",
             "[modes] wavenumbers: expected integers, got '1 x'",
         ),
+        ("[modes]\n", "[solver]\nmax_iter = 0\n\n[modes]\n", "[solver] max_iter must be at least 1"),
     ],
-    ids=["float", "int", "bool", "int-list"],
+    ids=["float", "int", "bool", "int-list", "max_iter"],
 )
 def test_bad_config_values_name_key_and_type(tmp_path, capsys, old, new, message):
     body = (_base(tmp_path / "out") + "\n[modes]\n").replace(old, new)
@@ -281,6 +304,8 @@ def test_help_exits_0(capsys):
 
 
 def test_load_config_validation_details(tmp_path):
+    # pressure_mass_precond is not a key any more; like any unknown key it
+    # is ignored.
     cfg = _config(
         tmp_path,
         "[domain]\npolygon = 0 0 1 0 1 1 0 1\nh = 0.2\n\n"
@@ -293,7 +318,6 @@ def test_load_config_validation_details(tmp_path):
     assert config.domain.polygon == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
     assert config.wavenumbers == [-1, 0, 2]
     assert config.solver.method == "uzawa"
-    assert not config.solver.pressure_mass_precond
     assert config.trunc_s == (0.5, 2.0)
     assert config.trunc_ns == (2, 4, 8)
     assert config.trunc_h == 0.5

@@ -141,10 +141,10 @@ def test_reduced_velocity_block_hermitian_definite(space, k):
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_energy_matrix_matches_quadrature_product(space, k):
     # u* A u agrees with the sesquilinear energy form evaluated by the
-    # norm engine on the same quadrature rule.
+    # norm engine on the assembly rule.
     rng = np.random.default_rng(17)
     rule = triangle_rule(5)
-    A, _ = mode_matrices(space, k, rule)
+    A, _ = mode_matrices(space, k)
     n = space.n_vel
     u = rng.standard_normal(3 * n) + 1j * rng.standard_normal(3 * n)
     quad = complex(np.vdot(u, A @ u))
@@ -358,4 +358,4 @@ def test_velocity_factor_evicted_before_its_replacement_is_built(monkeypatch):
     for j in (0, 1, 2, 3, 1, 4, 0):
         space.velocity_factor(j)
     assert held == [0, 1, 2, 2, 2, 2]
-    assert [key[0] for key in space._velocity_factors] == [1, 4, 0]
+    assert list(space._velocity_factors) == [1, 4, 0]

@@ -87,6 +87,27 @@ def test_vector_norm_requires_wavenumber_for_bare_triples(square):
         vector_mode_norm(square, (R, R, R))
 
 
+def test_callables_have_values_but_no_gradients(square):
+    # A callable is a mode function for its values only: integrals sample
+    # it, and a norm, which needs its gradient, raises before sampling it.
+    calls = []
+
+    def rz(r, z):
+        calls.append((r, z))
+        return r * z
+
+    assert integrate_weighted(square, rz) == pytest.approx(1 / 6, rel=1e-13)
+    calls.clear()
+    for measure in (
+        lambda: scalar_mode_norm(square, rz, 0),
+        lambda: vector_mode_norm(square, VectorModeFn(1, (rz, R, R))),
+        lambda: vector_mode_norm(square, VectorModeFn(1, (rz, R, R)).conj()),
+    ):
+        with pytest.raises(TypeError, match="no derivatives"):
+            measure()
+    assert calls == []
+
+
 def test_component_breakdown_sums_to_totals(square):
     v = VectorModeFn(1, (R * Z, 1j * R * R, Z * Z * R))
     rep = vector_mode_norm(square, v)
