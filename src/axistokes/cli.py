@@ -330,8 +330,8 @@ def _solve_modes(config: RunConfig, space: FemSpace, ks, real_data: bool):
     solve_ks = sorted(wanted, key=lambda k: (abs(k), k))
     solved = {}
     for k, (f, g_div, g) in _mode_data(config, solve_ks).items():
-        # The system holds its velocity factors: pass it unnamed, so that it
-        # is freed before the next mode is assembled.
+        # The space is the only owner of the velocity factors, so releasing
+        # them below frees every one.
         solved[k] = solve_mode(
             assemble(space, k, g=g), f=f, g_div=g_div, config=config.solver
         )
@@ -367,8 +367,6 @@ def cmd_solve(args) -> int:
         reports_p.append(rep_p)
         rpt = solution.report
         note = f"method={rpt.method}"
-        if rpt.fast_path:
-            note += " (real fast path)"
         if rpt.method == "uzawa":
             note += f", iterations={rpt.iterations}"
             if not rpt.converged:

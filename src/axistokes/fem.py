@@ -31,7 +31,7 @@ instead of silently moving the problem.
 import collections
 import dataclasses
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,7 +120,8 @@ class FemSpace:
 
     Operators and the pressure mass factor are built on first use at the
     assembly rule, norm matrices per norm rule; factors of the scalar
-    velocity blocks L_j are kept for the last three j (``velocity_factor``).
+    velocity blocks L_j are kept for the last three j (``velocity_factor``),
+    and the space is their only owner.
     A space and its caches serve one thread.
     """
 
@@ -207,9 +208,11 @@ class FemSpace:
         """Real factor of ``velocity_block(j)``, shared by the modes using it.
 
         The space keeps the factors of the last three j asked for, for one
-        thread.  Mode k != 0 uses j = |k| - 1, |k|, |k| + 1 (mode 0 uses 0
-        and 1), so modes solved in order of (|k|, k) factor each L_j once,
-        and a many-mode run does not hold all its factors at the same time.
+        thread, and no system holds one: ``SaddleSystem.a_solve`` asks for
+        its factors on every call.  Mode k != 0 uses j = |k| - 1, |k|,
+        |k| + 1 (mode 0 uses 0 and 1), so modes solved in order of (|k|, k)
+        factor each L_j once, and a many-mode run does not hold all its
+        factors at the same time.
         The least recently used factor is dropped before its replacement is
         factored, so at most three are alive while one is being built.
         """
@@ -222,7 +225,7 @@ class FemSpace:
         return factors[j]
 
     def release_velocity_factors(self) -> None:
-        """Forget the kept velocity factors; a system holding one keeps it."""
+        """Forget the kept velocity factors, which frees every one of them."""
         self._velocity_factors.clear()
 
     def pressure_mass_factor(self):
@@ -515,9 +518,10 @@ class SaddleSystem:
     it each time.  The reduced velocity block ``A_hat`` is the block
     diagonal of the space's scalar blocks L_j, one per free component, so
     it is symmetric positive definite; ``a_solve`` applies its inverse on the
-    shared factors of the L_j.  ``B_hat`` has full rank except for the
-    axisymmetric constant pressure, represented by ``m_vec``; ``mp_solve``
-    applies the inverse pressure mass matrix ``Mp``.
+    factors of the L_j that the space keeps and shares, and the system
+    holds no factor.  ``B_hat`` has full rank except for the axisymmetric
+    constant pressure, represented by ``m_vec``; ``mp_solve`` applies the
+    inverse pressure mass matrix ``Mp``.
     """
 
     space: FemSpace
@@ -528,7 +532,6 @@ class SaddleSystem:
     B_hat: sp.csr_matrix
     Mp: sp.csr_matrix
     m_vec: np.ndarray
-    _factors: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_free(self) -> int:
@@ -594,16 +597,14 @@ class SaddleSystem:
         """A_hat^-1 rhs for a vector or a block of columns.
 
         Each component's slice is solved on the real factor of its L_j,
-        which the space shares and this system holds once it has used it;
-        an all-zero slice stays zero without a solve.  The result keeps
-        the dtype of the right side.
+        asked of the space on each call (``FemSpace.velocity_factor``); an
+        all-zero slice stays zero without a solve.  The result keeps the
+        dtype of the right side.
         """
         out = np.zeros_like(rhs)
         for j, block in zip(self.constraints.j, self.constraints.blocks):
             if np.any(rhs[block]):
-                if j not in self._factors:
-                    self._factors[j] = self.space.velocity_factor(j)
-                out[block] = _real_solve(self._factors[j], rhs[block])
+                out[block] = _real_solve(self.space.velocity_factor(j), rhs[block])
         return out
 
     def mp_solve(self, rhs: np.ndarray) -> np.ndarray:

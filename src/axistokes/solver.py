@@ -12,10 +12,10 @@ preconditioned iterate exactly mean-free.
 
 Both paths run on the reduced blocks, which are exactly real for every
 mode (u_theta = i w, see ``fem.ModeConstraints``), so every factor is
-real and complex data takes two real columns; the velocity block is the
-block diagonal of scalar operators L_j whose factors the modes of a
-space share.  Real axisymmetric data has a real solution, so the fast
-path runs the same solve on the real parts of the blocks and the data.
+real: complex data takes two real columns, and a right side with zero
+imaginary part one real column, at every mode.  The velocity block is
+the block diagonal of scalar operators L_j whose factors the modes of a
+space share.
 
 ``estimate_inf_sup`` measures the discrete stability constant as the
 smallest generalized eigenvalue of the real Schur complement against the
@@ -61,14 +61,12 @@ class SolverConfig:
     method: 'direct' (sparse LU of the bordered system) or 'uzawa'
     (Schur-complement conjugate gradients; 'uzawa_cg' is accepted as a
     synonym).  tol is relative, and with max_iter controls the iteration.
-    k0_real_fast_path lets real axisymmetric data take the real-arithmetic
-    route.
+    Every mode takes the same path for either method.
     """
 
     method: str = "direct"
     tol: float = 1e-10
     max_iter: int = 500
-    k0_real_fast_path: bool = True
 
     def __post_init__(self):
         if self.method == "uzawa_cg":
@@ -93,7 +91,6 @@ class SolveReport:
     converged: bool = True
     res_u: float = 0.0
     res_p: float = 0.0
-    fast_path: bool = False
     mean_multiplier: float = 0.0
     compatibility_flux: complex = None
     breakdown: str = None
@@ -166,15 +163,18 @@ def _direct_bordered(A, B, F, G, m=None):
     return sol[:nf], sol[nf : nf + np_], mult
 
 
-def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config):
+def _uzawa_core(system, F, G, config):
     """Schur-complement CG.  Returns (u, p, iterations, converged, history).
 
-    ``a_solve`` applies the inverse velocity block; ``mp_solve`` applies
-    the inverse pressure mass preconditioner; ``m``/``e`` are the mean
-    functional and the constant vector for deflation (None when the Schur
-    complement is definite on the whole pressure space).
+    ``system.a_solve`` applies the inverse velocity block and
+    ``system.mp_solve`` the inverse pressure mass preconditioner.  At
+    k = 0 the Schur complement has the constant pressure in its kernel, so
+    residuals keep Euclidean-orthogonal to the constant vector e and the
+    preconditioned steps mean-free under the functional m.
     """
+    A, B = system.A_hat, system.B_hat
     Bh = B.conj().T
+    m, e = (system.m_vec, np.ones(system.n_p)) if system.k == 0 else (None, None)
 
     def deflate(x):
         if e is None:
@@ -186,7 +186,7 @@ def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config):
             return x
         return x - np.full_like(x, np.vdot(m, x) / np.sum(m))
 
-    u = a_solve(F)
+    u = system.a_solve(F)
     r = deflate(B @ u - G)
     p = np.zeros_like(r)
     ref = max(float(np.linalg.norm(r)), float(np.linalg.norm(G)), 1e-300)
@@ -196,7 +196,7 @@ def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config):
     converged = False
     iterations = 0
     for it in range(1, config.max_iter + 1):
-        z = deflate_mean(mp_solve(r))
+        z = deflate_mean(system.mp_solve(r))
         rho = np.vdot(r, z).real
         if rho <= 0.0:
             if float(np.linalg.norm(r)) <= config.tol * ref:
@@ -206,7 +206,7 @@ def _uzawa_core(a_solve, A, B, F, G, mp_solve, m, e, config):
                 f"pressure iteration lost positivity (rho = {rho:.3e})"
             )
         d = z if d is None else z + (rho / rho_old) * d
-        w = a_solve(Bh @ d)
+        w = system.a_solve(Bh @ d)
         Sd = B @ w
         dSd = np.vdot(d, Sd).real
         if dSd <= 0.0:
@@ -249,25 +249,13 @@ def solve_mode(
     if k == 0:
         report.compatibility_flux = complex(np.sum(G_hat))
 
-    A, B, F, G = system.A_hat, system.B_hat, F_hat, G_hat
-    if (
-        k == 0
-        and config.k0_real_fast_path
-        and not np.any(F_hat.imag)
-        and not np.any(G_hat.imag)
-        and not np.any(system.constraints.fix.imag)
-    ):
-        report.fast_path = True
-        A, B, F, G = A.real, B.real, F.real, G.real
-
-    m = system.m_vec if k == 0 else None
     if config.method == "direct":
-        u_free, p, report.mean_multiplier = _direct_bordered(A, B, F, G, m)
-    else:
-        e = np.ones(system.n_p) if k == 0 else None
-        u_free, p, its, conv, hist = _uzawa_core(
-            system.a_solve, A, B, F, G, system.mp_solve, m, e, config
+        m = system.m_vec if k == 0 else None
+        u_free, p, report.mean_multiplier = _direct_bordered(
+            system.A_hat, system.B_hat, F_hat, G_hat, m
         )
+    else:
+        u_free, p, its, conv, hist = _uzawa_core(system, F_hat, G_hat, config)
         report.iterations, report.converged, report.residuals = its, conv, hist
         if not conv:
             warnings.warn(

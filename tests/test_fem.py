@@ -1,5 +1,8 @@
 """Taylor-Hood assembly: operators, constraints, right sides, and fields."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -324,7 +327,31 @@ def test_space_caches_build_once():
     assert all(a is b for a, b in zip(entries(), first))
 
 
-def test_velocity_factors_shared_in_order_of_wavenumber(monkeypatch):
+@pytest.fixture
+def factor_refs(monkeypatch):
+    """Weak references to every sparse LU made during the test.
+
+    SuperLU objects take no weak reference, so each one is wrapped.
+    """
+    refs = []
+    splu = fem.spla.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def wrapped(*args, **kwargs):
+        lu = Factor(splu(*args, **kwargs))
+        refs.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(fem.spla, "splu", wrapped)
+    return refs
+
+
+def test_velocity_factors_shared_in_order_of_wavenumber(
+    monkeypatch, factor_refs
+):
     # Mode k solves with L_j for j = |k - 1|, |k + 1|, |k|.  In order of
     # |k|, modes 0 .. 4 need L_0 .. L_5, and the space factors each once.
     space = FemSpace(generate_structured((1.0, 1.0), 0.25))
@@ -336,10 +363,13 @@ def test_velocity_factors_shared_in_order_of_wavenumber(monkeypatch):
         x = system.a_solve(np.ones(system.n_free))
         assert np.abs(system.A_hat @ x - 1.0).max() <= 1e-12
     assert len(factored) == 6
-    # A system holds the factors it used after the space forgets them.
+    # The space is the only owner of the factors: releasing them frees
+    # every one while the systems live, and a further solve factors anew.
     space.release_velocity_factors()
+    gc.collect()
+    assert len(factor_refs) == 6 and all(ref() is None for ref in factor_refs)
     systems[2].a_solve(np.ones(systems[2].n_free))
-    assert len(factored) == 6
+    assert len(factored) == 9
 
 
 def test_velocity_factor_evicted_before_its_replacement_is_built(monkeypatch):

@@ -89,28 +89,38 @@ def test_quadratic_flows_reproduced_exactly(space, cases, name):
     assert sol.report.res_p <= 1e-9
 
 
-def test_axisymmetric_fast_path_matches_generic_path(space, cases):
-    case = cases["k0_convergence"]
-    sol_fast = solve_mode(
-        assemble(space, 0, g=case.u), f=case.f, config=SolverConfig()
+@pytest.mark.parametrize("name", ["k0_exact", "k1_exact", "k2_exact"])
+def test_real_data_takes_one_real_column(cases, monkeypatch, name):
+    # With u_theta = i w these cases have real reduced data at every mode,
+    # so each back-solve of either method, on the bordered LU, the L_j or
+    # Mp, gets one real column; at k = 0 the solution is then exactly real.
+    case = cases[name]
+    seen = []
+    splu = spla.splu
+    monkeypatch.setattr(
+        spla, "splu", lambda *a, **kw: _CountingFactor(splu(*a, **kw), seen)
     )
-    assert sol_fast.report.fast_path
-    sol_slow = solve_mode(
-        assemble(space, 0, g=case.u),
-        f=case.f,
-        config=SolverConfig(k0_real_fast_path=False),
-    )
-    assert not sol_slow.report.fast_path
-    assert np.abs(sol_fast.u - sol_slow.u).max() <= 1e-9
-    assert np.abs(sol_fast.p - sol_slow.p).max() <= 1e-9
-    assert abs(sol_slow.report.mean_multiplier) <= 1e-8
+    for method in ("direct", "uzawa"):
+        # A new space, so that its factors are made through the spy.
+        space = FemSpace(generate_structured((1.0, 1.0), 0.25))
+        sol = solve_mode(
+            assemble(space, case.k, g=case.u),
+            f=case.f,
+            g_div=case.g_div,
+            config=SolverConfig(method=method, tol=1e-13),
+        )
+        assert sol.report.res_u <= 1e-9 and sol.report.res_p <= 1e-9
+        if case.k == 0:
+            assert not np.any(sol.u.imag) and not np.any(sol.p.imag)
+            # Compatible data leaves nothing for the mean row's multiplier.
+            assert abs(sol.report.mean_multiplier) <= 1e-8
+    assert seen and all(b.dtype == np.float64 and b.ndim == 1 for b in seen)
 
 
-def test_complex_axisymmetric_data_skips_fast_path(space, cases):
+def test_imaginary_axisymmetric_force_gives_i_times_the_solution(space, cases):
     case = cases["k0_convergence"]
     f = tuple(1j * c for c in case.f.components)
     sol = solve_mode(assemble(space, 0), f=f)
-    assert not sol.report.fast_path
     # A purely imaginary force gives i times the real-force solution.
     ref = solve_mode(assemble(space, 0), f=case.f)
     assert np.abs(sol.u - 1j * ref.u).max() <= 1e-10
@@ -281,7 +291,6 @@ def _spy_splu(monkeypatch):
 def test_direct_solve_factors_one_real_matrix(space, monkeypatch, k):
     factored = _spy_splu(monkeypatch)
     sol = solve_mode(assemble(space, k), f=COMPLEX_FORCE, config=SolverConfig("direct"))
-    assert not sol.report.fast_path
     assert np.any(sol.u.imag) and np.any(sol.u.real)
     assert factored == [np.dtype(np.float64)]
 
@@ -402,11 +411,11 @@ def test_velocity_solve_mirrors_under_conjugation(square8_systems, k, seed):
 
 
 class _CountingFactor:
-    """Stand-in for a cached velocity factor that counts its solves."""
+    """Stand-in for a factor that records the right side of each solve."""
 
-    def __init__(self, factor):
+    def __init__(self, factor, rhs=None):
         self.factor = factor
-        self.rhs = []
+        self.rhs = [] if rhs is None else rhs
 
     def solve(self, b):
         self.rhs.append(b.copy())
@@ -475,7 +484,7 @@ def _reference_mode_solve(system, f):
 @pytest.mark.parametrize("method", ["direct", "uzawa"])
 @pytest.mark.parametrize("k", range(-5, 6))
 def test_mode_solve_matches_complex_reference(space8, k, method):
-    # Complex force for k != 0, real data at k = 0 (so the real path runs
+    # Complex force for k != 0, real data at k = 0 (so one real column runs
     # there), and flux-free wall data that vanishes on the axis.
     c = 1.0 if k == 0 else 1.0 - 0.5j
     g = (0.0 * RZ, Poly2({(1, 0): c, (1, 1): c}), 0.0 * RZ)
@@ -486,7 +495,6 @@ def test_mode_solve_matches_complex_reference(space8, k, method):
     system = assemble(space8, k, g=g)
     config = SolverConfig(method=method, tol=1e-13)
     sol = solve_mode(system, f=f, config=config)
-    assert sol.report.fast_path == (k == 0)
     u_ref, p_ref = _reference_mode_solve(system, f)
     bound = 1e-12 if method == "direct" else 1e-11
     assert _rel_err(sol.u, u_ref) <= bound
@@ -520,7 +528,6 @@ def test_random_mode_solves_match_complex_reference(space8, k, method, seed):
     g = (0.0 * RZ, Poly2({(1, 0): 1.0}) * _random_poly(rng, 1), 0.0 * RZ)
     system = assemble(space8, k, g=g)
     sol = solve_mode(system, f=f, config=SolverConfig(method=method, tol=1e-13))
-    assert not sol.report.fast_path
     u_ref, p_ref = _reference_mode_solve(system, f)
     assert _rel_err(sol.u, u_ref) <= 1e-10
     assert _rel_err(sol.p, p_ref) <= 1e-10
