@@ -8,7 +8,7 @@ radially weighted norms the reduction is isometric for, and provides the
 Fourier analysis utilities to move between 3D data and mode coefficients.
 """
 
-from .expressions import ExpressionError, ExpressionField, ScalarExpressionField
+from .expressions import ExpressionError, ExpressionField
 from .fem import (
     FemScalarField,
     FemSpace,
@@ -86,7 +86,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ExpressionError",
     "ExpressionField",
-    "ScalarExpressionField",
     "FemScalarField",
     "FemSpace",
     "ModeSolution",

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expressions import ExpressionError, ExpressionField, ScalarExpressionField
+from .expressions import ExpressionError, ExpressionField
 from .fem import DataError, FemScalarField, FemSpace, assemble, boundary_flux
 from .fourier import FourierStack, ModeVectors, write_stack, read_stack
 from .meshing import (
@@ -70,7 +70,7 @@ class RunConfig:
     wavenumbers: list = None
     case: ManufacturedCase = None
     force: ExpressionField = None
-    divergence: ScalarExpressionField = None
+    divergence: ExpressionField = None
     solver: SolverConfig = None
     out_dir: Path = Path("out")
     vtk: bool = False
@@ -80,12 +80,20 @@ class RunConfig:
     trunc_h: float = 0.25
 
 
+def _finite(value, context: str):
+    """``value``, unless it is a float that is infinite or nan."""
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{context}: not a finite number")
+    return value
+
+
 def _numbers(text: str, context: str, kind=float):
     try:
-        return [kind(tok) for tok in text.split()]
+        values = [kind(tok) for tok in text.split()]
     except ValueError as exc:
         what = "integers" if kind is int else "numbers"
         raise ConfigError(f"{context}: expected {what}, got {text!r}") from exc
+    return [_finite(v, context) for v in values]
 
 
 _READERS = {
@@ -101,9 +109,10 @@ def _get(cp, section: str, key: str, default):
         return default
     reader, what = _READERS[type(default)]
     try:
-        return getattr(cp, reader)(section, key)
+        value = getattr(cp, reader)(section, key)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {what}") from exc
+    return _finite(value, f"[{section}] {key}")
 
 
 def _parse_domain(cp, config: RunConfig) -> None:
@@ -168,7 +177,7 @@ def _parse_data(cp, config: RunConfig) -> None:
         n_theta=n_theta,
     )
     if cp.has_option("data", "g"):
-        config.divergence = ScalarExpressionField(cp.get("data", "g"), n_theta=n_theta)
+        config.divergence = ExpressionField(cp.get("data", "g"), n_theta=n_theta)
 
 
 def _parse_modes(cp, config: RunConfig) -> None:
@@ -292,7 +301,7 @@ def _mode_data(config: RunConfig, ks) -> dict:
         return {k: data if k == case.k else (None, None, None) for k in ks}
     forces = config.force.modes(ks)
     divs = config.divergence.modes(ks) if config.divergence is not None else {}
-    return {k: (forces[k], divs.get(k), None) for k in ks}
+    return {k: (forces[k], divs[k][0] if divs else None, None) for k in ks}
 
 
 def _mode_norm_rows(mesh, space, k, u, p):

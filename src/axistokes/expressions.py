@@ -7,8 +7,9 @@ functions sin, cos, exp, and parentheses.  Expressions are parsed through
 the Python ast module and checked against a whitelist, so nothing outside
 this grammar evaluates: no attributes, no subscripts, no other names.
 
-Compiled expressions evaluate vectorized over numpy arrays.  A field
-made of three component expressions can produce per-wavenumber mode
+Compiled expressions evaluate vectorized over numpy arrays.  An
+``ExpressionField`` of one formula (divergence data) or three (the
+cylindrical components of the body force) produces per-wavenumber mode
 coefficients by angular sampling and FFT, which is how expression data
 enters the per-mode solver; the modes asked for together on one angular
 grid come from one sampling.
@@ -22,12 +23,7 @@ import numpy as np
 from .fields import FnMode
 from .fourier import angular_grid, min_angular_samples
 
-__all__ = [
-    "ExpressionError",
-    "compile_expression",
-    "ExpressionField",
-    "ScalarExpressionField",
-]
+__all__ = ["ExpressionError", "compile_expression", "ExpressionField"]
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _NAMES = ("r", "z", "theta")
@@ -158,82 +154,52 @@ class _SharedSampling:
         return out
 
 
-def _mode_functions(fns, ks, n_theta) -> dict:
-    """{k: coefficient functions of fns} for each k, one sampling per grid size."""
-    groups = {}
-    for k in sorted(set(ks)):
-        groups.setdefault(_grid_size(k, n_theta), []).append(k)
-    out = {}
-    for n, group in groups.items():
-        shared = _SharedSampling(fns, group, n)
-        for k in group:
-            out[k] = tuple(
-                FnMode(functools.partial(shared.coefficient, c, k))
-                for c in range(len(fns))
-            )
-    return out
-
-
-def _all_real(fns) -> bool:
-    r = np.linspace(0.1, 0.9, 5)
-    z = np.linspace(0.1, 0.9, 5)
-    thetas = angular_grid(16)
-    for fn in fns:
-        vals = fn(r[:, None], z[:, None], thetas)
-        if np.max(np.abs(np.asarray(vals).imag)) > 0.0:
-            return False
-    return True
-
-
 class ExpressionField:
-    """Vector field with cylindrical components given as formulas.
+    """Field given as formulas in (r, z, theta): one, or three components.
 
-    Components are functions of (r, z, theta); mode coefficients come from
-    equispaced angular sampling and the FFT, with the sample count chosen
-    to rule out aliasing up to the requested wavenumber.
+    One formula is a scalar such as divergence data; three are the
+    cylindrical components (r, theta, z) of a vector such as the body
+    force.  Mode coefficients come from equispaced angular sampling and the
+    FFT, with the sample count chosen to rule out aliasing up to the
+    requested wavenumber.
     """
 
-    def __init__(self, fr: str, ftheta: str, fz: str, n_theta: int = None):
-        self.sources = (fr, ftheta, fz)
-        self.fns = tuple(compile_expression(s) for s in self.sources)
+    def __init__(self, *sources: str, n_theta: int = None):
+        if len(sources) not in (1, 3):
+            raise TypeError(f"takes 1 or 3 formulas, not {len(sources)}")
+        self.fns = tuple(compile_expression(s) for s in sources)
         self.n_theta = n_theta
 
     def modes(self, ks) -> dict:
-        """{k: mode-k coefficient functions of the three components} for ks.
+        """{k: mode-k coefficient functions, one per formula} for ks.
 
         Each mode keeps its own grid (n_theta, or the smallest safe one
         for |k|); the modes on one grid share a single sampling and FFT.
         """
-        return _mode_functions(self.fns, ks, self.n_theta)
+        groups = {}
+        for k in sorted(set(ks)):
+            groups.setdefault(_grid_size(k, self.n_theta), []).append(k)
+        out = {}
+        for n, group in groups.items():
+            shared = _SharedSampling(self.fns, group, n)
+            for k in group:
+                out[k] = tuple(
+                    FnMode(functools.partial(shared.coefficient, c, k))
+                    for c in range(len(self.fns))
+                )
+        return out
 
     def mode(self, k: int):
-        """Mode-k coefficient functions of the three components."""
+        """Mode-k coefficient functions, one per formula."""
         return self.modes([k])[k]
 
     def is_real(self) -> bool:
         """Whether the sampled data is real, deciding conjugation symmetry."""
-        return _all_real(self.fns)
-
-
-class ScalarExpressionField:
-    """Scalar field given as one formula in (r, z, theta).
-
-    Same angular sampling contract as ExpressionField; used for prescribed
-    divergence data.
-    """
-
-    def __init__(self, source: str, n_theta: int = None):
-        self.source = source
-        self.fn = compile_expression(source)
-        self.n_theta = n_theta
-
-    def modes(self, ks) -> dict:
-        """{k: mode-k coefficient function} for ks, sampled as ExpressionField.modes."""
-        shared = _mode_functions((self.fn,), ks, self.n_theta)
-        return {k: fns[0] for k, fns in shared.items()}
-
-    def mode(self, k: int):
-        return self.modes([k])[k]
-
-    def is_real(self) -> bool:
-        return _all_real((self.fn,))
+        r = np.linspace(0.1, 0.9, 5)
+        z = np.linspace(0.1, 0.9, 5)
+        thetas = angular_grid(16)
+        for fn in self.fns:
+            vals = fn(r[:, None], z[:, None], thetas)
+            if np.max(np.abs(np.asarray(vals).imag)) > 0.0:
+                return False
+        return True

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import VectorModeFn, as_mode_function
-from .meshing import GAMMA, MeridianMesh, locate_points
+from .meshing import GAMMA, MeridianMesh
 from .quadrature import (
     DEFAULT_ASSEMBLY_DEGREE,
     QuadratureRule,
@@ -612,15 +612,8 @@ class SaddleSystem:
         return _real_solve(self.space.pressure_mass_factor(), rhs)
 
     def dual_norm(self, f) -> float:
-        """Norm of a velocity functional in the dual of the constrained space.
-
-        ``f`` is either mode-function data or an already reduced vector.
-        """
-        if isinstance(f, np.ndarray) and f.shape == (self.n_free,):
-            F_hat = f
-        else:
-            F = assemble_rhs(self.space, f)
-            F_hat = self.constraints.C.conj().T @ F
+        """Norm of body force data ``f`` in the dual of the constrained space."""
+        F_hat = self.constraints.C.conj().T @ assemble_rhs(self.space, f)
         w = self.a_solve(F_hat)
         return float(np.sqrt(max(np.vdot(F_hat, w).real, 0.0)))
 
@@ -648,11 +641,10 @@ def assemble(space: FemSpace, k: int, g=None) -> SaddleSystem:
 class FemScalarField:
     """One scalar coefficient field over a FemSpace, P2 or P1.
 
-    ``sample_on`` gives its values and gradients at quadrature points, and
-    calling it evaluates it anywhere in the domain.  The norm engine
-    measures fields of one space through ``FemSpace.norm_matrices`` and
-    samples them (``norms.sample_component``) only inside differences and
-    mixed triples.
+    ``sample_on`` gives its values and gradients at quadrature points.  The
+    norm engine measures fields of one space through
+    ``FemSpace.norm_matrices`` and samples them
+    (``norms.sample_component``) only inside differences and mixed triples.
     """
 
     def __init__(self, space: FemSpace, dofs: np.ndarray, kind: str = "p2"):
@@ -688,17 +680,6 @@ class FemScalarField:
         nq = lam.shape[0]
         return val, np.repeat(dr[:, None], nq, 1), np.repeat(dz[:, None], nq, 1)
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        tri, bary = locate_points(self.space.mesh, points)
-        if self.kind == "p2":
-            N = _p2_values(bary)
-            loc = self.dofs[self.space.dof_map[tri]]
-        else:
-            N = bary
-            loc = self.dofs[self.space.mesh.triangles[tri]]
-        return np.einsum("pb,pb->p", N, loc)
-
 
 @dataclass
 class ModeSolution:
@@ -728,12 +709,6 @@ class ModeSolution:
 
     def pressure_field(self) -> FemScalarField:
         return FemScalarField(self.space, self.p, kind="p1")
-
-    def evaluate(self, points: np.ndarray):
-        """Velocity (3, npts) and pressure (npts,) at meridian points."""
-        fields = self.velocity_fields()
-        u = np.stack([f(points) for f in fields])
-        return u, self.pressure_field()(points)
 
 
 def boundary_flux(space: FemSpace, u) -> complex:

@@ -101,9 +101,6 @@ class Poly2:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
-    def min_r_power(self) -> int:
-        return min((a for a, _ in self.coeffs), default=0)
-
     def __repr__(self):
         if not self.coeffs:
             return "Poly2(0)"

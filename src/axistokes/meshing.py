@@ -25,17 +25,12 @@ __all__ = [
     "mesh_from_spec",
     "read_mesh",
     "write_mesh",
-    "locate_points",
 ]
 
 GAMMA = "G"
 GAMMA0 = "G0"
 
 _SNAP_REL = 1e-12
-
-# How far outside every triangle, relative to the mesh diameter, a point
-# may lie and still be located.
-_LOCATE_TOL = 1e-10
 
 
 class MeshError(ValueError):
@@ -558,42 +553,3 @@ def read_mesh(path) -> MeridianMesh:
     except MeshError as err:
         raise MeshError(f"{path}: {err}") from None
 
-
-def locate_points(mesh: MeridianMesh, points):
-    """Find the containing triangle and barycentric coordinates of points.
-
-    Returns (tri_index, barycentric) arrays; raises MeshError for points
-    outside the mesh beyond ``_LOCATE_TOL`` (relative to the mesh diameter).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    verts = mesh.vertices
-    tris = mesh.triangles
-    v0 = verts[tris[:, 0]]
-    e1 = verts[tris[:, 1]] - v0
-    e2 = verts[tris[:, 2]] - v0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    scale = float(np.ptp(verts, axis=0).max())
-    atol = _LOCATE_TOL * max(scale, 1.0)
-
-    n = len(pts)
-    tri_idx = np.full(n, -1, dtype=np.int64)
-    bary = np.zeros((n, 3))
-    chunk = max(1, int(2e6) // max(1, len(tris)))
-    for start in range(0, n, chunk):
-        P = pts[start : start + chunk]
-        d = P[:, None, :] - v0[None, :, :]
-        lam1 = (d[:, :, 0] * e2[None, :, 1] - d[:, :, 1] * e2[None, :, 0]) / det
-        lam2 = (e1[None, :, 0] * d[:, :, 1] - e1[None, :, 1] * d[:, :, 0]) / det
-        lam0 = 1.0 - lam1 - lam2
-        inside = (lam0 >= -atol) & (lam1 >= -atol) & (lam2 >= -atol)
-        hit = inside.argmax(axis=1)
-        ok = inside[np.arange(len(P)), hit]
-        rows = np.arange(start, start + len(P))
-        tri_idx[rows[ok]] = hit[ok]
-        bary[rows[ok], 0] = lam0[ok, hit[ok]]
-        bary[rows[ok], 1] = lam1[ok, hit[ok]]
-        bary[rows[ok], 2] = lam2[ok, hit[ok]]
-    if np.any(tri_idx < 0):
-        bad = pts[tri_idx < 0][0]
-        raise MeshError(f"point ({bad[0]:g}, {bad[1]:g}) lies outside the mesh")
-    return tri_idx, bary

@@ -56,7 +56,6 @@ __all__ = [
     "mode_energy_product",
     "mode_divergence_product",
     "norm_report_csv",
-    "quadrature_geometry",
     "sample_component",
 ]
 
@@ -107,9 +106,9 @@ def sample_component(
     return np.asarray(as_mode_function(comp).value(R, Z), dtype=complex), None, None
 
 
-def integrate_weighted(mesh, f, weight_exponent: int = 1, rule: QuadratureRule = None):
-    """Integral of f(r, z) * r**weight_exponent over the meshed domain."""
-    rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
+def integrate_weighted(mesh, f, weight_exponent: int = 1):
+    """Integral of f(r, z) * r**weight_exponent over the meshed domain, at the norm rule."""
+    rule = triangle_rule(DEFAULT_NORM_DEGREE)
     geometry = quadrature_geometry(mesh, rule)
     val, _, _ = sample_component(f, mesh, rule, False, geometry)
     R, _, W = geometry
@@ -153,10 +152,6 @@ class NormReport:
     @property
     def h1k(self) -> float:
         return float(np.sqrt(self.h1k_sq))
-
-    @property
-    def h1k_semi(self) -> float:
-        return float(np.sqrt(self.h1k_semi_sq))
 
     @property
     def h1k_star(self) -> float:

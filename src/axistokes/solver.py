@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 
+# Pressure counts up to which estimate_inf_sup takes the dense eigensolver.
+_DENSE_LIMIT = 1500
+
 # LOBPCG's residual tolerance, iteration cap and the seed of its start block.
 _LOBPCG_TOL = 1e-6
 _LOBPCG_MAXITER = 2000
@@ -73,15 +76,21 @@ class SolverConfig:
             object.__setattr__(self, "method", "uzawa")
         if self.method not in ("direct", "uzawa"):
             raise ValueError("method must be 'direct' or 'uzawa'")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
 class SolveReport:
-    """What happened during one mode solve."""
+    """What happened during one mode solve.
+
+    ``residuals`` is the Uzawa iteration's history of (iteration, res_u,
+    res_p), empty for the direct method; ``res_u`` and ``res_p`` are the
+    true residuals of the returned solution.  A breakdown raises
+    SolverBreakdown instead of returning a report.
+    """
 
     k: int
     method: str
@@ -93,15 +102,14 @@ class SolveReport:
     res_p: float = 0.0
     mean_multiplier: float = 0.0
     compatibility_flux: complex = None
-    breakdown: str = None
     residuals: list = field(default_factory=list)
 
     RESIDUAL_HEADER = "iter, res_u, res_p"
 
     def residual_csv(self) -> str:
+        """The residual history as CSV text under ``RESIDUAL_HEADER``."""
         lines = [self.RESIDUAL_HEADER]
-        history = self.residuals or [(self.iterations, self.res_u, self.res_p)]
-        for it, ru, rp in history:
+        for it, ru, rp in self.residuals:
             lines.append(f"{it}, {ru!r}, {rp!r}")
         return "\n".join(lines) + "\n"
 
@@ -282,19 +290,19 @@ class InfSupEstimate:
     h_max: float
 
 
-def estimate_inf_sup(system: SaddleSystem, *, dense_limit: int = 1500) -> InfSupEstimate:
+def estimate_inf_sup(system: SaddleSystem) -> InfSupEstimate:
     """Smallest eigenvalue of the pressure Schur complement against the mass.
 
     beta**2 is the minimum of q^T S q / q^T Mp q over admissible pressures
     (mean-free ones for the axisymmetric mode), with S = B_hat A_hat^-1
-    B_hat^T real.  Moderate problems take the dense symmetric eigensolver
-    on the whole pencil (S, Mp), skipping the constant kernel at k = 0;
-    larger ones use LOBPCG on the implicitly applied Schur complement with
-    the constant deflated.
+    B_hat^T real.  Up to ``_DENSE_LIMIT`` pressures the dense symmetric
+    eigensolver takes the whole pencil (S, Mp), skipping the constant
+    kernel at k = 0; larger problems use LOBPCG on the implicitly applied
+    Schur complement with the constant deflated.
     """
     np_ = system.n_p
     k = system.k
-    if np_ <= dense_limit:
+    if np_ <= _DENSE_LIMIT:
         # At k = 0 the constant spans the kernel of S, and the other
         # eigenvectors are Mp-orthogonal to it, that is mean-free.
         index = [1, 1] if k == 0 else [0, 0]

@@ -13,7 +13,6 @@ powers the operator introduces, so a manufactured case that claims to be
 divergence-free is checked symbolically, not at sample points.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,14 +24,13 @@ from .meshing import MeridianMesh, generate_structured
 from .norms import (
     FieldDifference,
     integrate_weighted,
-    quadrature_geometry,
     sampled_divergence_product,
     sampled_energy_product,
     sampled_vector_norm,
     scalar_mode_norm,
     vector_mode_norm,
 )
-from .quadrature import DEFAULT_NORM_DEGREE, triangle_rule
+from .quadrature import DEFAULT_NORM_DEGREE, quadrature_geometry, triangle_rule
 from .solver import solve_mode
 
 __all__ = [
@@ -45,6 +43,8 @@ __all__ = [
     "convergence_study",
     "isometry_suite",
     "stability_study",
+    "strong_divergence",
+    "strong_force",
     "strong_residual",
     "truncation_study",
 ]
@@ -248,7 +248,6 @@ class ConvergenceStudy:
     hs: list
     err_u: list
     err_p: list
-    runtime: float = 0.0
 
     CSV_HEADER = "h, err_u, rate_u, err_p, rate_p"
 
@@ -284,7 +283,6 @@ def convergence_study(
     Velocity error in the full mode norm, pressure error in the r-weighted
     L2 norm with the weighted mean aligned for the axisymmetric mode.
     """
-    started = time.perf_counter()
     err_u, err_p = [], []
     for h in hs:
         mesh = generate_structured((1.0, 1.0), h)
@@ -300,12 +298,7 @@ def convergence_study(
         diff_p = FieldDifference(sol.pressure_field(), p_exact)
         err_p.append(scalar_mode_norm(mesh, diff_p, 0).l2_1)
     return ConvergenceStudy(
-        case=case.name,
-        k=case.k,
-        hs=list(hs),
-        err_u=err_u,
-        err_p=err_p,
-        runtime=time.perf_counter() - started,
+        case=case.name, k=case.k, hs=list(hs), err_u=err_u, err_p=err_p
     )
 
 

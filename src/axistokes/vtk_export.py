@@ -19,14 +19,11 @@ from .meshing import MeridianMesh
 
 __all__ = ["write_vtk"]
 
+# Largest imaginary part of the reconstructed field written without a warning.
+_IMAG_TOL = 1e-9
 
-def write_vtk(
-    path,
-    mesh: MeridianMesh,
-    stack: FourierStack,
-    n_theta: int = 32,
-    imag_tol: float = 1e-9,
-) -> None:
+
+def write_vtk(path, mesh: MeridianMesh, stack: FourierStack, n_theta: int = 32) -> None:
     """Write the revolved 3D field of a mode stack as an ASCII VTK file."""
     if stack.mesh_id != mesh.mesh_id:
         raise ValueError(
@@ -40,7 +37,7 @@ def write_vtk(
     nv = mesh.n_vertices
     u = u[:, :nv, :]
     worst_imag = max(float(np.max(np.abs(u.imag))), float(np.max(np.abs(p.imag))))
-    if worst_imag > imag_tol:
+    if worst_imag > _IMAG_TOL:
         warnings.warn(
             f"reconstructed field has imaginary part up to {worst_imag:.3e}; "
             "writing the real part",

@@ -1,0 +1,39 @@
+"""Every public name has one home: the module whose ``__all__`` lists it."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import axistokes
+
+MODULES = [
+    importlib.import_module(f"axistokes.{info.name}")
+    for info in pkgutil.iter_modules(axistokes.__path__)
+]
+
+
+def _defined_names(module) -> set:
+    """Names bound at the top level of a module's source, imports excluded."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_exports_only_its_own_names(module):
+    foreign = set(module.__all__) - _defined_names(module)
+    assert not foreign, f"{module.__name__}.__all__ re-exports {sorted(foreign)}"
+
+
+def test_package_exports_come_from_module_exports():
+    homes = {name for module in MODULES for name in module.__all__}
+    missing = set(axistokes.__all__) - homes - {"__version__"}
+    assert not missing, f"axistokes.__all__ lists {sorted(missing)} with no home"

@@ -264,8 +264,12 @@ def test_bad_configs_exit_3(tmp_path, capsys, body):
             "[modes] wavenumbers: expected integers, got '1 x'",
         ),
         ("[modes]\n", "[solver]\nmax_iter = 0\n\n[modes]\n", "[solver] max_iter must be at least 1"),
+        ("h = 0.25", "h = nan", "[domain] h: not a finite number"),
+        ("h = 0.25", "h = inf", "[domain] h: not a finite number"),
+        ("[modes]\n", "[solver]\ntol = inf\n\n[modes]\n", "[solver] tol: not a finite number"),
+        ("rectangle = 1 1", "rectangle = 1 -inf", "[domain] rectangle: not a finite number"),
     ],
-    ids=["float", "int", "bool", "int-list", "max_iter"],
+    ids=["float", "int", "bool", "int-list", "max_iter", "nan", "inf", "tol-inf", "float-list"],
 )
 def test_bad_config_values_name_key_and_type(tmp_path, capsys, old, new, message):
     body = (_base(tmp_path / "out") + "\n[modes]\n").replace(old, new)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from axistokes.expressions import (
     ExpressionError,
     ExpressionField,
-    ScalarExpressionField,
     compile_expression,
 )
 from axistokes.fourier import angular_grid, min_angular_samples
@@ -124,22 +123,24 @@ def test_mode_extraction_matches_analytic_coefficients():
 
 
 def test_scalar_expression_field():
-    g = ScalarExpressionField("z*sin(theta)")
-    mode = g.mode(1)
+    g = ExpressionField("z*sin(theta)")
+    (mode,) = g.mode(1)
     # sin(theta) = (e^{i theta} - e^{-i theta}) / 2i, so the k = 1
     # coefficient under the symmetric normalization is -i sqrt(pi/2) z.
     vals = mode.value(np.array([0.3]), np.array([0.5]))
     expected = -1j * np.sqrt(np.pi / 2.0) * 0.5
     np.testing.assert_allclose(vals, [expected], rtol=1e-13)
     assert g.is_real()
+    with pytest.raises(TypeError, match="1 or 3 formulas"):
+        ExpressionField("r", "z")
 
 
 def test_is_real_detection():
     assert ExpressionField("r*cos(theta)", "z", "1").is_real()
-    assert ScalarExpressionField("exp(z)*sin(3*theta)").is_real()
+    assert ExpressionField("exp(z)*sin(3*theta)").is_real()
     # The grammar has no imaginary literal, but a power of a negative
     # number evaluates to a Python complex, so complex data can be written.
-    assert not ScalarExpressionField("(-1)**0.5*sin(theta)").is_real()
+    assert not ExpressionField("(-1)**0.5*sin(theta)").is_real()
     assert not ExpressionField("r", "(-1)**0.5*r", "0").is_real()
 
 
@@ -149,7 +150,7 @@ def test_angular_sample_guard():
     with pytest.raises(ExpressionError, match="resolve"):
         field.mode(2)
     with pytest.raises(ExpressionError, match="resolve"):
-        ScalarExpressionField("r", n_theta=4).mode(1)
+        ExpressionField("r", n_theta=4).mode(1)
 
 
 def test_default_sampling_tracks_wavenumber():
@@ -178,7 +179,7 @@ def _direct_sum(source, k, n, r, z):
 def test_shared_sampling_matches_per_mode_sums(n_theta, ks):
     sources = ("r*exp(cos(theta))", "z/(1.5 - cos(theta - 0.3))", "r*z*sin(3*theta) + 1")
     field = ExpressionField(*sources, n_theta=n_theta)
-    scalar = ScalarExpressionField(sources[1], n_theta=n_theta)
+    scalar = ExpressionField(sources[1], n_theta=n_theta)
     r, z = np.meshgrid(np.linspace(0.05, 0.95, 7), np.linspace(0.0, 1.0, 5))
     shared = field.modes(ks)
     shared_g = scalar.modes(ks)
@@ -194,7 +195,7 @@ def test_shared_sampling_matches_per_mode_sums(n_theta, ks):
             assert np.abs(got - direct[k]).max() <= 1e-13 * scale, (c, k)
             np.testing.assert_array_equal(field.mode(k)[c].value(r, z), got)
             if c == 1:
-                assert np.abs(shared_g[k].value(r, z) - direct[k]).max() <= 1e-13 * scale
+                assert np.abs(shared_g[k][0].value(r, z) - direct[k]).max() <= 1e-13 * scale
 
 
 def test_shared_sampling_resamples_at_new_points():

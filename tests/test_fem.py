@@ -13,7 +13,6 @@ from axistokes.fem import (
     COMP_Z,
     FemScalarField,
     FemSpace,
-    ModeSolution,
     assemble,
     assemble_divergence_rhs,
     assemble_rhs,
@@ -23,7 +22,12 @@ from axistokes.fem import (
 from axistokes.fields import Poly2
 from axistokes.meshing import generate_structured, triangulate_polygon
 from axistokes.norms import mode_energy_product
-from axistokes.quadrature import DEFAULT_NORM_DEGREE, edge_rule, triangle_rule
+from axistokes.quadrature import (
+    DEFAULT_NORM_DEGREE,
+    edge_rule,
+    quadrature_geometry,
+    triangle_rule,
+)
 
 from fem_reference import mode_matrices, reference_operators, reference_samples
 
@@ -272,17 +276,21 @@ def test_sampling_matches_gradient_table_reference(mesh):
 
 
 def test_scalar_field_point_evaluation(space):
+    # P2 reproduces a quadratic and P1 a linear function at every quadrature
+    # point of the assembly rule, on every triangle.
+    rule = triangle_rule(5)
+    R, Z, _ = quadrature_geometry(space.mesh, rule)
     coords = space.dof_coords
     q = lambda r, z: 1.0 + 2.0 * r - z + r**2 - 3.0 * r * z + 0.5 * z**2
     field = FemScalarField(space, q(coords[:, 0], coords[:, 1]).astype(complex))
-    rng = np.random.default_rng(4)
-    pts = rng.uniform(0.05, 0.95, size=(20, 2))
-    np.testing.assert_allclose(field(pts), q(pts[:, 0], pts[:, 1]), rtol=1e-12)
+    val, _, _ = field.sample_on(space.mesh, rule, need_grad=False)
+    np.testing.assert_allclose(val, q(R, Z), rtol=1e-12)
 
     verts = space.mesh.vertices
     lin = lambda r, z: 2.0 - r + 3.0 * z
     p1 = FemScalarField(space, lin(verts[:, 0], verts[:, 1]).astype(complex), kind="p1")
-    np.testing.assert_allclose(p1(pts), lin(pts[:, 0], pts[:, 1]), rtol=1e-12)
+    val, _, _ = p1.sample_on(space.mesh, rule, need_grad=False)
+    np.testing.assert_allclose(val, lin(R, Z), rtol=1e-12)
 
 
 def test_scalar_field_validation(space):
@@ -294,19 +302,6 @@ def test_scalar_field_validation(space):
     field = FemScalarField(space, np.zeros(space.n_vel))
     with pytest.raises(ValueError, match="does not live"):
         field.sample_on(other.mesh, triangle_rule(2))
-
-
-def test_mode_solution_evaluation(space):
-    rng = np.random.default_rng(8)
-    u = rng.standard_normal((3, space.n_vel)) + 1j * rng.standard_normal((3, space.n_vel))
-    p = rng.standard_normal(space.n_p)
-    sol = ModeSolution(k=1, space=space, u=u, p=p)
-    pts = rng.uniform(0.1, 0.9, size=(5, 2))
-    uvals, pvals = sol.evaluate(pts)
-    assert uvals.shape == (3, 5)
-    for c, field in enumerate(sol.velocity_fields()):
-        np.testing.assert_allclose(uvals[c], field(pts), rtol=1e-14)
-    np.testing.assert_allclose(pvals, sol.pressure_field()(pts), rtol=1e-14)
 
 
 def test_space_caches_build_once():

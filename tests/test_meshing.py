@@ -16,7 +16,6 @@ from axistokes.meshing import (
     MeridianMesh,
     MeshError,
     generate_structured,
-    locate_points,
     mesh_from_spec,
     read_mesh,
     refine,
@@ -202,30 +201,6 @@ def test_untagged_boundary_rejected():
     edges = [(0, 1), (1, 2)]
     with pytest.raises(MeshError, match="topological boundary"):
         MeridianMesh(verts, tris, edges, (GAMMA, GAMMA))
-
-
-def test_locate_points_reproduces_coordinates():
-    mesh = triangulate_polygon(L_SHAPE, target_h=0.6)
-    rng = np.random.default_rng(7)
-    # Rejection-sample interior points of the L-shape.
-    # Membership: the strip r <= 1 only exists above z = 0.5.
-    pts = []
-    while len(pts) < 40:
-        r, z = rng.uniform(0.02, 2.98), rng.uniform(0.02, 0.98)
-        if r >= 1.02 or z >= 0.52:
-            pts.append((r, z))
-    pts = np.array(pts)
-    tri, bary = locate_points(mesh, pts)
-    assert np.all(tri >= 0)
-    corners = mesh.vertices[mesh.triangles[tri]]
-    rebuilt = np.einsum("pb,pbc->pc", bary, corners)
-    np.testing.assert_allclose(rebuilt, pts, atol=1e-12)
-
-
-def test_locate_points_flags_outside():
-    mesh = generate_structured((1.0, 1.0), 0.5)
-    with pytest.raises(MeshError, match="outside"):
-        locate_points(mesh, [(2.0, 2.0)])
 
 
 def _loop_edge_table(tris):

@@ -221,11 +221,9 @@ def test_dual_norm_paths_agree(space, cases):
     F = assemble_rhs(space, case.f)
     F_hat = system.constraints.C.conj().T @ F
     from_data = system.dual_norm(case.f)
-    from_vector = system.dual_norm(F_hat)
-    assert from_data == pytest.approx(from_vector, rel=1e-12)
     w = system.a_solve(F_hat)
     energy = np.sqrt(np.vdot(w, system.A_hat @ w).real)
-    assert from_vector == pytest.approx(energy, rel=1e-10)
+    assert from_data == pytest.approx(energy, rel=1e-10)
 
 
 def test_uzawa_stopping_short_warns(space, cases):
@@ -255,16 +253,13 @@ def test_residual_history_and_csv(space, cases):
     assert int(last[0]) == report.iterations
     assert float(last[2]) <= float(lines[1].split(",")[2])
 
-    direct = solve_mode(assemble(space, 1, g=case.u), f=case.f)
-    lines = direct.report.residual_csv().strip().splitlines()
-    assert len(lines) == 2
-
 
 def test_solver_config_validation():
     with pytest.raises(ValueError, match="method"):
         SolverConfig(method="multigrid")
-    with pytest.raises(ValueError, match="tol"):
-        SolverConfig(tol=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=tol)
     for max_iter in (0, -1):
         with pytest.raises(ValueError, match="max_iter"):
             SolverConfig(method="uzawa", max_iter=max_iter)
@@ -447,10 +442,11 @@ def test_zero_slices_skip_their_factor(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [0, 2])
-def test_lobpcg_inf_sup_matches_dense(square8_systems, k):
+def test_lobpcg_inf_sup_matches_dense(square8_systems, k, monkeypatch):
     system = square8_systems[k]
     dense = estimate_inf_sup(system)
-    iterative = estimate_inf_sup(system, dense_limit=system.n_p - 1)
+    monkeypatch.setattr("axistokes.solver._DENSE_LIMIT", system.n_p - 1)
+    iterative = estimate_inf_sup(system)
     assert (dense.method, iterative.method) == ("dense", "lobpcg")
     assert iterative.lambda_min == pytest.approx(dense.lambda_min, rel=1e-6)
 

@@ -11,13 +11,12 @@ from axistokes.meshing import DomainSpec, generate_structured, mesh_from_spec
 from axistokes.norms import (
     mode_divergence_product,
     mode_energy_product,
-    quadrature_geometry,
     sampled_divergence_product,
     sampled_energy_product,
     sampled_vector_norm,
     vector_mode_norm,
 )
-from axistokes.quadrature import DEFAULT_NORM_DEGREE, triangle_rule
+from axistokes.quadrature import DEFAULT_NORM_DEGREE, quadrature_geometry, triangle_rule
 from axistokes.verification import (
     CheckResult,
     ConvergenceStudy,
