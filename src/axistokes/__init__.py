@@ -17,7 +17,7 @@ from .fem import (
     assemble,
     boundary_flux,
 )
-from .fields import FnMode, Poly2, VectorModeFn, as_mode_function
+from .fields import Poly2, VectorModeFn
 from .fourier import (
     AngularSamples,
     FourierStack,
@@ -92,10 +92,8 @@ __all__ = [
     "SaddleSystem",
     "assemble",
     "boundary_flux",
-    "FnMode",
     "Poly2",
     "VectorModeFn",
-    "as_mode_function",
     "AngularSamples",
     "FourierStack",
     "ModeVectors",

@@ -311,29 +311,13 @@ def _mode_norm_rows(mesh, space, k, u, p):
     return rep_u, rep_p
 
 
-def _solution_norm_rows(mesh, space, results: dict, real_data: bool) -> dict:
-    """{k: (velocity, pressure) norm reports} for each solved mode.
-
-    For real data mode -k is the conjugate of mode k and has the same
-    norms, so each |k| is evaluated once and its reports relabelled.
-    """
-    rows = {}
-    for k in sorted(results, key=abs):
-        if real_data and -k in rows:
-            rows[k] = tuple(dataclasses.replace(rep, k=k) for rep in rows[-k])
-        else:
-            solution = results[k]
-            rows[k] = _mode_norm_rows(mesh, space, k, solution.u, solution.p)
-    return rows
-
-
 def _solve_modes(config: RunConfig, space: FemSpace, ks, real_data: bool):
-    """{k: solution} for each k in ks, solved one at a time in order of (|k|, k).
+    """{k: solution} for the modes to solve, one at a time in order of (|k|, k).
 
     In this order each L_j is factored once (``FemSpace.velocity_factor``).
-    Real data makes mode -k the conjugate of mode k, so each |k| is solved
-    once.  The sampled data and the space's velocity factors are dropped on
-    return, before the output stage.
+    Real data makes mode -k the conjugate of mode k, so only |k| is solved
+    for each k in ks.  The sampled data and the space's velocity factors
+    are dropped on return, before the output stage.
     """
     wanted = {abs(k) if real_data else k for k in ks}
     solve_ks = sorted(wanted, key=lambda k: (abs(k), k))
@@ -345,7 +329,7 @@ def _solve_modes(config: RunConfig, space: FemSpace, ks, real_data: bool):
             assemble(space, k, g=g), f=f, g_div=g_div, config=config.solver
         )
     space.release_velocity_factors()
-    return {k: solved[k] if k in solved else solved[-k].conj() for k in ks}
+    return solved
 
 
 def cmd_solve(args) -> int:
@@ -356,7 +340,7 @@ def cmd_solve(args) -> int:
     ks = _mode_list(config, real_data)
 
     started = time.perf_counter()
-    results = _solve_modes(config, space, ks, real_data)
+    solved = _solve_modes(config, space, ks, real_data)
     elapsed = time.perf_counter() - started
 
     out = config.out_dir
@@ -367,14 +351,21 @@ def cmd_solve(args) -> int:
     modes = {}
     reports_u, reports_p = [], []
     broke = []
-    norm_rows = _solution_norm_rows(mesh, space, results, real_data)
-    for k in sorted(results):
-        solution = results[k]
-        modes[k] = ModeVectors(solution.u, solution.p)
-        rep_u, rep_p = norm_rows[k]
+    norm_rows = {k: _mode_norm_rows(mesh, space, k, s.u, s.p) for k, s in solved.items()}
+    for k in sorted(ks):
+        if k in solved:
+            solution = solved[k]
+            modes[k] = ModeVectors(solution.u, solution.p)
+            rpt = solution.report
+            rep_u, rep_p = norm_rows[k]
+        else:
+            # Mode -k of real data: the conjugate of mode k, with its norms.
+            solution = solved[-k]
+            modes[k] = ModeVectors(solution.u.conj(), solution.p.conj())
+            rpt = dataclasses.replace(solution.report, k=k)
+            rep_u, rep_p = (dataclasses.replace(rep, k=k) for rep in norm_rows[-k])
         reports_u.append(rep_u)
         reports_p.append(rep_p)
-        rpt = solution.report
         note = f"method={rpt.method}"
         if rpt.method == "uzawa":
             note += f", iterations={rpt.iterations}"

@@ -20,7 +20,6 @@ import functools
 
 import numpy as np
 
-from .fields import FnMode
 from .fourier import angular_grid, min_angular_samples
 
 __all__ = ["ExpressionError", "compile_expression", "ExpressionField"]
@@ -184,7 +183,7 @@ class ExpressionField:
             shared = _SharedSampling(self.fns, group, n)
             for k in group:
                 out[k] = tuple(
-                    FnMode(functools.partial(shared.coefficient, c, k))
+                    functools.partial(shared.coefficient, c, k)
                     for c in range(len(self.fns))
                 )
         return out

@@ -29,7 +29,6 @@ instead of silently moving the problem.
 """
 
 import collections
-import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -37,10 +36,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import VectorModeFn, as_mode_function
 from .meshing import GAMMA, MeridianMesh
 from .quadrature import (
     DEFAULT_ASSEMBLY_DEGREE,
+    DEFAULT_NORM_DEGREE,
     QuadratureRule,
     edge_rule,
     quadrature_geometry,
@@ -66,13 +65,13 @@ COMP_R, COMP_T, COMP_Z = 0, 1, 2
 # Velocity factors a space keeps: the three scalar indices of one mode.
 _VELOCITY_FACTORS_KEPT = 3
 
-# The one rule every operator and right side is integrated with.
+# The one rule every operator and right side is integrated with, and the
+# one rule every norm is taken at.
 _ASSEMBLY_RULE = triangle_rule(DEFAULT_ASSEMBLY_DEGREE)
+_NORM_RULE = triangle_rule(DEFAULT_NORM_DEGREE)
 
-# Warning thresholds: corner wall data along a direction the axis pins, and
-# the net axisymmetric volume flux relative to the wall data.
+# Warning threshold of corner wall data along a direction the axis pins.
 _CORNER_TOL = 1e-10
-_COMPAT_TOL = 1e-10
 
 # Degree of the Gauss rule of the boundary flux on each edge.
 _FLUX_RULE_DEGREE = 7
@@ -119,7 +118,7 @@ class FemSpace:
     velocity index m.
 
     Operators and the pressure mass factor are built on first use at the
-    assembly rule, norm matrices per norm rule; factors of the scalar
+    assembly rule, norm matrices at the norm rule; factors of the scalar
     velocity blocks L_j are kept for the last three j (``velocity_factor``),
     and the space is their only owner.
     A space and its caches serve one thread.
@@ -130,8 +129,6 @@ class FemSpace:
         nv = mesh.n_vertices
         tris = mesh.triangles
         edges = mesh.edges
-        edge_ids = dict(zip(map(tuple, edges.tolist()), range(len(edges))))
-        self.edge_ids = edge_ids
         self.dof_map = np.hstack([tris, nv + mesh.triangle_edges])
         self.n_p = nv
         self.n_vel = nv + len(edges)
@@ -139,10 +136,9 @@ class FemSpace:
         self.dof_coords = np.vstack([mesh.vertices, mids])
 
         wall, axis = set(), set()
-        for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            eid = edge_ids[tuple(sorted((int(a), int(b))))]
-            dofs = {int(a), int(b), nv + eid}
-            (wall if tag == GAMMA else axis).update(dofs)
+        edge_mids = (nv + mesh.boundary_edge_ids).tolist()
+        for (a, b), m, tag in zip(mesh.boundary_edges.tolist(), edge_mids, mesh.boundary_tags):
+            (wall if tag == GAMMA else axis).update((a, b, m))
         self.wall_dofs = frozenset(wall)
         self.axis_dofs = frozenset(axis)
         self.corner_dofs = frozenset(wall & axis)
@@ -165,7 +161,7 @@ class FemSpace:
         self.grad_lambda = grad
         self._operators = None
         self._mp_factor = None
-        self._norm_cache = {}
+        self._norm_matrices = None
         self._velocity_factors = collections.OrderedDict()
 
     def free_nodes(self, j: int) -> np.ndarray:
@@ -175,20 +171,18 @@ class FemSpace:
         """
         return self._free_nodes[j != 0]
 
-    def norm_matrices(self, rule: QuadratureRule, kind: str = "p2") -> "NormMatrices":
-        """Element matrices of the weighted mode norms at ``rule``, P2 or P1.
+    def norm_matrices(self, kind: str) -> "NormMatrices":
+        """Element matrices of the weighted mode norms, P2 or P1.
 
         For a field with element coefficients loc_t, the r-weighted L2 sum
-        of its samples at the rule points is sum_t conj(loc_t) mass_r[t]
+        of its samples at the norm rule is sum_t conj(loc_t) mass_r[t]
         loc_t, and likewise for the other two; see ``NormMatrices``.
-        The matrices of a rule are built once, keyed by its degree and
-        number of points.
+        Both kinds are built together on first use.
         """
-        key = (rule.degree, len(rule.weights))
-        if key not in self._norm_cache:
-            mats = _element_matrices(self, rule)
-            self._norm_cache[key] = {"p2": mats["p2"], "p1": mats["p1"]}
-        return self._norm_cache[key][kind]
+        if self._norm_matrices is None:
+            mats = _element_matrices(self, _NORM_RULE)
+            self._norm_matrices = {"p2": mats["p2"], "p1": mats["p1"]}
+        return self._norm_matrices[kind]
 
     def operators(self) -> "ModeOperators":
         """Global operators at the assembly rule, scattered from its element matrices."""
@@ -404,22 +398,20 @@ def _mode_basis(k: int):
 def mode_constraints(space: FemSpace, k: int, g=None) -> ModeConstraints:
     """Dirichlet and axis conditions for wavenumber k.
 
-    ``g`` is the wall velocity data (vector mode function or component
-    triple); omitted means homogeneous.  Wall values are interpolated at
-    wall degrees of freedom.  At wall/axis corners the wall data wins; a
-    warning reports data whose component along any direction with j != 0
-    exceeds ``_CORNER_TOL``.
+    ``g`` is the wall velocity data (a vector mode function or any triple
+    of mode functions); omitted means homogeneous.  Wall values are
+    interpolated at wall degrees of freedom.  At wall/axis corners the wall
+    data wins; a warning reports data whose component along any direction
+    with j != 0 exceeds ``_CORNER_TOL``.
     """
     n = space.n_vel
     js, dirs = _mode_basis(k)
     fix = np.zeros(3 * n, dtype=complex)
     if g is not None and space.wall_dofs:
         wall = np.fromiter(space.wall_dofs, np.int64, len(space.wall_dofs))
-        comps = g.components if isinstance(g, VectorModeFn) else tuple(g)
         coords = space.dof_coords[wall]
-        for c, comp in enumerate(comps):
-            fn = as_mode_function(comp)
-            vals = np.asarray(fn.value(coords[:, 0], coords[:, 1]), dtype=complex)
+        for c, comp in enumerate(g):
+            vals = np.asarray(comp(coords[:, 0], coords[:, 1]), dtype=complex)
             fix[c * n + wall] = np.broadcast_to(vals, wall.shape)
 
         corners = np.array(sorted(space.corner_dofs), dtype=np.int64)
@@ -456,11 +448,8 @@ def assemble_rhs(space: FemSpace, f=None) -> np.ndarray:
         return F
     N = _p2_values(_ASSEMBLY_RULE.points)
     R, Z, W = quadrature_geometry(space.mesh, _ASSEMBLY_RULE)
-    comps = f.components if isinstance(f, VectorModeFn) else tuple(f)
-    for c, comp in enumerate(comps):
-        fn = as_mode_function(comp)
-        vals = np.asarray(fn.value(R, Z), dtype=complex)
-        vals = np.broadcast_to(vals, R.shape)
+    for c, comp in enumerate(f):
+        vals = np.broadcast_to(np.asarray(comp(R, Z), dtype=complex), R.shape)
         loc = np.einsum("tq,qb->tb", W * R * vals, N)
         np.add.at(F[c * n : (c + 1) * n], space.dof_map.ravel(), loc.ravel())
     return F
@@ -472,8 +461,7 @@ def assemble_divergence_rhs(space: FemSpace, g_div):
     if g_div is None:
         return G
     R, Z, W = quadrature_geometry(space.mesh, _ASSEMBLY_RULE)
-    fn = as_mode_function(g_div)
-    vals = np.broadcast_to(np.asarray(fn.value(R, Z), dtype=complex), R.shape)
+    vals = np.broadcast_to(np.asarray(g_div(R, Z), dtype=complex), R.shape)
     loc = -np.einsum("tq,qm->tm", W * R * vals, _ASSEMBLY_RULE.points)
     np.add.at(G, space.mesh.triangles.ravel(), loc.ravel())
     return G
@@ -544,10 +532,7 @@ class SaddleSystem:
     def rhs(self, f=None, g_div=None):
         """Reduced right sides (F_hat, G_hat) for body force and divergence data.
 
-        For the axisymmetric mode a net volume defect between the wall data
-        and the divergence data makes the continuity block inconsistent;
-        it is reported as a warning and left in place.  Data that is not
-        finite raises DataError.
+        Data that is not finite raises DataError.
         """
         with np.errstate(invalid="ignore", over="ignore"):
             F = assemble_rhs(self.space, f)
@@ -560,15 +545,6 @@ class SaddleSystem:
                 f"mode {self.k}: the body force, divergence or wall data is "
                 "not finite on the mesh"
             )
-        if self.k == 0:
-            defect = complex(np.sum(G_hat))
-            scale = max(1.0, float(np.abs(fix).max(initial=0.0)))
-            if abs(defect) > _COMPAT_TOL * scale:
-                warnings.warn(
-                    f"axisymmetric data carries net volume flux {defect:.3e}; "
-                    "the mean-free pressure solve will balance it",
-                    stacklevel=2,
-                )
         return F_hat, G_hat
 
     def _lift(self, fix: np.ndarray) -> np.ndarray:
@@ -641,8 +617,8 @@ def assemble(space: FemSpace, k: int, g=None) -> SaddleSystem:
 class FemScalarField:
     """One scalar coefficient field over a FemSpace, P2 or P1.
 
-    ``sample_on`` gives its values and gradients at quadrature points.  The
-    norm engine measures fields of one space through
+    ``sample_on`` gives its values and gradients at the points of the norm
+    rule.  The norm engine measures fields of one space through
     ``FemSpace.norm_matrices`` and samples them
     (``norms.sample_component``) only inside differences and mixed triples.
     """
@@ -658,10 +634,10 @@ class FemScalarField:
         self.dofs = dofs
         self.kind = kind
 
-    def sample_on(self, mesh: MeridianMesh, rule: QuadratureRule, need_grad=True):
+    def sample_on(self, mesh: MeridianMesh, need_grad=True):
         if mesh.mesh_id != self.space.mesh.mesh_id:
             raise ValueError("field sampled on a mesh it does not live on")
-        lam, gl = rule.points, self.space.grad_lambda
+        lam, gl = _NORM_RULE.points, self.space.grad_lambda
         if self.kind == "p2":
             loc = self.dofs[self.space.dof_map]
             val = np.einsum("qb,tb->tq", _p2_values(lam), loc)
@@ -694,15 +670,6 @@ class ModeSolution:
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=complex).reshape(3, self.space.n_vel)
         self.p = np.asarray(self.p, dtype=complex).reshape(self.space.n_p)
-
-    def conj(self) -> "ModeSolution":
-        """Mode -k of real data: the conjugate, with the report copied to -k."""
-        report = self.report
-        if report is not None:
-            report = dataclasses.replace(report, k=-self.k)
-        return ModeSolution(
-            k=-self.k, space=self.space, u=self.u.conj(), p=self.p.conj(), report=report
-        )
 
     def velocity_fields(self):
         return tuple(FemScalarField(self.space, self.u[c]) for c in range(3))

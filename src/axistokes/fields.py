@@ -1,10 +1,10 @@
 """Closed-form Fourier coefficient functions on the meridian domain.
 
-A "mode function" is a complex-valued function of (r, z).  Polynomials in
-r and z (with integer, possibly negative, powers of r) cover every
-manufactured solution and induced datum in the package while keeping
-differentiation exact, so they get a small dedicated class; arbitrary
-callables can be wrapped as well, for their values only.
+A "mode function" is a complex-valued function of (r, z): any callable
+f(r, z) broadcasting over arrays.  Polynomials in r and z (with integer,
+possibly negative, powers of r) cover every manufactured solution and
+induced datum in the package while keeping differentiation exact, so they
+get a small dedicated class; any other callable has values only.
 
 Polynomials are evaluated in batches: ``evaluate_polys`` takes a list of
 them at the same points as one product of their coefficient matrix with a
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Poly2", "FnMode", "VectorModeFn", "as_mode_function", "evaluate_polys"]
+__all__ = ["Poly2", "VectorModeFn", "evaluate_polys"]
 
 
 class Poly2:
@@ -46,9 +46,6 @@ class Poly2:
 
     def __call__(self, r, z):
         return evaluate_polys([self], r, z)[0]
-
-    def value(self, r, z):
-        return self(r, z)
 
     def d_r(self) -> "Poly2":
         return Poly2({(a - 1, b): a * c for (a, b), c in self.coeffs.items() if a != 0})
@@ -157,54 +154,29 @@ def _as_poly(x) -> Poly2:
 
 
 @dataclass(frozen=True)
-class FnMode:
-    """Mode function from a plain callable; it has values, no derivatives."""
-
-    fn: object
-
-    def __call__(self, r, z):
-        return np.asarray(self.fn(r, z), dtype=complex)
-
-    def value(self, r, z):
-        return self(r, z)
-
-
-def as_mode_function(obj):
-    """Coerce a Poly2, FnMode, mode-function-like object or callable."""
-    if hasattr(obj, "value"):
-        return obj
-    if callable(obj):
-        return FnMode(obj)
-    raise TypeError(f"cannot interpret {obj!r} as a mode function")
-
-
-@dataclass(frozen=True)
 class VectorModeFn:
     """Cylindrical-component Fourier coefficient of a 3D vector field.
 
     Components are the radial, azimuthal and axial coefficient functions
-    u_r^k, u_theta^k, u_z^k on the meridian domain.
+    u_r^k, u_theta^k, u_z^k on the meridian domain, each a mode function;
+    iterating over a vector mode yields them in that order.
     """
 
     k: int
     components: tuple
 
     def __post_init__(self):
-        if len(self.components) != 3:
+        comps = tuple(self.components)
+        if len(comps) != 3:
             raise ValueError("a vector mode has exactly three components")
-        object.__setattr__(
-            self, "components", tuple(as_mode_function(c) for c in self.components)
-        )
+        for c in comps:
+            if not callable(c):
+                raise TypeError(f"vector mode component {c!r} is not callable")
+        object.__setattr__(self, "components", comps)
+
+    def __iter__(self):
+        return iter(self.components)
 
     def conj(self) -> "VectorModeFn":
-        comps = []
-        for c in self.components:
-            if isinstance(c, Poly2):
-                comps.append(c.conj())
-            else:
-                comps.append(_conj_wrap(c))
-        return VectorModeFn(-self.k, tuple(comps))
-
-
-def _conj_wrap(mode):
-    return FnMode(lambda r, z: np.conj(mode.value(r, z)))
+        """Mode -k of a real field; the components must be ``Poly2``."""
+        return VectorModeFn(-self.k, tuple(c.conj() for c in self.components))

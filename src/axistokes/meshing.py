@@ -57,6 +57,8 @@ class MeridianMesh:
     triangle_edges : ndarray, shape (nt, 3)
         Edge number of the side of each triangle opposite its vertex 0, 1
         and 2, that is of the local edges (1, 2), (2, 0), (0, 1).
+    boundary_edge_ids : ndarray, shape (ne,)
+        Edge number of each boundary edge.
     """
 
     vertices: np.ndarray
@@ -67,17 +69,19 @@ class MeridianMesh:
     mesh_id: str = field(init=False)
     edges: np.ndarray = field(init=False, repr=False, compare=False)
     triangle_edges: np.ndarray = field(init=False, repr=False, compare=False)
+    boundary_edge_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
         tris = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
         edges = np.ascontiguousarray(np.asarray(self.boundary_edges, dtype=np.int64))
         tags = tuple(self.boundary_tags)
-        all_edges, tri_edges = _validate(verts, tris, edges, tags)
-        for arr in (verts, tris, edges, all_edges, tri_edges):
+        all_edges, tri_edges, boundary_ids = _validate(verts, tris, edges, tags)
+        for arr in (verts, tris, edges, all_edges, tri_edges, boundary_ids):
             arr.flags.writeable = False
         object.__setattr__(self, "edges", all_edges)
         object.__setattr__(self, "triangle_edges", tri_edges)
+        object.__setattr__(self, "boundary_edge_ids", boundary_ids)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "boundary_edges", edges)
@@ -147,7 +151,8 @@ def _edge_table(tris: np.ndarray, nv: int):
 def _validate(verts, tris, edges, tags):
     """Raise MeshError for an invalid mesh; else return its edge table.
 
-    The result is (edges, triangle_edges) as ``MeridianMesh`` stores them.
+    The result is (edges, triangle_edges, boundary_edge_ids) as
+    ``MeridianMesh`` stores them.
     """
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshError("vertices must have shape (nv, 2)")
@@ -220,7 +225,11 @@ def _validate(verts, tris, edges, tags):
             f"vertices {sorted(uncovered)[:4]} touch the axis r = 0 in isolated "
             "points; the domain must meet the axis along edges or not at all"
         )
-    return all_edges, tri_edges
+    # Every boundary edge is an edge of the table: number it by lookup.
+    keys = all_edges @ np.array([nv, 1])
+    order = np.argsort(keys)
+    boundary_keys = np.sort(edges, axis=1) @ np.array([nv, 1])
+    return all_edges, tri_edges, order[np.searchsorted(keys, boundary_keys, sorter=order)]
 
 
 @dataclass(frozen=True)
@@ -414,40 +423,33 @@ def triangulate_polygon(vertices, target_h: float = 0.0) -> MeridianMesh:
 
 
 def refine(mesh: MeridianMesh) -> MeridianMesh:
-    """Uniform refinement: each triangle splits into four via edge midpoints."""
+    """Uniform refinement: each triangle splits into four via edge midpoints.
+
+    The midpoints are numbered after the vertices in order of first use,
+    taking the triangles in order and each through its sides (0, 1),
+    (1, 2), (2, 0).
+    """
     verts = mesh.vertices
-    tris = mesh.triangles
-    edge_set = {}
-
-    def midpoint_id(a, b, new_pts):
-        key = (min(a, b), max(a, b))
-        if key not in edge_set:
-            edge_set[key] = len(verts) + len(new_pts)
-            new_pts.append(0.5 * (verts[a] + verts[b]))
-        return edge_set[key]
-
-    new_pts = []
-    children = []
-    for t0, t1, t2 in tris:
-        m01 = midpoint_id(t0, t1, new_pts)
-        m12 = midpoint_id(t1, t2, new_pts)
-        m20 = midpoint_id(t2, t0, new_pts)
-        children += [
-            (t0, m01, m20),
-            (t1, m12, m01),
-            (t2, m20, m12),
-            (m01, m12, m20),
-        ]
-    all_verts = np.vstack([verts, np.array(new_pts)]) if new_pts else verts.copy()
+    nv = mesh.n_vertices
+    edges = mesh.edges
+    # The edge numbers of the sides (0, 1), (1, 2), (2, 0) of each triangle.
+    sides = mesh.triangle_edges[:, [2, 0, 1]]
+    _, first = np.unique(sides, return_index=True)
+    order = np.argsort(first)
+    mid = np.empty_like(order)
+    mid[order] = nv + np.arange(order.size)
     # Midpoints of axis edges inherit r = 0 exactly by averaging equal zeros.
-    edges = []
-    tags = []
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        m = edge_set[(min(a, b), max(a, b))]
-        edges.append((a, m))
-        edges.append((m, b))
-        tags += [tag, tag]
-    return MeridianMesh(all_verts, np.array(children), np.array(edges), tuple(tags))
+    new_pts = 0.5 * (verts[edges[order, 0]] + verts[edges[order, 1]])
+    t0, t1, t2 = mesh.triangles.T
+    m01, m12, m20 = mid[sides].T
+    children = np.stack(
+        [t0, m01, m20, t1, m12, m01, t2, m20, m12, m01, m12, m20], axis=1
+    ).reshape(-1, 3)
+    a, b = mesh.boundary_edges.T
+    m = mid[mesh.boundary_edge_ids]
+    halves = np.stack([a, m, m, b], axis=1).reshape(-1, 2)
+    tags = tuple(tag for tag in mesh.boundary_tags for _ in range(2))
+    return MeridianMesh(np.vstack([verts, new_pts]), children, halves, tags)
 
 
 def mesh_from_spec(spec: DomainSpec) -> MeridianMesh:

@@ -16,17 +16,18 @@ wavenumber k is accumulated from the pointwise regrouping
 a sum of squares that is real and nonnegative by construction and reduces
 to the special one-mode and axisymmetric forms without case splits.
 
-A field is measured in one of two ways that give the same sums at the
-same rule (the degree-10 ``triangle_rule`` by default).  Finite element
-fields of one space, such as the solved modes, are measured as sums of
-element quadratic forms over the space's cached norm-rule matrices
-(``FemSpace.norm_matrices``), with no samples formed.  Assembly and norms
-share one engine for these matrices: at the assembly rule, the same
-r-weighted stiffness, 1/r mass and r-weighted pressure mass are the
-operators K, Mm1 and Mp of every mode's saddle system.  Every other field
-(closed forms, ``FieldDifference`` error fields, mixed triples) is sampled
-at the rule points, and that path stays the reference the quadratic forms
-are tested against.  The sampled sums are array cores
+Every norm is taken at one rule, the degree-10 ``triangle_rule`` (the
+norm rule), and a field is measured in one of two ways that give the same
+sums there.  Finite element fields of one space, such as the solved
+modes, are measured as sums of element quadratic forms over the space's
+norm-rule matrices (``FemSpace.norm_matrices``), built once per space,
+with no samples formed.  Assembly and norms share one engine for these
+matrices: at the assembly rule, the same r-weighted stiffness, 1/r mass
+and r-weighted pressure mass are the operators K, Mm1 and Mp of every
+mode's saddle system.  Every other field (closed forms,
+``FieldDifference`` error fields, mixed triples) is sampled at the norm
+rule's points, and that path stays the reference the quadratic forms are
+tested against.  The sampled sums are array cores
 (``sampled_vector_norm``, ``sampled_energy_product``,
 ``sampled_divergence_product``) that a caller holding samples calls
 directly; both routes of a vector norm meet in ``_vector_report``.
@@ -37,15 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import FemScalarField
-from .fields import Poly2, VectorModeFn, as_mode_function, evaluate_polys
+from .fem import _NORM_RULE, FemScalarField
+from .fields import Poly2, VectorModeFn, evaluate_polys
 from .meshing import MeridianMesh
-from .quadrature import (
-    DEFAULT_NORM_DEGREE,
-    QuadratureRule,
-    quadrature_geometry,
-    triangle_rule,
-)
+from .quadrature import quadrature_geometry
 
 __all__ = [
     "FieldDifference",
@@ -76,41 +72,38 @@ class FieldDifference:
 _COMPONENTS = ("r", "theta", "z")
 
 
-def sample_component(
-    comp, mesh: MeridianMesh, rule: QuadratureRule, need_grad=True, geometry=None
-):
-    """Evaluate one field component at all quadrature points.
+def sample_component(comp, mesh: MeridianMesh, need_grad=True, geometry=None):
+    """Evaluate one field component at all points of the norm rule.
 
     Accepts a ``FieldDifference`` (the difference of its parts' samples),
-    any object with a ``sample_on(mesh, rule, need_grad)`` method (finite
-    element fields) or a mode function / callable evaluated at the
-    quadrature coordinates; a ``Poly2`` takes one ``evaluate_polys`` call
-    for its value and both derivatives.  Other mode functions have values
-    only, and asking for their gradients raises TypeError.  ``geometry``
-    is ``quadrature_geometry(mesh, rule)`` when the caller has it already.
-    Returns (val, d_r, d_z) arrays of shape (nt, nq); the gradients are
-    None when not requested.
+    any object with a ``sample_on(mesh, need_grad)`` method (finite
+    element fields) or a mode function, called at the quadrature
+    coordinates; a ``Poly2`` takes one ``evaluate_polys`` call for its
+    value and both derivatives.  Other mode functions have values only,
+    and asking for their gradients raises TypeError.  ``geometry`` is
+    ``quadrature_geometry`` of the mesh at the norm rule when the caller
+    has it already.  Returns (val, d_r, d_z) arrays of shape (nt, nq);
+    the gradients are None when not requested.
     """
     if isinstance(comp, FieldDifference):
-        a = sample_component(comp.a, mesh, rule, need_grad, geometry)
-        b = sample_component(comp.b, mesh, rule, need_grad, geometry)
+        a = sample_component(comp.a, mesh, need_grad, geometry)
+        b = sample_component(comp.b, mesh, need_grad, geometry)
         return tuple(None if x is None else x - y for x, y in zip(a, b))
     if hasattr(comp, "sample_on"):
-        return comp.sample_on(mesh, rule, need_grad)
+        return comp.sample_on(mesh, need_grad)
     if need_grad and not isinstance(comp, Poly2):
         raise TypeError(f"{comp!r} has no derivatives to sample")
-    R, Z, _ = geometry or quadrature_geometry(mesh, rule)
+    R, Z, _ = geometry or quadrature_geometry(mesh, _NORM_RULE)
     if need_grad:
         val, dr, dz = evaluate_polys([comp, comp.d_r(), comp.d_z()], R, Z)
         return val, dr, dz
-    return np.asarray(as_mode_function(comp).value(R, Z), dtype=complex), None, None
+    return np.asarray(comp(R, Z), dtype=complex), None, None
 
 
 def integrate_weighted(mesh, f, weight_exponent: int = 1):
     """Integral of f(r, z) * r**weight_exponent over the meshed domain, at the norm rule."""
-    rule = triangle_rule(DEFAULT_NORM_DEGREE)
-    geometry = quadrature_geometry(mesh, rule)
-    val, _, _ = sample_component(f, mesh, rule, False, geometry)
+    geometry = quadrature_geometry(mesh, _NORM_RULE)
+    val, _, _ = sample_component(f, mesh, False, geometry)
     R, _, W = geometry
     total = np.sum(W * val * R**weight_exponent)
     return complex(total)
@@ -217,15 +210,15 @@ def _quadratic_forms(M: np.ndarray, locs: np.ndarray) -> list:
     return np.maximum(sums[:m] + sums[m:], 0.0).tolist()
 
 
-def _fem_norm_sums(fields, rule: QuadratureRule, couple: bool = False):
+def _fem_norm_sums(fields, couple: bool = False):
     """ComponentNorms of finite element fields as element quadratic forms.
 
-    The sums equal those of sampling each field at ``rule`` up to
+    The sums equal those of sampling each field at the norm rule up to
     round-off.  With ``couple`` the 1/r sums of fields[0] +- i fields[1]
     are returned as well (else an empty list).
     """
     space, kind = fields[0].space, fields[0].kind
-    mats = space.norm_matrices(rule, kind)
+    mats = space.norm_matrices(kind)
     cells = space.dof_map if kind == "p2" else space.mesh.triangles
     locs = np.stack([f.dofs[cells] for f in fields], axis=2)
     l2_1 = _quadratic_forms(mats.mass_r, locs)
@@ -242,7 +235,7 @@ def _fem_norm_sums(fields, rule: QuadratureRule, couple: bool = False):
     return comps, l2_m1[n:]
 
 
-def scalar_mode_norm(mesh, q, k: int, rule: QuadratureRule = None) -> NormReport:
+def scalar_mode_norm(mesh, q, k: int) -> NormReport:
     """Mode norm of a scalar coefficient: L2(r) + H1 seminorm + k^2 L2(1/r).
 
     The 1/r term is omitted entirely for k = 0 instead of being multiplied
@@ -250,13 +243,12 @@ def scalar_mode_norm(mesh, q, k: int, rule: QuadratureRule = None) -> NormReport
     A finite element field is measured by element quadratic forms, any
     other field by sampling.
     """
-    rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
     if _in_one_fem_space(mesh, (q,)):
-        (comp,), _ = _fem_norm_sums((q,), rule)
+        (comp,), _ = _fem_norm_sums((q,))
     else:
-        geometry = quadrature_geometry(mesh, rule)
+        geometry = quadrature_geometry(mesh, _NORM_RULE)
         R, _, W = geometry
-        comp = _sampled_sums(*sample_component(q, mesh, rule, True, geometry), R, W)
+        comp = _sampled_sums(*sample_component(q, mesh, True, geometry), R, W)
     l2_1, l2_m1, semi = comp.l2_1_sq, comp.l2_m1_sq, comp.h1_1_semi_sq
     h1k = l2_1 + semi + (k * k * l2_m1 if k != 0 else 0.0)
     return NormReport(
@@ -313,7 +305,7 @@ def sampled_vector_norm(k: int, val, dr, dz, R, W) -> NormReport:
     return _vector_report(k, per_comp, p_plus, p_minus)
 
 
-def vector_mode_norm(mesh, v, rule: QuadratureRule = None, k: int = None) -> NormReport:
+def vector_mode_norm(mesh, v, k: int = None) -> NormReport:
     """Mode norm of a vector coefficient at its wavenumber.
 
     ``v`` is a VectorModeFn or any triple of component fields (then ``k``
@@ -323,22 +315,19 @@ def vector_mode_norm(mesh, v, rule: QuadratureRule = None, k: int = None) -> Nor
     fields of one space are measured by element quadratic forms, any
     other triple by sampling; both supply the same sums.
     """
-    rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
-    if isinstance(v, VectorModeFn):
-        comps = v.components
-        k = v.k if k is None else k
-    else:
-        comps = tuple(v)
-        if k is None:
+    if k is None:
+        if not isinstance(v, VectorModeFn):
             raise ValueError("pass k when the vector is a bare component triple")
+        k = v.k
+    comps = tuple(v)
     if len(comps) != 3:
         raise ValueError("vector mode needs three components (r, theta, z)")
     if _in_one_fem_space(mesh, comps):
-        sums, (p_plus, p_minus) = _fem_norm_sums(comps, rule, couple=True)
+        sums, (p_plus, p_minus) = _fem_norm_sums(comps, couple=True)
         return _vector_report(k, dict(zip(_COMPONENTS, sums)), p_plus, p_minus)
-    geometry = quadrature_geometry(mesh, rule)
+    geometry = quadrature_geometry(mesh, _NORM_RULE)
     R, _, W = geometry
-    return sampled_vector_norm(k, *_sample_vector(comps, mesh, rule, geometry), R, W)
+    return sampled_vector_norm(k, *_sample_vector(comps, mesh, geometry), R, W)
 
 
 def sampled_energy_product(k: int, u, v, R, W) -> complex:
@@ -355,17 +344,16 @@ def sampled_energy_product(k: int, u, v, R, W) -> complex:
     return complex(np.sum(W * (grad * R + mass / R)))
 
 
-def mode_energy_product(mesh, k: int, u, v, rule: QuadratureRule = None) -> complex:
+def mode_energy_product(mesh, k: int, u, v) -> complex:
     """Sesquilinear energy form of mode k between two vector coefficients.
 
     This is the inner product whose quadratic form is the squared mode
     seminorm: gradients weighted by r plus the 1/r**2 mass terms with the
     radial/angular coupling.  Conjugation falls on ``v``.
     """
-    rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
-    geometry = quadrature_geometry(mesh, rule)
+    geometry = quadrature_geometry(mesh, _NORM_RULE)
     R, _, W = geometry
-    su, sv = (_sample_vector(x, mesh, rule, geometry) for x in (u, v))
+    su, sv = (_sample_vector(x, mesh, geometry) for x in (u, v))
     return sampled_energy_product(k, su, sv, R, W)
 
 
@@ -376,19 +364,18 @@ def sampled_divergence_product(k: int, v, qval, R, W) -> complex:
     return complex(-np.sum(W * div * np.conj(qval) * R))
 
 
-def mode_divergence_product(mesh, k: int, v, q, rule: QuadratureRule = None) -> complex:
+def mode_divergence_product(mesh, k: int, v, q) -> complex:
     """Mixed form: minus the r-weighted integral of (div_k v) times conj(q)."""
-    rule = rule or triangle_rule(DEFAULT_NORM_DEGREE)
-    geometry = quadrature_geometry(mesh, rule)
+    geometry = quadrature_geometry(mesh, _NORM_RULE)
     R, _, W = geometry
-    sv = _sample_vector(v, mesh, rule, geometry)
-    qval, _, _ = sample_component(q, mesh, rule, False, geometry)
+    sv = _sample_vector(v, mesh, geometry)
+    qval, _, _ = sample_component(q, mesh, False, geometry)
     return sampled_divergence_product(k, sv, qval, R, W)
 
 
-def _sample_vector(v, mesh, rule, geometry):
+def _sample_vector(v, mesh, geometry):
     """(val, dr, dz) of a vector field, each a tuple over its three components."""
-    comps = v.components if isinstance(v, VectorModeFn) else tuple(v)
+    comps = tuple(v)
     if len(comps) != 3:
         raise ValueError("vector field needs three components")
-    return tuple(zip(*(sample_component(c, mesh, rule, True, geometry) for c in comps)))
+    return tuple(zip(*(sample_component(c, mesh, True, geometry) for c in comps)))

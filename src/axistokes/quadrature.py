@@ -21,8 +21,8 @@ __all__ = [
 ]
 
 # Degree used when assembling stiffness/divergence matrices (exact for the
-# polynomial integrands of the Taylor-Hood pair) and the stronger default
-# used when verifying norms of smooth fields.
+# polynomial integrands of the Taylor-Hood pair) and the stronger one every
+# norm is taken at.
 DEFAULT_ASSEMBLY_DEGREE = 5
 DEFAULT_NORM_DEGREE = 10
 
@@ -124,9 +124,8 @@ def triangle_rule(degree: int) -> QuadratureRule:
     """Interior rule exact for polynomials up to ``degree`` on a triangle.
 
     Cached so equal-degree requests share one rule object.  Assembly uses
-    the rule of ``DEFAULT_ASSEMBLY_DEGREE`` alone; the norm matrices of a
-    ``FemSpace`` are cached per rule, keyed on (degree, number of points),
-    so they also hit for an equal rule that was built elsewhere.
+    the rule of ``DEFAULT_ASSEMBLY_DEGREE`` alone, and every norm the rule
+    of ``DEFAULT_NORM_DEGREE`` alone.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")

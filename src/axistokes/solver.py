@@ -47,6 +47,9 @@ __all__ = [
 # Pressure counts up to which estimate_inf_sup takes the dense eigensolver.
 _DENSE_LIMIT = 1500
 
+# Net axisymmetric volume flux, relative to the wall data, that is warned of.
+_COMPAT_TOL = 1e-10
+
 # LOBPCG's residual tolerance, iteration cap and the seed of its start block.
 _LOBPCG_TOL = 1e-6
 _LOBPCG_MAXITER = 2000
@@ -244,9 +247,12 @@ def solve_mode(
 ) -> ModeSolution:
     """Solve one mode's saddle problem for body force f and divergence data.
 
-    Wall data entered the system when it was assembled.  Returns the mode
-    solution with a SolveReport attached; raises SolverBreakdown when the
-    algebra cannot proceed.
+    Wall data entered the system when it was assembled.  For the
+    axisymmetric mode a net volume flux of the wall and divergence data
+    makes the continuity block inconsistent; it is recorded in the report,
+    warned of, and left in place.  Returns the mode solution with a
+    SolveReport attached; raises SolverBreakdown when the algebra cannot
+    proceed.
     """
     config = config or SolverConfig()
     F_hat, G_hat = system.rhs(f, g_div)
@@ -255,7 +261,15 @@ def solve_mode(
         k=k, method=config.method, n_free=system.n_free, n_p=system.n_p
     )
     if k == 0:
-        report.compatibility_flux = complex(np.sum(G_hat))
+        flux = report.compatibility_flux = complex(np.sum(G_hat))
+        scale = max(1.0, float(np.abs(system.constraints.fix).max(initial=0.0)))
+        if abs(flux) > _COMPAT_TOL * scale:
+            shown = flux if flux.imag else flux.real
+            warnings.warn(
+                f"axisymmetric data carries net volume flux {shown:.3e}; "
+                "the mean-free pressure solve will balance it",
+                stacklevel=2,
+            )
 
     if config.method == "direct":
         m = system.m_vec if k == 0 else None

@@ -13,12 +13,12 @@ powers the operator introduces, so a manufactured case that claims to be
 divergence-free is checked symbolically, not at sample points.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import Poly2, VectorModeFn, evaluate_polys
-from .fem import FemSpace, assemble
+from .fem import _NORM_RULE, FemSpace, assemble
 from .fourier import angular_grid, fourier_coefficient, reconstruct
 from .meshing import MeridianMesh, generate_structured
 from .norms import (
@@ -30,7 +30,7 @@ from .norms import (
     scalar_mode_norm,
     vector_mode_norm,
 )
-from .quadrature import DEFAULT_NORM_DEGREE, quadrature_geometry, triangle_rule
+from .quadrature import quadrature_geometry
 from .solver import solve_mode
 
 __all__ = [
@@ -72,7 +72,7 @@ def mode_gradient(k: int, p: Poly2):
 
 def strong_divergence(k: int, u) -> Poly2:
     """div_k u as an exact polynomial (with possible 1/r powers)."""
-    ur, ut, uz = u.components if isinstance(u, VectorModeFn) else u
+    ur, ut, uz = u
     return ur.d_r() + ur.div_r(1) + (1j * k) * ut.div_r(1) + uz.d_z()
 
 
@@ -82,7 +82,7 @@ def strong_force(k: int, u, p: Poly2):
     Applies the strong operator coefficient-wise: vector Laplacian parts,
     the 1/r**2 mass coupling, and the mode pressure gradient.
     """
-    ur, ut, uz = u.components if isinstance(u, VectorModeFn) else u
+    ur, ut, uz = u
     gp = mode_gradient(k, p)
     kk = k * k
     f_r = -ur.laplace_axi() + ((1 + kk) * ur + (2j * k) * ut).div_r(2) + gp[0]
@@ -98,10 +98,8 @@ def strong_residual(k: int, u, p: Poly2, f) -> float:
     perturbation of the fields or the force shows up as a nonzero
     coefficient.  Pure polynomial arithmetic, no sampling.
     """
-    expected = strong_force(k, u, p)
-    given = f.components if isinstance(f, VectorModeFn) else f
     worst = 0.0
-    for mine, theirs in zip(expected.components, given):
+    for mine, theirs in zip(strong_force(k, u, p), f):
         if not isinstance(theirs, Poly2):
             raise TypeError("strong_residual compares polynomial fields only")
         worst = max(worst, (mine - theirs).max_abs_coeff())
@@ -576,7 +574,7 @@ def _relative_defect(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _field_defects(mesh, rule, thetas, modes_u, modes_v, modes_q):
+def _field_defects(mesh, thetas, modes_u, modes_v, modes_q):
     """Defects of one random field family between mode sums and 3D integrals.
 
     ``modes_u``, ``modes_v`` (vector) and ``modes_q`` (scalar) hold one
@@ -586,7 +584,7 @@ def _field_defects(mesh, rule, thetas, modes_u, modes_v, modes_q):
     3D oracle and the norm engine's array cores read the same samples, and
     all of them are freed when this returns.
     """
-    R, Z, W = quadrature_geometry(mesh, rule)
+    R, Z, W = quadrature_geometry(mesh, _NORM_RULE)
     ks = [m.k for m in modes_u]
     table, q_vals = _sample_modes([*modes_u, *modes_v], modes_q, R, Z)
     table_u, table_v = table[: len(ks)], table[len(ks) :]
@@ -626,7 +624,6 @@ def isometry_suite(
     extracted from real samples.
     """
     rng = np.random.default_rng(seed)
-    rule = triangle_rule(DEFAULT_NORM_DEGREE)
     thetas = angular_grid(4 * k_max + 8)
 
     worst = [0.0] * 5
@@ -635,7 +632,7 @@ def isometry_suite(
         modes_u = [_random_mode_field(rng, k) for k in ks]
         modes_v = [_random_mode_field(rng, k) for k in ks]
         modes_q = [_random_scalar(rng) for _ in ks]
-        defects = _field_defects(mesh, rule, thetas, modes_u, modes_v, modes_q)
+        defects = _field_defects(mesh, thetas, modes_u, modes_v, modes_q)
         worst = [max(w, d) for w, d in zip(worst, defects)]
     worst_l2, worst_semi, worst_full, worst_energy, worst_div = worst
 
@@ -644,13 +641,13 @@ def isometry_suite(
     for k in ks:
         v = _random_mode_field(rng, k, min_r_power=1)
         vr, vt, vz = v.components
-        lhs = vector_mode_norm(mesh, v, rule).h1k_sq
+        lhs = vector_mode_norm(mesh, v).h1k_sq
         plus = vr + Poly2({(0, 0): 1j}) * vt
         minus = vr + Poly2({(0, 0): -1j}) * vt
         rhs = (
-            0.5 * scalar_mode_norm(mesh, plus, k + 1, rule).h1k_sq
-            + 0.5 * scalar_mode_norm(mesh, minus, k - 1, rule).h1k_sq
-            + scalar_mode_norm(mesh, vz, k, rule).h1k_sq
+            0.5 * scalar_mode_norm(mesh, plus, k + 1).h1k_sq
+            + 0.5 * scalar_mode_norm(mesh, minus, k - 1).h1k_sq
+            + scalar_mode_norm(mesh, vz, k).h1k_sq
         )
         worst_polar = max(worst_polar, _relative_defect(lhs, rhs))
 
@@ -659,7 +656,7 @@ def isometry_suite(
     for k in (2, 3, 5, 10):
         for _ in range(4):
             v = _random_mode_field(rng, k, min_r_power=1)
-            rep = vector_mode_norm(mesh, v, rule)
+            rep = vector_mode_norm(mesh, v)
             ratio = rep.h1k / rep.h1k_star
             worst_bounds = max(
                 worst_bounds, max(0.5 - ratio, ratio - 1.5, 0.0)
@@ -670,7 +667,7 @@ def isometry_suite(
     trend_ratios = []
     for k in (2, 3, 5, 10, 20):
         v = VectorModeFn(k, (_R, Poly2({(0, 0): -1j}) * _R, _ZERO))
-        rep = vector_mode_norm(mesh, v, rule)
+        rep = vector_mode_norm(mesh, v)
         trend_ratios.append(rep.h1k / rep.h1k_star)
     trend_ok = all(
         later <= earlier + 1e-12
@@ -703,7 +700,7 @@ def isometry_suite(
             if k > 0:
                 modes[-k] = m.conj()
         total = reconstruct(
-            {k: [c.value(Rg, Zg) for c in m.components] for k, m in modes.items()},
+            {k: [c(Rg, Zg) for c in m] for k, m in modes.items()},
             grid,
         )
         if np.max(np.abs(total.imag)) > 1e-9:

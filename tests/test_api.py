@@ -1,4 +1,7 @@
-"""Every public name has one home: the module whose ``__all__`` lists it."""
+"""Every public name has one home: the module whose ``__all__`` lists it.
+
+And every name a module imports at its top level is used there.
+"""
 
 import ast
 import importlib
@@ -37,3 +40,24 @@ def test_package_exports_come_from_module_exports():
     homes = {name for module in MODULES for name in module.__all__}
     missing = set(axistokes.__all__) - homes - {"__version__"}
     assert not missing, f"axistokes.__all__ lists {sorted(missing)} with no home"
+
+
+def _unused_imports(module) -> set:
+    """Top-level imports of a module that its source never reads.
+
+    A name listed in ``__all__`` counts as read: the module re-exports it.
+    """
+    tree = ast.parse(inspect.getsource(module))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read - set(getattr(module, "__all__", ()))
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_has_no_unused_imports(module):
+    unused = _unused_imports(module)
+    assert not unused, f"{module.__name__} imports {sorted(unused)} without using them"

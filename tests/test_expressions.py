@@ -109,17 +109,17 @@ def test_mode_extraction_matches_analytic_coefficients():
     r = np.array([0.25, 0.5])
     z = np.array([0.1, 0.9])
     np.testing.assert_allclose(
-        fr1.value(r, z), np.sqrt(2.0 * np.pi) * r, rtol=1e-13
+        fr1(r, z), np.sqrt(2.0 * np.pi) * r, rtol=1e-13
     )
-    np.testing.assert_allclose(ft1.value(r, z), 0.0, atol=1e-13)
-    np.testing.assert_allclose(fz1.value(r, z), 0.0, atol=1e-13)
+    np.testing.assert_allclose(ft1(r, z), 0.0, atol=1e-13)
+    np.testing.assert_allclose(fz1(r, z), 0.0, atol=1e-13)
     fr0, _, fz0 = field.mode(0)
-    np.testing.assert_allclose(fr0.value(r, z), 0.0, atol=1e-13)
+    np.testing.assert_allclose(fr0(r, z), 0.0, atol=1e-13)
     np.testing.assert_allclose(
-        fz0.value(r, z), np.sqrt(2.0 * np.pi) * z, rtol=1e-13
+        fz0(r, z), np.sqrt(2.0 * np.pi) * z, rtol=1e-13
     )
     fr2, _, _ = field.mode(2)
-    np.testing.assert_allclose(fr2.value(r, z), 0.0, atol=1e-13)
+    np.testing.assert_allclose(fr2(r, z), 0.0, atol=1e-13)
 
 
 def test_scalar_expression_field():
@@ -127,7 +127,7 @@ def test_scalar_expression_field():
     (mode,) = g.mode(1)
     # sin(theta) = (e^{i theta} - e^{-i theta}) / 2i, so the k = 1
     # coefficient under the symmetric normalization is -i sqrt(pi/2) z.
-    vals = mode.value(np.array([0.3]), np.array([0.5]))
+    vals = mode(np.array([0.3]), np.array([0.5]))
     expected = -1j * np.sqrt(np.pi / 2.0) * 0.5
     np.testing.assert_allclose(vals, [expected], rtol=1e-13)
     assert g.is_real()
@@ -156,7 +156,7 @@ def test_angular_sample_guard():
 def test_default_sampling_tracks_wavenumber():
     field = ExpressionField("cos(12*theta)", "0", "0")
     fr, _, _ = field.mode(12)
-    vals = fr.value(np.array([0.5]), np.array([0.5]))
+    vals = fr(np.array([0.5]), np.array([0.5]))
     np.testing.assert_allclose(vals, [np.sqrt(np.pi / 2.0)], rtol=1e-12)
 
 
@@ -191,19 +191,19 @@ def test_shared_sampling_matches_per_mode_sums(n_theta, ks):
         }
         scale = max(np.abs(v).max() for v in direct.values())
         for k in ks:
-            got = shared[k][c].value(r, z)
+            got = shared[k][c](r, z)
             assert np.abs(got - direct[k]).max() <= 1e-13 * scale, (c, k)
-            np.testing.assert_array_equal(field.mode(k)[c].value(r, z), got)
+            np.testing.assert_array_equal(field.mode(k)[c](r, z), got)
             if c == 1:
-                assert np.abs(shared_g[k][0].value(r, z) - direct[k]).max() <= 1e-13 * scale
+                assert np.abs(shared_g[k][0](r, z) - direct[k]).max() <= 1e-13 * scale
 
 
 def test_shared_sampling_resamples_at_new_points():
     fr = ExpressionField("r*cos(theta)", "0", "z", n_theta=8).modes([0, 1])[1][0]
     a, b = np.array([0.2, 0.4]), np.array([0.7])
-    np.testing.assert_allclose(fr.value(a, 0.0), np.sqrt(np.pi / 2.0) * a, rtol=1e-14)
-    np.testing.assert_allclose(fr.value(b, 0.0), np.sqrt(np.pi / 2.0) * b, rtol=1e-14)
-    np.testing.assert_allclose(fr.value(a, 0.0), np.sqrt(np.pi / 2.0) * a, rtol=1e-14)
+    np.testing.assert_allclose(fr(a, 0.0), np.sqrt(np.pi / 2.0) * a, rtol=1e-14)
+    np.testing.assert_allclose(fr(b, 0.0), np.sqrt(np.pi / 2.0) * b, rtol=1e-14)
+    np.testing.assert_allclose(fr(a, 0.0), np.sqrt(np.pi / 2.0) * a, rtol=1e-14)
 
 
 def test_shared_sampling_samples_once():
@@ -223,8 +223,8 @@ def test_shared_sampling_samples_once():
     field.fns = tuple(counted(fn) for fn in field.fns)
     modes = field.modes(range(-3, 4))
     r, z = np.meshgrid(np.linspace(0.1, 0.9, 9), np.linspace(0.0, 1.0, 4))
-    got = {k: [c.value(r, z) for c in modes[k]] for k in range(-3, 4)}
+    got = {k: [c(r, z) for c in modes[k]] for k in range(-3, 4)}
     assert sorted(calls) == sorted(sources)
     for k in range(-3, 4):
         for c, vals in enumerate(got[k]):
-            np.testing.assert_array_equal(vals, field.mode(k)[c].value(r, z))
+            np.testing.assert_array_equal(vals, field.mode(k)[c](r, z))

@@ -21,13 +21,14 @@ from axistokes.fem import (
 )
 from axistokes.fields import Poly2
 from axistokes.meshing import generate_structured, triangulate_polygon
-from axistokes.norms import mode_energy_product
+from axistokes.norms import sampled_energy_product
 from axistokes.quadrature import (
     DEFAULT_NORM_DEGREE,
     edge_rule,
     quadrature_geometry,
     triangle_rule,
 )
+from axistokes.solver import solve_mode
 
 from fem_reference import mode_matrices, reference_operators, reference_samples
 
@@ -147,8 +148,8 @@ def test_reduced_velocity_block_hermitian_definite(space, k):
 
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_energy_matrix_matches_quadrature_product(space, k):
-    # u* A u agrees with the sesquilinear energy form evaluated by the
-    # norm engine on the assembly rule.
+    # u* A u agrees with the sesquilinear energy form of the norm engine's
+    # array core on samples at the assembly rule.
     rng = np.random.default_rng(17)
     rule = triangle_rule(5)
     A, _ = mode_matrices(space, k)
@@ -158,7 +159,9 @@ def test_energy_matrix_matches_quadrature_product(space, k):
     fields = tuple(
         FemScalarField(space, u[c * n : (c + 1) * n]) for c in range(3)
     )
-    ref = mode_energy_product(space.mesh, k, fields, fields, rule)
+    samples = tuple(zip(*(reference_samples(f, rule) for f in fields)))
+    R, _, W = quadrature_geometry(space.mesh, rule)
+    ref = sampled_energy_product(k, samples, samples, R, W)
     assert quad == pytest.approx(ref, rel=1e-12)
 
 
@@ -182,9 +185,12 @@ def test_divergence_rhs_sums_to_weighted_mean(space):
 
 
 def test_axisymmetric_wall_data_with_net_flux_warns(space):
+    # A real flux prints as a real number, and the warning names the
+    # caller of solve_mode.
     system = assemble(space, 0, g=(R, ZERO, ZERO))
-    with pytest.warns(UserWarning, match="net volume flux"):
-        system.rhs()
+    with pytest.warns(UserWarning, match=r"net volume flux -?\d\.\d{3}e[+-]\d+;") as record:
+        solve_mode(system)
+    assert record[0].filename == __file__
 
 
 def test_boundary_flux_closed_forms():
@@ -212,6 +218,7 @@ def test_boundary_flux_closed_forms():
 def _loop_boundary_flux(space, u, rule_degree=7):
     """Reference for boundary_flux: one boundary edge at a time."""
     mesh = space.mesh
+    edge_ids = {tuple(e): i for i, e in enumerate(mesh.edges.tolist())}
     seen = {}
     for tri in mesh.triangles:
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
@@ -229,7 +236,7 @@ def _loop_boundary_flux(space, u, rule_degree=7):
         dvec = pb - pa
         length = float(np.hypot(dvec[0], dvec[1]))
         normal = np.array([dvec[1], -dvec[0]]) / length
-        mid = mesh.n_vertices + space.edge_ids[(min(a, b), max(a, b))]
+        mid = mesh.n_vertices + edge_ids[(min(a, b), max(a, b))]
         ur = shape @ u[COMP_R, [a, b, mid]]
         uz = shape @ u[COMP_Z, [a, b, mid]]
         rline = (1 - t) * pa[0] + t * pb[0]
@@ -270,26 +277,26 @@ def test_sampling_matches_gradient_table_reference(mesh):
         field = FemScalarField(
             space, rng.standard_normal(n) + 1j * rng.standard_normal(n), kind=kind
         )
-        for got, want in zip(field.sample_on(mesh, rule), reference_samples(field, rule)):
+        for got, want in zip(field.sample_on(mesh), reference_samples(field, rule)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), kind
 
 
 def test_scalar_field_point_evaluation(space):
     # P2 reproduces a quadratic and P1 a linear function at every quadrature
-    # point of the assembly rule, on every triangle.
-    rule = triangle_rule(5)
+    # point of the norm rule, on every triangle.
+    rule = triangle_rule(DEFAULT_NORM_DEGREE)
     R, Z, _ = quadrature_geometry(space.mesh, rule)
     coords = space.dof_coords
     q = lambda r, z: 1.0 + 2.0 * r - z + r**2 - 3.0 * r * z + 0.5 * z**2
     field = FemScalarField(space, q(coords[:, 0], coords[:, 1]).astype(complex))
-    val, _, _ = field.sample_on(space.mesh, rule, need_grad=False)
+    val, _, _ = field.sample_on(space.mesh, need_grad=False)
     np.testing.assert_allclose(val, q(R, Z), rtol=1e-12)
 
     verts = space.mesh.vertices
     lin = lambda r, z: 2.0 - r + 3.0 * z
     p1 = FemScalarField(space, lin(verts[:, 0], verts[:, 1]).astype(complex), kind="p1")
-    val, _, _ = p1.sample_on(space.mesh, rule, need_grad=False)
+    val, _, _ = p1.sample_on(space.mesh, need_grad=False)
     np.testing.assert_allclose(val, lin(R, Z), rtol=1e-12)
 
 
@@ -301,7 +308,7 @@ def test_scalar_field_validation(space):
     other = FemSpace(generate_structured((1.0, 1.0), 0.25))
     field = FemScalarField(space, np.zeros(space.n_vel))
     with pytest.raises(ValueError, match="does not live"):
-        field.sample_on(other.mesh, triangle_rule(2))
+        field.sample_on(other.mesh)
 
 
 def test_space_caches_build_once():
@@ -312,8 +319,8 @@ def test_space_caches_build_once():
     def entries():
         return (
             space.operators(),
-            space.norm_matrices(triangle_rule(10), "p2"),
-            space.norm_matrices(triangle_rule(10), "p1"),
+            space.norm_matrices("p2"),
+            space.norm_matrices("p1"),
             space.pressure_mass_factor(),
             space.velocity_factor(2),
         )

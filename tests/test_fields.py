@@ -1,10 +1,11 @@
 """Polynomial mode functions: batched evaluation against the per-term sum."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axistokes.fields import Poly2, evaluate_polys
+from axistokes.fields import Poly2, VectorModeFn, evaluate_polys
 
 
 def _per_term(poly, r, z):
@@ -72,3 +73,14 @@ def test_single_polynomial_keeps_the_broadcast_shape():
     assert poly(0.5, 2.0) == 2.0 + 0.5j
     assert poly(np.array([[0.5], [1.0]]), np.array([1.0, 2.0, 3.0])).shape == (2, 3)
     assert Poly2.zero()(np.ones(4), 0.0).tolist() == [0j] * 4
+
+
+def test_vector_mode_components_are_callables():
+    comps = (Poly2.monomial(1, 0), lambda r, z: r * z, Poly2.zero())
+    v = VectorModeFn(2, list(comps))
+    assert v.components == comps
+    assert tuple(v) == comps
+    with pytest.raises(TypeError, match="not callable"):
+        VectorModeFn(1, (Poly2.zero(), 1.0, Poly2.zero()))
+    with pytest.raises(ValueError, match="three components"):
+        VectorModeFn(1, comps[:2])

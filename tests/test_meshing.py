@@ -239,6 +239,55 @@ def test_edge_table_matches_triangle_loops(mesh):
     assert {tuple(e): i for i, e in enumerate(mesh.edges.tolist())} == edge_ids
     np.testing.assert_array_equal(mesh.triangle_edges, tri_edges)
     assert boundary == {tuple(sorted(e)) for e in mesh.boundary_edges.tolist()}
+    want = [edge_ids[tuple(sorted(e))] for e in mesh.boundary_edges.tolist()]
+    np.testing.assert_array_equal(mesh.boundary_edge_ids, want)
     space = FemSpace(mesh)
-    assert space.edge_ids == edge_ids
     np.testing.assert_array_equal(space.dof_map[:, 3:], mesh.n_vertices + tri_edges)
+
+
+def _loop_refine(mesh):
+    """Reference for ``refine``: midpoints numbered by a dict, one triangle at a time."""
+    verts = mesh.vertices
+    edge_set = {}
+    new_pts = []
+
+    def midpoint_id(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in edge_set:
+            edge_set[key] = len(verts) + len(new_pts)
+            new_pts.append(0.5 * (verts[a] + verts[b]))
+        return edge_set[key]
+
+    children = []
+    for t0, t1, t2 in mesh.triangles:
+        m01 = midpoint_id(t0, t1)
+        m12 = midpoint_id(t1, t2)
+        m20 = midpoint_id(t2, t0)
+        children += [(t0, m01, m20), (t1, m12, m01), (t2, m20, m12), (m01, m12, m20)]
+    edges, tags = [], []
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        m = edge_set[(min(a, b), max(a, b))]
+        edges += [(a, m), (m, b)]
+        tags += [tag, tag]
+    all_verts = np.vstack([verts, np.array(new_pts)])
+    return MeridianMesh(all_verts, np.array(children), np.array(edges), tuple(tags))
+
+
+@pytest.mark.parametrize(
+    "coarse",
+    [
+        triangulate_polygon(L_SHAPE),
+        triangulate_polygon(((0.5, 0.0), (1.5, 0.0), (1.5, 1.0), (0.5, 1.0))),
+    ],
+    ids=["L-shape", "square-polygon"],
+)
+def test_refine_matches_triangle_loop(coarse):
+    mesh = coarse
+    for _ in range(3):
+        got, want = refine(mesh), _loop_refine(mesh)
+        np.testing.assert_array_equal(got.vertices, want.vertices)
+        np.testing.assert_array_equal(got.triangles, want.triangles)
+        np.testing.assert_array_equal(got.boundary_edges, want.boundary_edges)
+        assert got.boundary_tags == want.boundary_tags
+        assert got.mesh_id == want.mesh_id
+        mesh = got

@@ -101,7 +101,6 @@ def test_callables_have_values_but_no_gradients(square):
     for measure in (
         lambda: scalar_mode_norm(square, rz, 0),
         lambda: vector_mode_norm(square, VectorModeFn(1, (rz, R, R))),
-        lambda: vector_mode_norm(square, VectorModeFn(1, (rz, R, R)).conj()),
     ):
         with pytest.raises(TypeError, match="no derivatives"):
             measure()

@@ -74,15 +74,15 @@ def test_builtin_cases_divergence_and_axis_traces(cases):
         ur, ut, uz = case.u.components
         z = np.linspace(0.1, 0.9, 5)
         if case.k == 0:
-            assert np.abs(ur.value(0.0 * z, z)).max() == 0.0
-            assert np.abs(ut.value(0.0 * z, z)).max() == 0.0
+            assert np.abs(ur(0.0 * z, z)).max() == 0.0
+            assert np.abs(ut(0.0 * z, z)).max() == 0.0
         elif abs(case.k) == 1:
-            tie = ur.value(0.0 * z, z) + 1j * case.k * ut.value(0.0 * z, z)
+            tie = ur(0.0 * z, z) + 1j * case.k * ut(0.0 * z, z)
             assert np.abs(tie).max() <= 1e-14
-            assert np.abs(uz.value(0.0 * z, z)).max() == 0.0
+            assert np.abs(uz(0.0 * z, z)).max() == 0.0
         else:
             for comp in (ur, ut, uz):
-                assert np.abs(comp.value(0.0 * z, z)).max() == 0.0
+                assert np.abs(comp(0.0 * z, z)).max() == 0.0
 
 
 def test_from_fields_rejects_wrong_divergence():
@@ -298,7 +298,7 @@ def test_array_cores_reproduce_the_mode_norm_functions(k):
     def close(got, want):
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
-    got, want = sampled_vector_norm(k, *su, R, W), vector_mode_norm(mesh, u, rule)
+    got, want = sampled_vector_norm(k, *su, R, W), vector_mode_norm(mesh, u)
     assert got.k == want.k == k
     for name in ("l2_1_sq", "l2_m1_sq", "h1_1_semi_sq", "h1k_sq", "h1k_semi_sq", "h1k_star_sq"):
         close(getattr(got, name), getattr(want, name))
@@ -306,10 +306,10 @@ def test_array_cores_reproduce_the_mode_norm_functions(k):
     for comp in want.components:
         for name in ("l2_1_sq", "l2_m1_sq", "h1_1_semi_sq"):
             close(getattr(got.components[comp], name), getattr(want.components[comp], name))
-    close(sampled_energy_product(k, su, sv, R, W), mode_energy_product(mesh, k, u, v, rule))
+    close(sampled_energy_product(k, su, sv, R, W), mode_energy_product(mesh, k, u, v))
     close(
         sampled_divergence_product(k, su, q_val, R, W),
-        mode_divergence_product(mesh, k, u, q, rule),
+        mode_divergence_product(mesh, k, u, q),
     )
 
 
@@ -322,10 +322,7 @@ def _small_family_defects(seed):
     modes_u = [_random_mode_field(rng, k) for k in ks]
     modes_v = [_random_mode_field(rng, k) for k in ks]
     modes_q = [_random_scalar(rng) for _ in ks]
-    rule = triangle_rule(DEFAULT_NORM_DEGREE)
-    return _field_defects(
-        mesh, rule, angular_grid(4 * k_max + 8), modes_u, modes_v, modes_q
-    )
+    return _field_defects(mesh, angular_grid(4 * k_max + 8), modes_u, modes_v, modes_q)
 
 
 def test_field_defects_build_the_quadrature_geometry_once(monkeypatch):
