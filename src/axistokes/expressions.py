@@ -22,7 +22,7 @@ import numpy as np
 
 from .fourier import angular_grid, min_angular_samples
 
-__all__ = ["ExpressionError", "compile_expression", "ExpressionField"]
+__all__ = ["ExpressionError", "ExpressionField"]
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _NAMES = ("r", "z", "theta")
@@ -73,30 +73,47 @@ def _check(node, source: str):
 def compile_expression(source: str):
     """Compile a formula in r, z, theta into a vectorized function.
 
-    Returns a callable f(r, z, theta) broadcasting over arrays.  Raises
-    ExpressionError when the formula leaves the supported grammar.
+    Returns a callable f(r, z, theta) broadcasting over arrays; its
+    ``is_real`` says whether every value it takes is real.  Raises
+    ExpressionError when the formula leaves the supported grammar, nests
+    too deeply, or has a constant part that cannot be evaluated, such as
+    1/0, 10.0^400 or exp(10^400).
     """
     text = source.strip().replace("^", "**")
     if not text:
         raise ExpressionError("empty expression")
     try:
         tree = ast.parse(text, mode="eval")
+        _check(tree, source)
+        code = compile(tree, "<expression>", "eval")
+        # r, z and theta are float arrays, so only a constant part such as
+        # (-1)^0.5 can make a value complex, and it does so at every point.
+        probe = _evaluate(code, np.ones(1), np.ones(1), np.ones(1))
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {source!r}: {exc.msg}") from exc
-    _check(tree, source)
-    code = compile(tree, "<expression>", "eval")
-    namespace = {"pi": np.pi, **_FUNCTIONS}
+    except RecursionError as exc:
+        raise ExpressionError(f"{source!r} is nested too deeply") from exc
+    except (ArithmeticError, TypeError) as exc:
+        # TypeError: a function of an integer too large for a float.
+        raise ExpressionError(
+            f"cannot evaluate {source!r}: {type(exc).__name__}"
+        ) from exc
 
     def evaluate(r, z, theta=0.0):
-        env = dict(namespace)
-        env.update(r=np.asarray(r), z=np.asarray(z), theta=np.asarray(theta))
-        # Division by zero and overflow give inf or nan without a warning;
-        # SaddleSystem.rhs rejects non-finite data with the mode named.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.asarray(eval(code, {"__builtins__": {}}, env), dtype=complex)
+        return np.asarray(_evaluate(code, r, z, theta), dtype=complex)
 
     evaluate.source = source
+    evaluate.is_real = probe.dtype.kind != "c"
     return evaluate
+
+
+def _evaluate(code, r, z, theta) -> np.ndarray:
+    env = {"pi": np.pi, **_FUNCTIONS}
+    env.update(r=np.asarray(r), z=np.asarray(z), theta=np.asarray(theta))
+    # Division by zero and overflow in the arrays give inf or nan without a
+    # warning; SaddleSystem.rhs rejects non-finite data with the mode named.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.asarray(eval(code, {"__builtins__": {}}, env))
 
 
 def _grid_size(k: int, n_theta) -> int:
@@ -193,12 +210,5 @@ class ExpressionField:
         return self.modes([k])[k]
 
     def is_real(self) -> bool:
-        """Whether the sampled data is real, deciding conjugation symmetry."""
-        r = np.linspace(0.1, 0.9, 5)
-        z = np.linspace(0.1, 0.9, 5)
-        thetas = angular_grid(16)
-        for fn in self.fns:
-            vals = fn(r[:, None], z[:, None], thetas)
-            if np.max(np.abs(np.asarray(vals).imag)) > 0.0:
-                return False
-        return True
+        """Whether every formula is real, deciding conjugation symmetry."""
+        return all(fn.is_real for fn in self.fns)

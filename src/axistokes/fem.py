@@ -47,17 +47,12 @@ from .quadrature import (
 )
 
 __all__ = [
-    "DataError",
     "FemSpace",
     "FemScalarField",
-    "ModeConstraints",
-    "ModeOperators",
     "ModeSolution",
     "SaddleSystem",
     "assemble",
-    "assemble_rhs",
     "boundary_flux",
-    "mode_constraints",
 ]
 
 COMP_R, COMP_T, COMP_Z = 0, 1, 2

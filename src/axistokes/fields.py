@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Poly2", "VectorModeFn", "evaluate_polys"]
+__all__ = ["Poly2", "VectorModeFn"]
 
 
 class Poly2:

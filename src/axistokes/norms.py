@@ -52,7 +52,6 @@ __all__ = [
     "mode_energy_product",
     "mode_divergence_product",
     "norm_report_csv",
-    "sample_component",
 ]
 
 

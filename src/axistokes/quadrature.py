@@ -10,15 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "QuadratureRule",
-    "EdgeRule",
-    "triangle_rule",
-    "edge_rule",
-    "DEFAULT_ASSEMBLY_DEGREE",
-    "DEFAULT_NORM_DEGREE",
-    "quadrature_geometry",
-]
+__all__ = ["QuadratureRule", "triangle_rule", "edge_rule"]
 
 # Degree used when assembling stiffness/divergence matrices (exact for the
 # polynomial integrands of the Taylor-Hood pair) and the stronger one every

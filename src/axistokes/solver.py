@@ -44,8 +44,10 @@ __all__ = [
 ]
 
 
-# Pressure counts up to which estimate_inf_sup takes the dense eigensolver.
+# Pressure counts up to which estimate_inf_sup takes the dense eigensolver,
+# and the columns of the Schur complement it builds per back-solve.
 _DENSE_LIMIT = 1500
+_SCHUR_CHUNK = 128
 
 # Net axisymmetric volume flux, relative to the wall data, that is warned of.
 _COMPAT_TOL = 1e-10
@@ -339,12 +341,12 @@ def estimate_inf_sup(system: SaddleSystem) -> InfSupEstimate:
     )
 
 
-def _dense_schur(system, chunk: int = 128) -> np.ndarray:
+def _dense_schur(system) -> np.ndarray:
     B = system.B_hat.real
     np_ = system.n_p
     S = np.empty((np_, np_))
-    for start in range(0, np_, chunk):
-        stop = min(start + chunk, np_)
+    for start in range(0, np_, _SCHUR_CHUNK):
+        stop = min(start + _SCHUR_CHUNK, np_)
         S[:, start:stop] = B @ system.a_solve(B.T[:, start:stop].toarray())
     return 0.5 * (S + S.T)
 

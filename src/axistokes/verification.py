@@ -7,9 +7,9 @@ suite compares weighted meridian quantities against honest 3D integrals
 evaluated by tensor quadrature, and truncation studies compare mode-sum
 tails against their analytic decay.
 
-The polynomial calculus is exact: body forces, divergences, and strong
-residuals are computed coefficient-wise, including the negative radial
-powers the operator introduces, so a manufactured case that claims to be
+The polynomial calculus is exact: body forces and divergences are
+computed coefficient-wise, including the negative radial powers the
+operator introduces, so a manufactured case that claims to be
 divergence-free is checked symbolically, not at sample points.
 """
 
@@ -35,17 +35,14 @@ from .solver import solve_mode
 
 __all__ = [
     "CheckResult",
-    "ConvergenceStudy",
     "DecayFamily",
     "ManufacturedCase",
-    "TruncationStudy",
     "builtin_cases",
     "convergence_study",
     "isometry_suite",
     "stability_study",
     "strong_divergence",
     "strong_force",
-    "strong_residual",
     "truncation_study",
 ]
 
@@ -59,6 +56,14 @@ _ZERO = Poly2.zero()
 _TOL_ISO = 1e-8
 _TOL_POLAR = 1e-12
 _TOL_CONJ = 1e-10
+
+# The isometry suite's random fields: _ISO_N_FIELDS families of the modes
+# |k| <= _ISO_K_MAX drawn from seed _ISO_SEED, each component a polynomial
+# of degree _RANDOM_DEGREE times a power of r.
+_ISO_K_MAX = 5
+_ISO_N_FIELDS = 10
+_ISO_SEED = 0
+_RANDOM_DEGREE = 2
 
 # truncation_study doubles its analytic cutoff until the largest tail
 # changes by less than this fraction.
@@ -89,21 +94,6 @@ def strong_force(k: int, u, p: Poly2):
     f_t = -ut.laplace_axi() + ((1 + kk) * ut + (-2j * k) * ur).div_r(2) + gp[1]
     f_z = -uz.laplace_axi() + (kk * uz).div_r(2) + gp[2]
     return VectorModeFn(k, (f_r, f_t, f_z))
-
-
-def strong_residual(k: int, u, p: Poly2, f) -> float:
-    """Largest coefficient of the strong-form defect of (u, p) against f.
-
-    Zero (exactly) when f really is the strong force of (u, p); any
-    perturbation of the fields or the force shows up as a nonzero
-    coefficient.  Pure polynomial arithmetic, no sampling.
-    """
-    worst = 0.0
-    for mine, theirs in zip(strong_force(k, u, p), f):
-        if not isinstance(theirs, Poly2):
-            raise TypeError("strong_residual compares polynomial fields only")
-        worst = max(worst, (mine - theirs).max_abs_coeff())
-    return worst
 
 
 @dataclass(frozen=True)
@@ -467,19 +457,19 @@ class CheckResult:
         return f"CHECK {self.name} {word} {self.value:.6e} {self.tolerance:.6e}"
 
 
-def _random_scalar(rng, degree=2, min_r_power=2) -> Poly2:
+def _random_scalar(rng, min_r_power=2) -> Poly2:
     coeffs = {}
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
+    for a in range(_RANDOM_DEGREE + 1):
+        for b in range(_RANDOM_DEGREE + 1 - a):
             coeffs[(a + min_r_power, b)] = (
                 rng.standard_normal() + 1j * rng.standard_normal()
             )
     return Poly2(coeffs)
 
 
-def _random_mode_field(rng, k, degree=2, min_r_power=2) -> VectorModeFn:
+def _random_mode_field(rng, k, min_r_power=2) -> VectorModeFn:
     """Random polynomial mode shape with enough radial decay for 3D checks."""
-    comps = tuple(_random_scalar(rng, degree, min_r_power) for _ in range(3))
+    comps = tuple(_random_scalar(rng, min_r_power) for _ in range(3))
     return VectorModeFn(k, comps)
 
 
@@ -610,9 +600,7 @@ def _field_defects(mesh, thetas, modes_u, modes_v, modes_q):
     )
 
 
-def isometry_suite(
-    mesh: MeridianMesh, k_max: int = 5, n_fields: int = 10, seed: int = 0
-) -> list:
+def isometry_suite(mesh: MeridianMesh) -> list:
     """Cross-checks between meridian mode quantities and honest 3D integrals.
 
     Random polynomial mode families are reconstructed as genuine 3D fields
@@ -623,12 +611,12 @@ def isometry_suite(
     mode norm and its simpler companion, and conjugation symmetry of modes
     extracted from real samples.
     """
-    rng = np.random.default_rng(seed)
-    thetas = angular_grid(4 * k_max + 8)
+    rng = np.random.default_rng(_ISO_SEED)
+    thetas = angular_grid(4 * _ISO_K_MAX + 8)
 
     worst = [0.0] * 5
-    ks = list(range(-k_max, k_max + 1))
-    for _ in range(n_fields):
+    ks = list(range(-_ISO_K_MAX, _ISO_K_MAX + 1))
+    for _ in range(_ISO_N_FIELDS):
         modes_u = [_random_mode_field(rng, k) for k in ks]
         modes_v = [_random_mode_field(rng, k) for k in ks]
         modes_q = [_random_scalar(rng) for _ in ks]
@@ -681,12 +669,12 @@ def isometry_suite(
     worst_conj = 0.0
     pts_r = np.linspace(0.15, 0.85, 4)
     pts_z = np.linspace(0.1, 0.9, 4)
-    n_samp = 4 * k_max + 8
+    n_samp = 4 * _ISO_K_MAX + 8
     grid = angular_grid(n_samp)
     Rg, Zg = np.meshgrid(pts_r, pts_z, indexing="ij")
     for _ in range(3):
         modes = {}
-        for k in range(0, k_max + 1):
+        for k in range(0, _ISO_K_MAX + 1):
             m = _random_mode_field(rng, k)
             if k == 0:
                 # The axisymmetric coefficient of a real field is real.
@@ -706,7 +694,7 @@ def isometry_suite(
         if np.max(np.abs(total.imag)) > 1e-9:
             worst_conj = max(worst_conj, float(np.max(np.abs(total.imag))))
         real_samples = total.real
-        for k in range(0, k_max + 1):
+        for k in range(0, _ISO_K_MAX + 1):
             up = fourier_coefficient(real_samples, k)
             dn = fourier_coefficient(real_samples, -k)
             worst_conj = max(worst_conj, float(np.max(np.abs(dn - np.conj(up)))))

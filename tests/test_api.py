@@ -1,12 +1,19 @@
 """Every public name has one home: the module whose ``__all__`` lists it.
 
-And every name a module imports at its top level is used there.
+The package star-imports its modules, so a name in two modules' lists, or
+one equal to a module's name, would be shadowed without an error.  And
+every name a module imports at its top level is used there.
 """
 
 import ast
+import collections
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +47,29 @@ def test_package_exports_come_from_module_exports():
     homes = {name for module in MODULES for name in module.__all__}
     missing = set(axistokes.__all__) - homes - {"__version__"}
     assert not missing, f"axistokes.__all__ lists {sorted(missing)} with no home"
+
+
+def test_no_public_name_is_shadowed():
+    homes = collections.Counter(name for module in MODULES for name in module.__all__)
+    twice = sorted(name for name, count in homes.items() if count > 1)
+    assert not twice, f"{twice} are in more than one module's __all__"
+    submodules = {module.__name__.rpartition(".")[2] for module in MODULES}
+    clash = sorted(submodules & set(homes))
+    assert not clash, f"{clash} are exported under a submodule's name"
+
+
+def test_package_import_leaves_cli_unloaded():
+    # ``python -m axistokes.cli`` would otherwise run the module twice.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(axistokes.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    probe = "import sys, axistokes; print('axistokes.cli' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _unused_imports(module) -> set:

@@ -92,6 +92,18 @@ def test_solve_real_expression_data_keeps_nonnegative_modes(tmp_path):
     np.testing.assert_array_equal(implied.u, np.conj(stack.modes[1].u))
 
 
+def test_complex_data_off_the_diagonal_solves_every_mode(tmp_path):
+    # The formula is real on r = z and complex elsewhere; its mode -1 is not
+    # the conjugate of mode 1, so solve must not take it as real data.
+    out = tmp_path / "out"
+    data = "fr = (-1)^0.5*(r - z)*cos(theta)\nftheta = 0\nfz = 0"
+    cfg = _config(tmp_path, _base(out, data=data, extra="\n[modes]\nn_max = 1\n"))
+    assert main(["solve", "--config", cfg]) == 0
+    meta = (out / "stack" / "stack.meta").read_text().splitlines()
+    assert "real_data 0" in meta
+    assert "modes -1 0 1" in meta
+
+
 NORM_TABLES = ("norms_velocity.csv", "norms_pressure.csv")
 REAL_DATA = "fr = cos(theta)*r + z\nftheta = sin(2*theta)*r\nfz = r*z*cos(theta)"
 
@@ -252,6 +264,10 @@ def test_bad_configs_exit_3(tmp_path, capsys, body):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# A product of 3,000 factors, deeper than the parser's recursion limit.
+_DEEP = "*".join(["r"] * 3000)
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
@@ -268,8 +284,48 @@ def test_bad_configs_exit_3(tmp_path, capsys, body):
         ("h = 0.25", "h = inf", "[domain] h: not a finite number"),
         ("[modes]\n", "[solver]\ntol = inf\n\n[modes]\n", "[solver] tol: not a finite number"),
         ("rectangle = 1 1", "rectangle = 1 -inf", "[domain] rectangle: not a finite number"),
+        (
+            "manufactured = k0_exact",
+            "fr = 1/0*r\nftheta = 0\nfz = 0",
+            "cannot evaluate '1/0*r': ZeroDivisionError",
+        ),
+        (
+            "manufactured = k0_exact",
+            "fr = 10.0^400*r\nftheta = 0\nfz = 0",
+            "cannot evaluate '10.0^400*r': OverflowError",
+        ),
+        (
+            "manufactured = k0_exact",
+            "fr = 0^(-1)*r\nftheta = 0\nfz = 0",
+            "cannot evaluate '0^(-1)*r': ZeroDivisionError",
+        ),
+        (
+            "manufactured = k0_exact",
+            "fr = exp(10^400)*r\nftheta = 0\nfz = 0",
+            "cannot evaluate 'exp(10^400)*r': TypeError",
+        ),
+        (
+            "manufactured = k0_exact",
+            f"fr = {_DEEP}\nftheta = 0\nfz = 0",
+            f"{_DEEP!r} is nested too deeply",
+        ),
     ],
-    ids=["float", "int", "bool", "int-list", "max_iter", "nan", "inf", "tol-inf", "float-list"],
+    ids=[
+        "float",
+        "int",
+        "bool",
+        "int-list",
+        "max_iter",
+        "nan",
+        "inf",
+        "tol-inf",
+        "float-list",
+        "div-zero",
+        "overflow",
+        "zero-negative-power",
+        "huge-int-function",
+        "deep-nesting",
+    ],
 )
 def test_bad_config_values_name_key_and_type(tmp_path, capsys, old, new, message):
     body = (_base(tmp_path / "out") + "\n[modes]\n").replace(old, new)

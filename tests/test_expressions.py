@@ -142,6 +142,8 @@ def test_is_real_detection():
     # number evaluates to a Python complex, so complex data can be written.
     assert not ExpressionField("(-1)**0.5*sin(theta)").is_real()
     assert not ExpressionField("r", "(-1)**0.5*r", "0").is_real()
+    # Complex only off the diagonal r = z.
+    assert not ExpressionField("(-1)^0.5*(r - z)*cos(theta)", "0", "0").is_real()
 
 
 def test_angular_sample_guard():
