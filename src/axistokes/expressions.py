@@ -77,7 +77,8 @@ def compile_expression(source: str):
     ``is_real`` says whether every value it takes is real.  Raises
     ExpressionError when the formula leaves the supported grammar, nests
     too deeply, or has a constant part that cannot be evaluated, such as
-    1/0, 10.0^400 or exp(10^400).
+    1/0, 10^400 or an integer too large for a float.  Every number is a
+    float, so 9^9^9 overflows at once instead of being worked out exactly.
     """
     text = source.strip().replace("^", "**")
     if not text:
@@ -85,6 +86,9 @@ def compile_expression(source: str):
     try:
         tree = ast.parse(text, mode="eval")
         _check(tree, source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                node.value = float(node.value)
         code = compile(tree, "<expression>", "eval")
         # r, z and theta are float arrays, so only a constant part such as
         # (-1)^0.5 can make a value complex, and it does so at every point.
@@ -93,8 +97,7 @@ def compile_expression(source: str):
         raise ExpressionError(f"cannot parse {source!r}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ExpressionError(f"{source!r} is nested too deeply") from exc
-    except (ArithmeticError, TypeError) as exc:
-        # TypeError: a function of an integer too large for a float.
+    except ArithmeticError as exc:
         raise ExpressionError(
             f"cannot evaluate {source!r}: {type(exc).__name__}"
         ) from exc

@@ -188,7 +188,7 @@ class FemSpace:
     def velocity_block(self, j: int) -> sp.csr_matrix:
         """L_j = K + j**2 Mm1 restricted to ``free_nodes(j)``, real.
 
-        Every mode builds its reduced velocity block from three of these.
+        A mode's reduced velocity block is the block diagonal of three of these.
         """
         ops, idx = self.operators(), self.free_nodes(j)
         return (ops.K + (j * j) * ops.Mm1)[idx][:, idx].tocsr()
@@ -494,35 +494,39 @@ class DataError(ValueError):
 class SaddleSystem:
     """One mode's constrained saddle problem, ready for right sides.
 
-    Holds the reduced operators and the full divergence block; ``rhs``
-    folds data and pinned values into the free unknowns.  ``A_hat`` and
-    ``B_hat`` are exactly real (see ``ModeConstraints``) but kept in complex
-    dtype, since products of a real sparse matrix with complex vectors copy
-    it each time.  The reduced velocity block ``A_hat`` is the block
-    diagonal of the space's scalar blocks L_j, one per free component, so
-    it is symmetric positive definite; ``a_solve`` applies its inverse on the
-    factors of the L_j that the space keeps and shares, and the system
-    holds no factor.  ``B_hat`` has full rank except for the axisymmetric
-    constant pressure, represented by ``m_vec``; ``mp_solve`` applies the
-    inverse pressure mass matrix ``Mp``.
+    Holds only what depends on the wavenumber: the constraints, the full
+    divergence block and ``B_hat``, exactly real (see ``ModeConstraints``)
+    but kept in complex dtype, since products of a real sparse matrix with
+    complex vectors copy it each time; ``rhs`` folds data and pinned values
+    into the free unknowns.  The reduced velocity block C* A C is the block
+    diagonal of the space's L_j, so it is symmetric positive definite, and
+    no system stores it: ``apply_energy`` applies C* A, and ``a_solve`` the
+    inverse on the factors the space shares.  ``B_hat`` has full rank
+    except for the axisymmetric constant pressure, represented by the
+    space's ``m_vec``; ``mp_solve`` applies the inverse of its ``Mp``.
     """
 
     space: FemSpace
     k: int
     constraints: ModeConstraints
     B_full: sp.csr_matrix
-    A_hat: sp.csr_matrix
     B_hat: sp.csr_matrix
-    Mp: sp.csr_matrix
-    m_vec: np.ndarray
 
     @property
     def n_free(self) -> int:
-        return self.A_hat.shape[0]
+        return self.constraints.n_free
 
     @property
     def n_p(self) -> int:
         return self.B_hat.shape[0]
+
+    @property
+    def Mp(self) -> sp.csr_matrix:
+        return self.space.operators().Mp
+
+    @property
+    def m_vec(self) -> np.ndarray:
+        return self.space.operators().m
 
     def rhs(self, f=None, g_div=None):
         """Reduced right sides (F_hat, G_hat) for body force and divergence data.
@@ -533,7 +537,7 @@ class SaddleSystem:
             F = assemble_rhs(self.space, f)
             G = assemble_divergence_rhs(self.space, g_div)
             fix = self.constraints.fix
-            F_hat = self.constraints.C.conj().T @ F - self._lift(fix)
+            F_hat = self.constraints.C.conj().T @ F - self.apply_energy(fix)
             G_hat = G - self.B_full @ fix
         if not (np.all(np.isfinite(F_hat)) and np.all(np.isfinite(G_hat))):
             raise DataError(
@@ -542,16 +546,16 @@ class SaddleSystem:
             )
         return F_hat, G_hat
 
-    def _lift(self, fix: np.ndarray) -> np.ndarray:
-        """C* A fix for the full energy matrix A, without forming A.
+    def apply_energy(self, full: np.ndarray) -> np.ndarray:
+        """C* A full for a full component-major velocity vector, without forming A.
 
         The unit direction of each free component is an eigenvector of the
         3 x 3 symbol of A, with eigen-operator L_j = K + j**2 Mm1 (see the
-        module docstring), so the lift of component c is L_j applied to
-        the pinned values along that direction, kept at its free nodes.
+        module docstring), so component c is L_j applied to ``full`` along
+        that direction, kept at its free nodes; C u gives C* A C u.
         """
         cons, ops = self.constraints, self.space.operators()
-        along = cons.dirs.conj().T @ fix.reshape(3, -1)
+        along = cons.dirs.conj().T @ full.reshape(3, -1)
         return np.concatenate(
             [
                 (ops.K @ w + (j * j) * (ops.Mm1 @ w))[self.space.free_nodes(j)]
@@ -565,7 +569,7 @@ class SaddleSystem:
         return full.reshape(3, self.space.n_vel)
 
     def a_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A_hat^-1 rhs for a vector or a block of columns.
+        """(C* A C)^-1 rhs for a vector or a block of columns.
 
         Each component's slice is solved on the real factor of its L_j,
         asked of the space on each call (``FemSpace.velocity_factor``); an
@@ -591,21 +595,10 @@ class SaddleSystem:
 
 def assemble(space: FemSpace, k: int, g=None) -> SaddleSystem:
     """Build the constrained saddle system of mode k with wall data g."""
-    ops = space.operators()
-    B = _divergence_matrix(ops, k)
+    B = _divergence_matrix(space.operators(), k)
     cons = mode_constraints(space, k, g)
-    blocks = [space.velocity_block(j) for j in cons.j]
-    A_hat = sp.block_diag(blocks, format="csr", dtype=complex)
-    B_hat = (B @ cons.C).tocsr()
     return SaddleSystem(
-        space=space,
-        k=k,
-        constraints=cons,
-        B_full=B,
-        A_hat=A_hat,
-        B_hat=B_hat,
-        Mp=ops.Mp,
-        m_vec=ops.m.copy(),
+        space=space, k=k, constraints=cons, B_full=B, B_hat=(B @ cons.C).tocsr()
     )
 
 

@@ -15,7 +15,7 @@ mode (u_theta = i w, see ``fem.ModeConstraints``), so every factor is
 real: complex data takes two real columns, and a right side with zero
 imaginary part one real column, at every mode.  The velocity block is
 the block diagonal of scalar operators L_j whose factors the modes of a
-space share.
+space share; only the direct path forms it, for its bordered LU.
 
 ``estimate_inf_sup`` measures the discrete stability constant as the
 smallest generalized eigenvalue of the real Schur complement against the
@@ -91,9 +91,9 @@ class SolverConfig:
 class SolveReport:
     """What happened during one mode solve.
 
-    ``residuals`` is the Uzawa iteration's history of (iteration, res_u,
-    res_p), empty for the direct method; ``res_u`` and ``res_p`` are the
-    true residuals of the returned solution.  A breakdown raises
+    ``residuals`` is the Uzawa iteration's history of (iteration, res_p),
+    empty for the direct method; ``res_u`` and ``res_p`` are the true
+    residuals of the returned solution.  A breakdown raises
     SolverBreakdown instead of returning a report.
     """
 
@@ -109,18 +109,19 @@ class SolveReport:
     compatibility_flux: complex = None
     residuals: list = field(default_factory=list)
 
-    RESIDUAL_HEADER = "iter, res_u, res_p"
+    RESIDUAL_HEADER = "iter, res_p"
 
     def residual_csv(self) -> str:
         """The residual history as CSV text under ``RESIDUAL_HEADER``."""
         lines = [self.RESIDUAL_HEADER]
-        for it, ru, rp in self.residuals:
-            lines.append(f"{it}, {ru!r}, {rp!r}")
+        for it, rp in self.residuals:
+            lines.append(f"{it}, {rp!r}")
         return "\n".join(lines) + "\n"
 
 
 def _true_residuals(system, u_free, p, F_hat, G_hat):
-    res_u = np.linalg.norm(F_hat - system.A_hat @ u_free - system.B_hat.conj().T @ p)
+    Au = system.apply_energy(system.constraints.C @ u_free)
+    res_u = np.linalg.norm(F_hat - Au - system.B_hat.conj().T @ p)
     res_p = np.linalg.norm(system.B_hat @ u_free - G_hat)
     return float(res_u), float(res_p)
 
@@ -177,7 +178,7 @@ def _direct_bordered(A, B, F, G, m=None):
 
 
 def _uzawa_core(system, F, G, config):
-    """Schur-complement CG.  Returns (u, p, iterations, converged, history).
+    """Schur-complement CG.  Returns (u, p, iterations, converged, [(it, res_p)]).
 
     ``system.a_solve`` applies the inverse velocity block and
     ``system.mp_solve`` the inverse pressure mass preconditioner.  At
@@ -185,7 +186,7 @@ def _uzawa_core(system, F, G, config):
     residuals keep Euclidean-orthogonal to the constant vector e and the
     preconditioned steps mean-free under the functional m.
     """
-    A, B = system.A_hat, system.B_hat
+    B = system.B_hat
     Bh = B.conj().T
     m, e = (system.m_vec, np.ones(system.n_p)) if system.k == 0 else (None, None)
 
@@ -233,8 +234,7 @@ def _uzawa_core(system, F, G, config):
         rho_old = rho
         iterations = it
         res_p = float(np.linalg.norm(r))
-        res_u = float(np.linalg.norm(F - A @ u - Bh @ p))
-        history.append((it, res_u, res_p))
+        history.append((it, res_p))
         if res_p <= config.tol * ref:
             converged = True
             break
@@ -275,8 +275,9 @@ def solve_mode(
 
     if config.method == "direct":
         m = system.m_vec if k == 0 else None
+        blocks = [system.space.velocity_block(j) for j in system.constraints.j]
         u_free, p, report.mean_multiplier = _direct_bordered(
-            system.A_hat, system.B_hat, F_hat, G_hat, m
+            sp.block_diag(blocks, format="csr"), system.B_hat, F_hat, G_hat, m
         )
     else:
         u_free, p, its, conv, hist = _uzawa_core(system, F_hat, G_hat, config)
@@ -310,7 +311,7 @@ def estimate_inf_sup(system: SaddleSystem) -> InfSupEstimate:
     """Smallest eigenvalue of the pressure Schur complement against the mass.
 
     beta**2 is the minimum of q^T S q / q^T Mp q over admissible pressures
-    (mean-free ones for the axisymmetric mode), with S = B_hat A_hat^-1
+    (mean-free ones for the axisymmetric mode), with S = B_hat (C* A C)^-1
     B_hat^T real.  Up to ``_DENSE_LIMIT`` pressures the dense symmetric
     eigensolver takes the whole pencil (S, Mp), skipping the constant
     kernel at k = 0; larger problems use LOBPCG on the implicitly applied

@@ -5,7 +5,8 @@ reference coordinates (``fem._element_matrices``).  This module keeps the
 direct formulation they are tested against: basis gradients pushed forward
 to every quadrature point of every triangle, (nt, nq, 6, 2), and each
 element matrix as one einsum over that table.  ``mode_matrices`` forms the
-full, unconstrained saddle blocks of one mode from the operators.
+full, unconstrained saddle blocks of one mode from the operators, and
+``velocity_matrix`` the reduced velocity block that no system stores.
 """
 
 import numpy as np
@@ -96,3 +97,9 @@ def mode_matrices(space, k: int):
         [[A_rr, A_rt, None], [A_tr, A_rr, None], [None, None, A_zz]], format="csr"
     )
     return A, _divergence_matrix(ops, k)
+
+
+def velocity_matrix(system):
+    """Reduced velocity block of a mode: the block diagonal of the space's L_j."""
+    space = system.space
+    return sp.block_diag([space.velocity_block(j) for j in system.constraints.j], format="csr")

@@ -25,22 +25,54 @@ MODULES = [
 ]
 
 
-def _defined_names(module) -> set:
-    """Names bound at the top level of a module's source, imports excluded."""
+def _imported_names(tree) -> set:
+    """Names bound by the top-level imports of a parsed module."""
     names = set()
-    for node in ast.parse(inspect.getsource(module)).body:
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+def _defined_names(source: str) -> set:
+    """Names bound at the top level of a module's source, imports excluded.
+
+    An assignment of an imported name, such as ``solve_mode = solve_mode``,
+    binds that import again and defines nothing.
+    """
+    tree = ast.parse(source)
+    imported = _imported_names(tree)
+    names = set()
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            if isinstance(node.value, ast.Name) and node.value.id in imported:
+                continue
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
     return names
 
 
+def _foreign_exports(source: str, exported) -> set:
+    return set(exported) - _defined_names(source)
+
+
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_module_exports_only_its_own_names(module):
-    foreign = set(module.__all__) - _defined_names(module)
+    foreign = _foreign_exports(inspect.getsource(module), module.__all__)
     assert not foreign, f"{module.__name__}.__all__ re-exports {sorted(foreign)}"
+
+
+def test_reexport_by_assignment_is_caught():
+    # Negative control: a module that binds an import again under its own
+    # name and lists it re-exports it.
+    source = (
+        "from .solver import solve_mode\n"
+        "solve_mode = solve_mode\n"
+        "__all__ = ['solve_mode']\n"
+    )
+    assert _foreign_exports(source, ["solve_mode"]) == {"solve_mode"}
 
 
 def test_package_exports_come_from_module_exports():
@@ -78,13 +110,8 @@ def _unused_imports(module) -> set:
     A name listed in ``__all__`` counts as read: the module re-exports it.
     """
     tree = ast.parse(inspect.getsource(module))
-    imported = set()
-    for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                imported.add(alias.asname or alias.name.split(".")[0])
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return imported - read - set(getattr(module, "__all__", ()))
+    return _imported_names(tree) - read - set(getattr(module, "__all__", ()))
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -1,6 +1,7 @@
 """Expression grammar safety and Fourier extraction of formula data."""
 
 import keyword
+import time
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ def test_grammar_rejects_everything_outside_it(left, bad, right):
     # Only ExpressionError may escape, wherever the bad fragment sits.
     with pytest.raises(ExpressionError):
         compile_expression(f"{left} + {bad} * {right}")
+
+
+@pytest.mark.parametrize("source", ["9^9^9*r", "9^9^9^9*r", "1" + "0" * 400 + "*r"])
+def test_huge_integer_constants_fail_at_once(source):
+    # Every number is a float, so a tower of integer powers overflows at
+    # once, and so does a literal too large for a float.
+    start = time.perf_counter()
+    with pytest.raises(ExpressionError, match="OverflowError"):
+        compile_expression(source)
+    assert time.perf_counter() - start <= 1.0
 
 
 def test_power_is_caret_not_xor():

@@ -1,6 +1,7 @@
 """Taylor-Hood assembly: operators, constraints, right sides, and fields."""
 
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -28,9 +29,14 @@ from axistokes.quadrature import (
     quadrature_geometry,
     triangle_rule,
 )
-from axistokes.solver import solve_mode
+from axistokes.solver import SolverConfig, solve_mode
 
-from fem_reference import mode_matrices, reference_operators, reference_samples
+from fem_reference import (
+    mode_matrices,
+    reference_operators,
+    reference_samples,
+    velocity_matrix,
+)
 
 ONE = Poly2({(0, 0): 1.0})
 R = Poly2({(1, 0): 1.0})
@@ -131,19 +137,34 @@ def test_mode_matrix_conjugation(space):
 @pytest.mark.parametrize("k", [0, 1, -1, 2])
 def test_reduced_velocity_block_hermitian_definite(space, k):
     # With u_theta = i w on the free angular unknowns the reduced blocks
-    # are exactly real.
+    # are exactly real: the L_j are real, and so is B_hat.
     system = assemble(space, k)
-    assert np.abs(system.A_hat.imag).max() == 0.0
     assert np.abs(system.B_hat.imag).max() == 0.0
-    H = system.A_hat.toarray()
+    H = velocity_matrix(system).toarray()
     scale = np.abs(H).max()
     assert np.abs(H - H.conj().T).max() <= 1e-14 * scale
-    # The block diagonal of the L_j is C* A C: the u+- split decouples it.
-    C = system.constraints.C
-    A = mode_matrices(space, k)[0]
-    assert np.abs((C.conj().T @ A @ C).toarray() - H).max() <= 1e-14 * scale
     eigs = np.linalg.eigvalsh(H)
     assert eigs.min() > 0.0
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 2, 5])
+def test_velocity_product_is_reduced_energy_matrix(space, k):
+    # The block diagonal of the L_j is C* A C: the u+- split decouples it.
+    # apply_energy(C u) is that product without forming A, column by
+    # column and on a complex vector.
+    system = assemble(space, k)
+    C = system.constraints.C
+    ref = (C.conj().T @ mode_matrices(space, k)[0] @ C).toarray()
+    scale = np.abs(ref).max()
+    assert np.abs(velocity_matrix(system).toarray() - ref).max() <= 1e-14 * scale
+    columns = np.column_stack(
+        [system.apply_energy(C[:, i].toarray().ravel()) for i in range(system.n_free)]
+    )
+    assert np.abs(columns - ref).max() <= 1e-14 * scale
+    rng = np.random.default_rng(40 + k)
+    u = rng.standard_normal(system.n_free) + 1j * rng.standard_normal(system.n_free)
+    product = ref @ u
+    assert np.abs(system.apply_energy(C @ u) - product).max() <= 1e-14 * np.abs(product).max()
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -363,7 +384,8 @@ def test_velocity_factors_shared_in_order_of_wavenumber(
     systems = [assemble(space, k) for k in range(5)]
     for system in systems:
         x = system.a_solve(np.ones(system.n_free))
-        assert np.abs(system.A_hat @ x - 1.0).max() <= 1e-12
+        Ax = system.apply_energy(system.constraints.C @ x)
+        assert np.abs(Ax - 1.0).max() <= 1e-12
     assert len(factored) == 6
     # The space is the only owner of the factors: releasing them frees
     # every one while the systems live, and a further solve factors anew.
@@ -372,6 +394,27 @@ def test_velocity_factors_shared_in_order_of_wavenumber(
     assert len(factor_refs) == 6 and all(ref() is None for ref in factor_refs)
     systems[2].a_solve(np.ones(systems[2].n_free))
     assert len(factored) == 9
+
+
+def test_velocity_operator_has_one_owner(monkeypatch):
+    # Each L_j is formed once per factor, and only by velocity_factor:
+    # assembly, right sides, the Uzawa iteration and its true residuals
+    # reach the velocity block through the space's operators and factors.
+    # In order of |k|, modes 0 .. 4 need L_0 .. L_5.
+    space = FemSpace(generate_structured((1.0, 1.0), 0.25))
+    callers = []
+    velocity_block = space.velocity_block
+
+    def counting(j):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return velocity_block(j)
+
+    monkeypatch.setattr(space, "velocity_block", counting)
+    f = (R, R * Z, ONE)
+    for k in range(5):
+        sol = solve_mode(assemble(space, k), f=f, config=SolverConfig(method="uzawa"))
+        assert sol.report.converged
+    assert callers == ["velocity_factor"] * 6
 
 
 def test_velocity_factor_evicted_before_its_replacement_is_built(monkeypatch):
