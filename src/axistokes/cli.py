@@ -39,7 +39,7 @@ from .meshing import (
     read_mesh,
     write_mesh,
 )
-from .norms import FieldDifference, norm_report_csv, scalar_mode_norm, vector_mode_norm
+from .norms import norm_report_csv, scalar_mode_norm, vector_mode_norm
 from .solver import SolverBreakdown, SolverConfig, solve_mode
 from .verification import (
     CheckResult,
@@ -197,19 +197,22 @@ def _parse_modes(cp, config: RunConfig) -> None:
 
 
 def _parse_solver(cp, config: RunConfig) -> None:
-    method = cp.get("solver", "method", fallback="direct").strip()
-    tol = _get(cp, "solver", "tol", 1e-10)
-    max_iter = _get(cp, "solver", "max_iter", 500)
+    default = SolverConfig()
+    method = cp.get("solver", "method", fallback=default.method).strip()
+    tol = _get(cp, "solver", "tol", default.tol)
+    max_iter = _get(cp, "solver", "max_iter", default.max_iter)
     try:
         config.solver = SolverConfig(method=method, tol=tol, max_iter=max_iter)
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
 
 
+# _parse_output and _parse_truncation fill a fresh RunConfig, so each key
+# defaults to the value its field holds.
 def _parse_output(cp, config: RunConfig) -> None:
-    config.out_dir = Path(cp.get("output", "directory", fallback="out"))
-    config.vtk = _get(cp, "output", "vtk", False)
-    config.vtk_n_theta = _get(cp, "output", "vtk_n_theta", 32)
+    config.out_dir = Path(cp.get("output", "directory", fallback=config.out_dir))
+    config.vtk = _get(cp, "output", "vtk", config.vtk)
+    config.vtk_n_theta = _get(cp, "output", "vtk_n_theta", config.vtk_n_theta)
     if config.vtk and config.vtk_n_theta < 8:
         raise ConfigError("[output] vtk_n_theta must be at least 8")
 
@@ -227,7 +230,7 @@ def _parse_truncation(cp, config: RunConfig) -> None:
         if not ns or any(n < 1 for n in ns):
             raise ConfigError("[truncation] ns must be positive integers")
         config.trunc_ns = tuple(sorted(set(ns)))
-    config.trunc_h = _get(cp, "truncation", "h", 0.25)
+    config.trunc_h = _get(cp, "truncation", "h", config.trunc_h)
     if config.trunc_h <= 0:
         raise ConfigError("[truncation] h must be positive")
 
@@ -450,14 +453,7 @@ def _solver_checks() -> list:
         case = cases[name]
         system = assemble(space, case.k, g=case.u)
         solution = solve_mode(system, f=case.f, g_div=case.g_div)
-        fields = solution.velocity_fields()
-        diffs = tuple(
-            FieldDifference(fields[c], case.u.components[c]) for c in range(3)
-        )
-        err_u = vector_mode_norm(mesh, diffs, k=case.k).h1k
-        offset = case.pressure_offset(mesh)
-        diff_p = FieldDifference(solution.pressure_field(), case.p - offset)
-        err_p = scalar_mode_norm(mesh, diff_p, 0).l2_1
+        err_u, err_p = case.errors(solution)
         scale = max(vector_mode_norm(mesh, case.u).h1k, 1.0)
         value = (err_u + err_p) / scale
         checks.append(CheckResult(f"exact_solve_{name}", value <= 1e-9, value, 1e-9))
@@ -555,11 +551,9 @@ def cmd_truncation(args) -> int:
         print(f"s = {s:g} (mode norms {'solved' if study.solved else 'analytic'})")
         print(study.csv(), end="")
         print(
-            f"final slope {study.slope:.4f} (decay exponent -(s+1/2) = {-(s + 0.5):.4f}), "
-            f"bound window {study.bound_window:.4f}, "
-            f"max growth {study.bound_growth:.4f}, "
             f"one-sided ratio {study.one_sided_ratio:.4f}, "
-            f"extrapolated slope {study.extrapolated_slope:.4f}"
+            f"extrapolated slope {study.extrapolated_slope:.4f} "
+            f"(target -(s+1/2) = {-(s + 0.5):.4f})"
         )
         print(f"written to {config.out_dir / name}")
     return 0

@@ -62,7 +62,8 @@ def _check(node, source: str):
         if node.id not in _NAMES and node.id != "pi":
             raise ExpressionError(f"unknown name {node.id!r} in {source!r}")
     elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        # type(), not isinstance: True and False are ints to isinstance.
+        if type(node.value) not in (int, float):
             raise ExpressionError(f"only numeric constants are allowed in {source!r}")
     else:
         raise ExpressionError(

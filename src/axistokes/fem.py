@@ -136,7 +136,6 @@ class FemSpace:
             (wall if tag == GAMMA else axis).update((a, b, m))
         self.wall_dofs = frozenset(wall)
         self.axis_dofs = frozenset(axis)
-        self.corner_dofs = frozenset(wall & axis)
         free = np.ones((2, self.n_vel), dtype=bool)
         free[:, np.fromiter(wall, np.int64, len(wall))] = False
         free[1, np.fromiter(axis, np.int64, len(axis))] = False
@@ -409,7 +408,7 @@ def mode_constraints(space: FemSpace, k: int, g=None) -> ModeConstraints:
             vals = np.asarray(comp(coords[:, 0], coords[:, 1]), dtype=complex)
             fix[c * n + wall] = np.broadcast_to(vals, wall.shape)
 
-        corners = np.array(sorted(space.corner_dofs), dtype=np.int64)
+        corners = space.mesh.corner_nodes
         pinned = dirs[:, [c for c in range(3) if js[c]]]
         bad = np.abs(pinned.conj().T @ fix.reshape(3, n)[:, corners]).max(axis=0)
         for d, b in zip(corners, bad):

@@ -141,6 +141,22 @@ class ManufacturedCase:
         den = integrate_weighted(mesh, _ONE, 1).real
         return num / den
 
+    def errors(self, solution) -> tuple:
+        """(velocity error, pressure error) of a solve of this case.
+
+        The velocity error is in the full mode norm, the pressure error in
+        the r-weighted L2 norm after subtracting ``pressure_offset``.
+        """
+        mesh = solution.space.mesh
+        diffs = tuple(
+            FieldDifference(field, exact)
+            for field, exact in zip(solution.velocity_fields(), self.u.components)
+        )
+        err_u = vector_mode_norm(mesh, diffs, k=self.k).h1k
+        p_exact = self.p - self.pressure_offset(mesh)
+        diff_p = FieldDifference(solution.pressure_field(), p_exact)
+        return err_u, scalar_mode_norm(mesh, diff_p, 0).l2_1
+
 
 def builtin_cases() -> dict:
     """Named manufactured cases used by tests, studies, and the CLI."""
@@ -268,8 +284,7 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Solve a manufactured case on unit-square meshes and tabulate errors.
 
-    Velocity error in the full mode norm, pressure error in the r-weighted
-    L2 norm with the weighted mean aligned for the axisymmetric mode.
+    The errors are those of ``ManufacturedCase.errors``.
     """
     err_u, err_p = [], []
     for h in hs:
@@ -277,14 +292,9 @@ def convergence_study(
         space = FemSpace(mesh)
         system = assemble(space, case.k, g=case.u)
         sol = solve_mode(system, f=case.f, g_div=case.g_div)
-        fields = sol.velocity_fields()
-        diffs = tuple(
-            FieldDifference(fields[c], case.u.components[c]) for c in range(3)
-        )
-        err_u.append(vector_mode_norm(mesh, diffs, k=case.k).h1k)
-        p_exact = case.p - case.pressure_offset(mesh) * _ONE
-        diff_p = FieldDifference(sol.pressure_field(), p_exact)
-        err_p.append(scalar_mode_norm(mesh, diff_p, 0).l2_1)
+        eu, ep = case.errors(sol)
+        err_u.append(eu)
+        err_p.append(ep)
     return ConvergenceStudy(
         case=case.name, k=case.k, hs=list(hs), err_u=err_u, err_p=err_p
     )
@@ -304,8 +314,9 @@ class DecayFamily:
 
     s: float
 
-    def amplitude(self, k: int) -> float:
-        return (1.0 + abs(k)) ** (-(self.s + 1.0))
+    def amplitude(self, k):
+        """(1 + |k|)**-(s+1) of a wavenumber or an integer array of them."""
+        return (1.0 + np.abs(k)) ** (-(self.s + 1.0))
 
 
 @dataclass
@@ -333,21 +344,12 @@ class TruncationStudy:
         return out
 
     @property
-    def slope(self) -> float:
-        return self.slopes()[-1]
-
-    @property
-    def bound_window(self) -> float:
-        ratios = self.bound_ratios
-        return max(ratios) / min(ratios)
-
-    @property
     def one_sided_ratio(self) -> float:
         """max_N tail(N) N^s over its value at the smallest N.
 
-        The truncation estimate bounds tail(N) N^s from above only; for
-        data of regularity s this ratio stays near 1, where the two-sided
-        ``bound_window`` also counts the allowed fall.
+        The truncation estimate bounds tail(N) N^s from above only, so for
+        data of regularity s this ratio stays near 1 while tail(N) N^s may
+        fall.
         """
         ratios = self.bound_ratios
         return max(ratios) / ratios[0]
@@ -364,22 +366,11 @@ class TruncationStudy:
             return float("nan")
         return 2.0 * slopes[-1] - slopes[-2]
 
-    @property
-    def bound_growth(self) -> float:
-        ratios = self.bound_ratios
-        return max(b / a for a, b in zip(ratios, ratios[1:]))
-
     def csv(self) -> str:
         lines = [self.CSV_HEADER]
         for n, t, b in zip(self.ns, self.tails, self.bound_ratios):
             lines.append(f"{n}, {t!r}, {b!r}")
         return "\n".join(lines) + "\n"
-
-
-def _analytic_norms(family: DecayFamily, k_max: int):
-    ks = np.arange(0, k_max + 1)
-    a = (1.0 + ks) ** (-(family.s + 1.0))
-    return a, a.copy()
 
 
 def _solved_norms(family: DecayFamily, k_max: int, h: float):
@@ -402,6 +393,11 @@ def _solved_norms(family: DecayFamily, k_max: int, h: float):
     return u_norms, p_norms
 
 
+def _tail_sq(sq, n: int) -> float:
+    """Squared tail over |k| > n of the squared mode norms sq[k], k >= 0."""
+    return 2.0 * np.sum(sq[n + 1 :])
+
+
 def truncation_study(
     family: DecayFamily,
     ns=(2, 4, 8, 16, 32),
@@ -421,23 +417,21 @@ def truncation_study(
     k_max = 4 * n_max
     if with_solves:
         u_norms, p_norms = _solved_norms(family, k_max, h)
+        sq = u_norms**2 + p_norms**2
     else:
-        u_norms, p_norms = _analytic_norms(family, k_max)
+        def squares(cutoff):
+            # The velocity and the pressure norm of mode k are both amplitude(k).
+            return 2.0 * family.amplitude(np.arange(cutoff + 1)) ** 2
+
+        sq = squares(k_max)
+        tail_sq = _tail_sq(sq, n_max)
         while True:
-            sq = u_norms**2 + p_norms**2
-            tail_sq = 2.0 * np.sum(sq[n_max + 1 :])
-            bigger = 2 * k_max
-            u2, p2 = _analytic_norms(family, bigger)
-            sq2 = u2**2 + p2**2
-            tail_sq2 = 2.0 * np.sum(sq2[n_max + 1 :])
-            if tail_sq2 - tail_sq <= _TAIL_REL_CHANGE * tail_sq:
+            bigger = squares(2 * k_max)
+            bigger_tail_sq = _tail_sq(bigger, n_max)
+            if bigger_tail_sq - tail_sq <= _TAIL_REL_CHANGE * tail_sq:
                 break
-            k_max = bigger
-            u_norms, p_norms = u2, p2
-    sq = u_norms**2 + p_norms**2
-    tails = []
-    for n in ns:
-        tails.append(float(np.sqrt(2.0 * np.sum(sq[n + 1 :]))))
+            k_max, sq, tail_sq = 2 * k_max, bigger, bigger_tail_sq
+    tails = [float(np.sqrt(_tail_sq(sq, n))) for n in ns]
     return TruncationStudy(
         s=family.s, ns=list(ns), tails=tails, k_max=k_max, solved=with_solves
     )

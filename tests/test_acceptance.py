@@ -201,8 +201,7 @@ def _truncation_check(study, s):
     target = -(s + 0.5)
     detail = (
         f"s={s:g}: last slope {slopes[-1]:.4f}, extrapolated {extrapolated:.4f} "
-        f"vs {target:.2f} +-0.15, max/first of tail*N^s {ratio:.4f} <= 1.5, "
-        f"max/min {study.bound_window:.4f}"
+        f"vs {target:.2f} +-0.15, max/first of tail*N^s {ratio:.4f} <= 1.5"
     )
     return ratio <= 1.5, abs(extrapolated - target) <= 0.15, detail
 
@@ -217,8 +216,8 @@ def test_criterion_08_truncation_decay():
     # checked against its first value, not held in a two-sided window.
     # Halving slopes approach -(s+1/2) with an O(1/N) gap that is still
     # 0.16 at N = 32 for s = 2; one Richardson step removes that term, so
-    # the band applies to the extrapolated rate.  The raw last slope and
-    # the max/min window are printed alongside.
+    # the band applies to the extrapolated rate.  The raw last slope is
+    # printed alongside.
     rows = []
     ok = True
     for s in TRUNCATION_S:

@@ -312,6 +312,11 @@ _DEEP = "*".join(["r"] * 3000)
         ),
         (
             "manufactured = k0_exact",
+            "fr = True*r\nftheta = 0\nfz = 0",
+            "only numeric constants are allowed in 'True*r'",
+        ),
+        (
+            "manufactured = k0_exact",
             f"fr = {_DEEP}\nftheta = 0\nfz = 0",
             f"{_DEEP!r} is nested too deeply",
         ),
@@ -331,6 +336,7 @@ _DEEP = "*".join(["r"] * 3000)
         "zero-negative-power",
         "huge-int-function",
         "integer-power-tower",
+        "bool-constant",
         "deep-nesting",
     ],
 )
@@ -420,7 +426,10 @@ def test_truncation_command(tmp_path, capsys):
     )
     assert main(["truncation", "--config", cfg]) == 0
     captured = capsys.readouterr().out
-    assert "final slope" in captured
+    assert (
+        "one-sided ratio 1.0269, extrapolated slope -1.3888 (target -(s+1/2) = -1.5000)"
+        in captured.splitlines()
+    )
     assert (out / "truncation_s1.csv").is_file()
     table = (out / "truncation_s1.csv").read_text().strip().splitlines()
     assert table[0] == "N, tail, bound_ratio"

@@ -51,6 +51,8 @@ def test_vectorized_broadcast():
         "r if z else 0",
         "",
         "1 +",
+        "True*r",
+        "False",
     ],
 )
 def test_grammar_rejects_unsafe_or_unknown(source):
@@ -85,6 +87,8 @@ _outside = st.one_of(
         lambda t: f"{t[0]}({t[1]}={t[2]})"
     ),
     _identifiers,
+    # Keywords that parse as constants; _identifiers leaves keywords out.
+    st.sampled_from(["True", "False", "None"]),
     st.tuples(_functions, _inside, _inside).map(lambda t: f"{t[0]}({t[1]}, {t[2]})"),
 )
 

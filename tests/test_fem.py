@@ -66,7 +66,8 @@ def test_space_counts(space):
     # 3 x 3 vertex grid, 8 triangles, 16 distinct edges.
     assert space.n_p == 9
     assert space.n_vel == 9 + 16
-    assert len(space.corner_dofs) == 2
+    assert len(space.mesh.corner_nodes) == 2
+    assert set(space.mesh.corner_nodes.tolist()) == space.wall_dofs & space.axis_dofs
     # Axis side contributes two edges: three vertices plus two midpoints.
     assert len(space.axis_dofs) == 5
     assert len(space.axis_dofs - space.wall_dofs) == 3

@@ -1,0 +1,59 @@
+"""The benchmark's traced run still finds every name it wraps.
+
+``perfbench/tracing.py`` replaces names of ``axistokes.cli`` and a few
+methods by spans; a rename of any of them makes that run fail.  This
+runs it on a tiny Uzawa solve and reads its spans with the benchmark's
+own ``layer_metrics``.  Nothing is written under ``perfbench/``.
+"""
+
+import json
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+_CONFIG = """\
+[domain]
+rectangle = 1 1
+h = 0.25
+
+[data]
+fr = r*z
+ftheta = 0
+fz = r
+
+[modes]
+n_max = 1
+
+[solver]
+method = uzawa
+
+[output]
+directory = out
+"""
+
+
+def test_traced_solve_sees_factors_and_backsolves(tmp_path):
+    (tmp_path / "run.ini").write_text(_CONFIG)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(TRACING), "spans.json", "--", "solve", "--config", "run.ini"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # run_path compiles the script without writing bytecode next to it.
+    tracing = runpy.run_path(str(TRACING), run_name="tracing")
+    metrics = tracing["layer_metrics"](json.loads((tmp_path / "spans.json").read_text()))
+    assert metrics["solver.factor_count"] > 0
+    assert metrics["solver.backsolve_count"] > 0
