@@ -550,10 +550,11 @@ def cmd_truncation(args) -> int:
         (config.out_dir / name).write_text(study.csv())
         print(f"s = {s:g} (mode norms {'solved' if study.solved else 'analytic'})")
         print(study.csv(), end="")
+        # Solved mode norms decay faster than the data's slope -(s + 1/2).
+        target = "" if study.solved else f" (target -(s+1/2) = {-(s + 0.5):.4f})"
         print(
             f"one-sided ratio {study.one_sided_ratio:.4f}, "
-            f"extrapolated slope {study.extrapolated_slope:.4f} "
-            f"(target -(s+1/2) = {-(s + 0.5):.4f})"
+            f"extrapolated slope {study.extrapolated_slope:.4f}{target}"
         )
         print(f"written to {config.out_dir / name}")
     return 0

@@ -16,12 +16,14 @@ is a sum of scalar forms L_j = K + j**2 Mm1, with j = |k - 1|, |k + 1|, |k|
 on u+, u-, u_z (for k = 0 the unknowns stay u_r, u_t, u_z with
 j = 1, 1, 0).  One rule gives every essential condition: a component is
 pinned on the wall, and on the axis iff j != 0; at |k| = 1 this leaves the
-tie u_r = -i k u_t.  A constraint matrix C with orthonormal columns maps
-the free unknowns to the full component-major vector, the reduced
-velocity block is the block diagonal of the restricted L_j that all modes
-of a space share, and B C is exactly real.  Every 1/r**2 contribution
-that survives involves only basis functions that vanish on the axis,
-keeping the interior quadrature consistent.
+tie u_r = -i k u_t.  A map C with orthonormal columns takes the free
+unknowns to the full component-major vector; it is applied from each
+component's direction and free nodes and never formed.  The reduced
+velocity block C* A C is the block diagonal of the restricted L_j that
+all modes of a space share, and B_hat = B C, whose column block c is B
+along the direction of component c, is exactly real.  Every 1/r**2
+contribution that survives involves only basis functions that vanish on
+the axis, keeping the interior quadrature consistent.
 
 Wall values win at corners where the wall meets the axis; data that
 violates the axis conditions of the current mode there triggers a warning
@@ -353,27 +355,38 @@ def _divergence_matrix(ops: ModeOperators, k: int) -> sp.csr_matrix:
 class ModeConstraints:
     """Essential conditions of one mode as a linear change of unknowns.
 
-    ``C`` maps the free vector to the full component-major velocity vector
-    and ``fix`` carries the pinned values, so u_full = C u_free + fix.  The
-    free vector holds three components one after another, in the slices
-    ``blocks``; component c has scalar index ``j[c]`` and is unknown on
-    ``FemSpace.free_nodes(j[c])`` along the unit (r, theta, z) direction
-    ``dirs[:, c]``.  For k != 0 the components are u+, u- and u_z, so a
-    u+- column of C carries (1, +-i)/sqrt(2) on the radial and angular
-    rows; for k = 0 they are u_r, u_theta and u_z.  The columns of C are
-    orthonormal.
+    The free vector holds three components one after another, in the
+    slices ``blocks``; component c has scalar index ``j[c]`` and is unknown
+    on the velocity nodes ``nodes[c]`` along the unit (r, theta, z)
+    direction ``dirs[:, c]``.  They are u+, u- and u_z for k != 0, so u+-
+    runs along (1, +-i)/sqrt(2), and u_r, u_theta and u_z for k = 0.  This
+    is the map C from the free vector to the full component-major velocity
+    vector, with orthonormal columns; ``extend`` applies C and ``restrict``
+    C*, and C is never formed.  ``fix`` carries the pinned values, so
+    u_full = C u_free + fix.
     """
 
-    k: int
-    C: sp.csr_matrix
     fix: np.ndarray
     j: tuple
     dirs: np.ndarray
+    nodes: tuple
     blocks: tuple
 
     @property
     def n_free(self) -> int:
-        return self.C.shape[1]
+        return self.blocks[-1].stop
+
+    def extend(self, free: np.ndarray) -> np.ndarray:
+        """C free: the full component-major vector, zero at pinned entries."""
+        full = np.zeros((3, self.fix.size // 3), dtype=complex)
+        for d, idx, block in zip(self.dirs.T, self.nodes, self.blocks):
+            full[:, idx] += d[:, None] * free[block]
+        return full.ravel()
+
+    def restrict(self, full: np.ndarray) -> np.ndarray:
+        """C* full: the free components of a full component-major vector."""
+        along = self.dirs.conj().T @ full.reshape(3, -1)
+        return np.concatenate([w[idx] for w, idx in zip(along, self.nodes)])
 
 
 def _mode_basis(k: int):
@@ -420,18 +433,11 @@ def mode_constraints(space: FemSpace, k: int, g=None) -> ModeConstraints:
                     stacklevel=2,
                 )
 
-    # Column block c is the unit direction of component c times the
-    # columns of the identity at its free nodes.
-    eye = sp.identity(n, dtype=complex, format="csc")
+    nodes = tuple(space.free_nodes(j) for j in js)
+    ends = np.cumsum([idx.size for idx in nodes]).tolist()
+    blocks = tuple(slice(e - idx.size, e) for idx, e in zip(nodes, ends))
     dirs = dirs / np.linalg.norm(dirs, axis=0)
-    C = sp.hstack(
-        [sp.kron(dirs[:, [c]], eye[:, space.free_nodes(j)]) for c, j in enumerate(js)],
-        format="csr",
-    )
-    sizes = [space.free_nodes(j).size for j in js]
-    ends = np.cumsum(sizes).tolist()
-    blocks = tuple(slice(e - size, e) for size, e in zip(sizes, ends))
-    return ModeConstraints(k=k, C=C, fix=fix, j=js, dirs=dirs, blocks=blocks)
+    return ModeConstraints(fix=fix, j=js, dirs=dirs, nodes=nodes, blocks=blocks)
 
 
 def assemble_rhs(space: FemSpace, f=None) -> np.ndarray:
@@ -494,8 +500,10 @@ class SaddleSystem:
     """One mode's constrained saddle problem, ready for right sides.
 
     Holds only what depends on the wavenumber: the constraints, the full
-    divergence block and ``B_hat``, exactly real (see ``ModeConstraints``)
-    but kept in complex dtype, since products of a real sparse matrix with
+    divergence block B and ``B_hat`` = B C, whose column block c is B along
+    ``dirs[:, c]`` at the free nodes of component c (C itself is applied,
+    never formed; see ``ModeConstraints``).  ``B_hat`` is exactly real but
+    kept in complex dtype, since products of a real sparse matrix with
     complex vectors copy it each time; ``rhs`` folds data and pinned values
     into the free unknowns.  The reduced velocity block C* A C is the block
     diagonal of the space's L_j, so it is symmetric positive definite, and
@@ -536,7 +544,7 @@ class SaddleSystem:
             F = assemble_rhs(self.space, f)
             G = assemble_divergence_rhs(self.space, g_div)
             fix = self.constraints.fix
-            F_hat = self.constraints.C.conj().T @ F - self.apply_energy(fix)
+            F_hat = self.constraints.restrict(F) - self.apply_energy(fix)
             G_hat = G - self.B_full @ fix
         if not (np.all(np.isfinite(F_hat)) and np.all(np.isfinite(G_hat))):
             raise DataError(
@@ -551,20 +559,20 @@ class SaddleSystem:
         The unit direction of each free component is an eigenvector of the
         3 x 3 symbol of A, with eigen-operator L_j = K + j**2 Mm1 (see the
         module docstring), so component c is L_j applied to ``full`` along
-        that direction, kept at its free nodes; C u gives C* A C u.
+        that direction, kept at its free nodes; ``extend(u)`` gives C* A C u.
         """
         cons, ops = self.constraints, self.space.operators()
         along = cons.dirs.conj().T @ full.reshape(3, -1)
         return np.concatenate(
             [
-                (ops.K @ w + (j * j) * (ops.Mm1 @ w))[self.space.free_nodes(j)]
-                for j, w in zip(cons.j, along)
+                (ops.K @ w + (j * j) * (ops.Mm1 @ w))[nodes]
+                for j, nodes, w in zip(cons.j, cons.nodes, along)
             ]
         )
 
     def recover(self, u_free: np.ndarray) -> np.ndarray:
         """Full component-major velocity vector from free unknowns."""
-        full = self.constraints.C @ u_free + self.constraints.fix
+        full = self.constraints.extend(u_free) + self.constraints.fix
         return full.reshape(3, self.space.n_vel)
 
     def a_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -587,18 +595,24 @@ class SaddleSystem:
 
     def dual_norm(self, f) -> float:
         """Norm of body force data ``f`` in the dual of the constrained space."""
-        F_hat = self.constraints.C.conj().T @ assemble_rhs(self.space, f)
+        F_hat = self.constraints.restrict(assemble_rhs(self.space, f))
         w = self.a_solve(F_hat)
         return float(np.sqrt(max(np.vdot(F_hat, w).real, 0.0)))
 
 
 def assemble(space: FemSpace, k: int, g=None) -> SaddleSystem:
     """Build the constrained saddle system of mode k with wall data g."""
-    B = _divergence_matrix(space.operators(), k)
+    ops = space.operators()
     cons = mode_constraints(space, k, g)
-    return SaddleSystem(
-        space=space, k=k, constraints=cons, B_full=B, B_hat=(B @ cons.C).tocsr()
-    )
+    # Column block c of B_hat is B along the unit direction dirs[:, c] at
+    # the free nodes of component c.  Entries that cancel exactly are
+    # dropped, as a sparse product drops them.
+    parts = (ops.Br, (-1j * k) * ops.D0, ops.Bz)
+    along = [sum(di * P for di, P in zip(d, parts)) for d in cons.dirs.T]
+    B_hat = sp.hstack([B[:, idx] for B, idx in zip(along, cons.nodes)], format="csr")
+    B_hat.eliminate_zeros()
+    B = _divergence_matrix(ops, k)
+    return SaddleSystem(space=space, k=k, constraints=cons, B_full=B, B_hat=B_hat)
 
 
 class FemScalarField:

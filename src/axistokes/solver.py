@@ -120,7 +120,7 @@ class SolveReport:
 
 
 def _true_residuals(system, u_free, p, F_hat, G_hat):
-    Au = system.apply_energy(system.constraints.C @ u_free)
+    Au = system.apply_energy(system.constraints.extend(u_free))
     res_u = np.linalg.norm(F_hat - Au - system.B_hat.conj().T @ p)
     res_p = np.linalg.norm(system.B_hat @ u_free - G_hat)
     return float(res_u), float(res_p)
@@ -298,13 +298,9 @@ def solve_mode(
 class InfSupEstimate:
     """Discrete inf-sup constant of one mode on one mesh."""
 
-    k: int
     beta: float
     lambda_min: float
-    n_p: int
-    n_free: int
     method: str
-    h_max: float
 
 
 def estimate_inf_sup(system: SaddleSystem) -> InfSupEstimate:
@@ -317,12 +313,10 @@ def estimate_inf_sup(system: SaddleSystem) -> InfSupEstimate:
     kernel at k = 0; larger problems use LOBPCG on the implicitly applied
     Schur complement with the constant deflated.
     """
-    np_ = system.n_p
-    k = system.k
-    if np_ <= _DENSE_LIMIT:
+    if system.n_p <= _DENSE_LIMIT:
         # At k = 0 the constant spans the kernel of S, and the other
         # eigenvectors are Mp-orthogonal to it, that is mean-free.
-        index = [1, 1] if k == 0 else [0, 0]
+        index = [1, 1] if system.k == 0 else [0, 0]
         S, Mp = _dense_schur(system), system.Mp.toarray()
         vals = scipy.linalg.eigh(S, Mp, eigvals_only=True, subset_by_index=index)
         lam = float(vals[0])
@@ -331,15 +325,7 @@ def estimate_inf_sup(system: SaddleSystem) -> InfSupEstimate:
         lam = _lobpcg_schur(system)
         method = "lobpcg"
     lam = max(lam, 0.0)
-    return InfSupEstimate(
-        k=k,
-        beta=float(np.sqrt(lam)),
-        lambda_min=lam,
-        n_p=np_,
-        n_free=system.n_free,
-        method=method,
-        h_max=system.space.mesh.h_max,
-    )
+    return InfSupEstimate(beta=float(np.sqrt(lam)), lambda_min=lam, method=method)
 
 
 def _dense_schur(system) -> np.ndarray:

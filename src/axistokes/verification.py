@@ -718,7 +718,6 @@ class StabilityStudy:
 
     ks: list
     ratios: list
-    h: float
 
     @property
     def reference(self) -> float:
@@ -752,4 +751,4 @@ def stability_study(ks=range(0, 21), h: float = 1 / 8) -> StabilityStudy:
         u_norm = vector_mode_norm(mesh, sol.velocity_fields(), k=k).h1k
         p_norm = scalar_mode_norm(mesh, sol.pressure_field(), k).l2_1
         ratios.append((u_norm + p_norm) / dual)
-    return StabilityStudy(ks=ks, ratios=ratios, h=mesh.h_max)
+    return StabilityStudy(ks=ks, ratios=ratios)

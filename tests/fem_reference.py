@@ -5,8 +5,12 @@ reference coordinates (``fem._element_matrices``).  This module keeps the
 direct formulation they are tested against: basis gradients pushed forward
 to every quadrature point of every triangle, (nt, nq, 6, 2), and each
 element matrix as one einsum over that table.  ``mode_matrices`` forms the
-full, unconstrained saddle blocks of one mode from the operators, and
-``velocity_matrix`` the reduced velocity block that no system stores.
+full, unconstrained saddle blocks of one mode from the operators,
+``velocity_matrix`` the reduced velocity block that no system stores, and
+``constraint_matrix`` the constraint map C, which the package applies
+(``ModeConstraints.extend`` and ``restrict``) and never forms; the
+package builds ``B_hat``'s column block c as B along ``dirs[:, c]``, and
+B C from this matrix is its reference.
 """
 
 import numpy as np
@@ -103,3 +107,16 @@ def velocity_matrix(system):
     """Reduced velocity block of a mode: the block diagonal of the space's L_j."""
     space = system.space
     return sp.block_diag([space.velocity_block(j) for j in system.constraints.j], format="csr")
+
+
+def constraint_matrix(cons):
+    """The constraint map C (3n x n_free) of ``ModeConstraints`` as a sparse matrix.
+
+    Column block c is the unit direction ``dirs[:, c]`` times the columns
+    of the identity at the free nodes of component c.
+    """
+    eye = sp.identity(cons.fix.size // 3, dtype=complex, format="csc")
+    return sp.hstack(
+        [sp.kron(cons.dirs[:, [c]], eye[:, nodes]) for c, nodes in enumerate(cons.nodes)],
+        format="csr",
+    )

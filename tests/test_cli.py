@@ -436,6 +436,19 @@ def test_truncation_command(tmp_path, capsys):
     assert len(table) == 4
 
 
+def test_truncation_command_with_solves(tmp_path, capsys):
+    # Solved mode norms decay faster than the data, so no target is printed.
+    out = tmp_path / "out"
+    cfg = _config(
+        tmp_path,
+        _base(out, extra="\n[truncation]\ns = 1\nns = 2 4 8\nh = 0.5\n"),
+    )
+    assert main(["truncation", "--config", cfg, "--with-solves"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "s = 1 (mode norms solved)" in lines
+    assert "one-sided ratio 1.0000, extrapolated slope -2.3588" in lines
+
+
 def test_vtk_export_structure(tmp_path):
     out = tmp_path / "out"
     cfg = _config(

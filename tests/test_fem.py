@@ -32,6 +32,7 @@ from axistokes.quadrature import (
 from axistokes.solver import SolverConfig, solve_mode
 
 from fem_reference import (
+    constraint_matrix,
     mode_matrices,
     reference_operators,
     reference_samples,
@@ -87,12 +88,31 @@ def test_unit_wavenumber_axis_tie(space, k):
     # pinned, which leaves u_r = -i k u_theta on the axis rows.
     cons = mode_constraints(space, k)
     assert sorted(cons.j[:2]) == [0, 2]
-    C = cons.C.toarray()
+    C = np.column_stack([cons.extend(e) for e in np.eye(cons.n_free)])
     n = space.n_vel
     for d in sorted(space.axis_dofs - space.wall_dofs):
         assert np.count_nonzero(C[COMP_T * n + d]) == 1
         np.testing.assert_array_equal(C[COMP_R * n + d], -1j * k * C[COMP_T * n + d])
         assert not np.any(C[COMP_Z * n + d])
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 2, 5])
+def test_constraint_map_matches_reference(space, k):
+    # extend and restrict apply C and C* without forming C (measured
+    # defect 0 against the reference matrix), and B_hat, built block by
+    # block along the directions, has the entries and the nnz of B C.
+    system = assemble(space, k, g=(R, R * Z, R))
+    cons = system.constraints
+    C = constraint_matrix(cons)
+    rng = np.random.default_rng(60 + k)
+    free = rng.standard_normal(cons.n_free) + 1j * rng.standard_normal(cons.n_free)
+    full = rng.standard_normal(C.shape[0]) + 1j * rng.standard_normal(C.shape[0])
+    for mine, ref in ((cons.extend(free), C @ free), (cons.restrict(full), C.conj().T @ full)):
+        assert mine.shape == ref.shape
+        assert np.abs(mine - ref).max() <= 1e-15 * np.abs(ref).max()
+    product = (system.B_full @ C).tocsr()
+    assert system.B_hat.nnz == product.nnz
+    assert (system.B_hat != product).nnz == 0
 
 
 def test_wall_values_enter_fix(space):
@@ -107,7 +127,7 @@ def test_wall_values_enter_fix(space):
         assert cons.fix[COMP_T * n + d] == pytest.approx(z)
         assert cons.fix[COMP_Z * n + d] == pytest.approx(r + z)
     # Free part untouched.
-    full = cons.C @ np.zeros(cons.n_free) + cons.fix
+    full = cons.extend(np.zeros(cons.n_free)) + cons.fix
     for d in sorted(space.axis_dofs - space.wall_dofs):
         assert full[COMP_R * n + d] == 0.0
 
@@ -154,7 +174,7 @@ def test_velocity_product_is_reduced_energy_matrix(space, k):
     # apply_energy(C u) is that product without forming A, column by
     # column and on a complex vector.
     system = assemble(space, k)
-    C = system.constraints.C
+    C = constraint_matrix(system.constraints)
     ref = (C.conj().T @ mode_matrices(space, k)[0] @ C).toarray()
     scale = np.abs(ref).max()
     assert np.abs(velocity_matrix(system).toarray() - ref).max() <= 1e-14 * scale
@@ -165,7 +185,8 @@ def test_velocity_product_is_reduced_energy_matrix(space, k):
     rng = np.random.default_rng(40 + k)
     u = rng.standard_normal(system.n_free) + 1j * rng.standard_normal(system.n_free)
     product = ref @ u
-    assert np.abs(system.apply_energy(C @ u) - product).max() <= 1e-14 * np.abs(product).max()
+    Cu = system.constraints.extend(u)
+    assert np.abs(system.apply_energy(Cu) - product).max() <= 1e-14 * np.abs(product).max()
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -385,7 +406,7 @@ def test_velocity_factors_shared_in_order_of_wavenumber(
     systems = [assemble(space, k) for k in range(5)]
     for system in systems:
         x = system.a_solve(np.ones(system.n_free))
-        Ax = system.apply_energy(system.constraints.C @ x)
+        Ax = system.apply_energy(system.constraints.extend(x))
         assert np.abs(Ax - 1.0).max() <= 1e-12
     assert len(factored) == 6
     # The space is the only owner of the factors: releasing them frees
