@@ -345,10 +345,23 @@ def _build_operators(space: FemSpace) -> ModeOperators:
     return ModeOperators(K=K, Mm1=Mm1, D0=D0, Br=Br, Bz=Bz, Mp=Mp, m=m)
 
 
+def _divergence_blocks(ops: ModeOperators, k: int, nodes=None) -> tuple:
+    """The column blocks (Br, -i k D0, Bz) of mode k's divergence block B.
+
+    They act on u_r, u_theta and u_z; the angular block is empty at k = 0.
+    With ``nodes``, each block keeps only those velocity columns.
+    """
+    Br, D0, Bz = ops.Br, ops.D0, ops.Bz
+    if nodes is not None:
+        Br, D0, Bz = (P[:, nodes] for P in (Br, D0, Bz))
+    Bt = (-1j * k) * D0 if k != 0 else sp.csr_matrix(D0.shape, dtype=complex)
+    return Br, Bt, Bz
+
+
 def _divergence_matrix(ops: ModeOperators, k: int) -> sp.csr_matrix:
     """Full divergence block B (np x 3n) of mode k."""
-    Bt = (-1j * k) * ops.D0 if k != 0 else sp.csr_matrix(ops.D0.shape, dtype=complex)
-    return sp.bmat([[ops.Br.astype(complex), Bt, ops.Bz.astype(complex)]], format="csr")
+    Br, Bt, Bz = _divergence_blocks(ops, k)
+    return sp.bmat([[Br.astype(complex), Bt, Bz.astype(complex)]], format="csr")
 
 
 @dataclass
@@ -605,11 +618,19 @@ def assemble(space: FemSpace, k: int, g=None) -> SaddleSystem:
     ops = space.operators()
     cons = mode_constraints(space, k, g)
     # Column block c of B_hat is B along the unit direction dirs[:, c] at
-    # the free nodes of component c.  Entries that cancel exactly are
-    # dropped, as a sparse product drops them.
-    parts = (ops.Br, (-1j * k) * ops.D0, ops.Bz)
-    along = [sum(di * P for di, P in zip(d, parts)) for d in cons.dirs.T]
-    B_hat = sp.hstack([B[:, idx] for B, idx in zip(along, cons.nodes)], format="csr")
+    # the free nodes of component c.  Those nodes depend only on whether
+    # j[c] is zero (``FemSpace.free_nodes``), so B's blocks are sliced once
+    # per set.  Entries that cancel exactly are dropped, as a sparse product
+    # drops them.
+    node_sets = {j != 0: idx for j, idx in zip(cons.j, cons.nodes)}
+    blocks = {key: _divergence_blocks(ops, k, idx) for key, idx in node_sets.items()}
+    B_hat = sp.hstack(
+        [
+            sum(di * P for di, P in zip(d, blocks[j != 0]) if di != 0)
+            for d, j in zip(cons.dirs.T, cons.j)
+        ],
+        format="csr",
+    )
     B_hat.eliminate_zeros()
     B = _divergence_matrix(ops, k)
     return SaddleSystem(space=space, k=k, constraints=cons, B_full=B, B_hat=B_hat)

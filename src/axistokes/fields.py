@@ -9,7 +9,8 @@ get a small dedicated class; any other callable has values only.
 Polynomials are evaluated in batches: ``evaluate_polys`` takes a list of
 them at the same points as one product of their coefficient matrix with a
 table of the monomials r**a * z**b, and a single ``Poly2`` call is the
-batch of one.
+batch of one.  The coefficient matrix (``poly_matrix``) can be formed once
+and evaluated at many sets of points (``evaluate_poly_matrix``).
 """
 
 from dataclasses import dataclass
@@ -108,24 +109,50 @@ class Poly2:
 def evaluate_polys(polys, r, z) -> np.ndarray:
     """Values of several polynomials at the same points, one row each.
 
-    The result has shape (len(polys),) + broadcast(r, z).shape.  It is one
-    product of the (n_polys x n_monomials) complex coefficient matrix with
-    the real table of r**a * z**b over the union of monomials, and each
-    power of r and z is formed once.  Where a monomial is not finite (a
-    negative power of r at r = 0), each polynomial sums only its own terms,
-    so a monomial it lacks never enters its value as 0 * inf.
+    The result has shape (len(polys),) + broadcast(r, z).shape.  It is
+    ``evaluate_poly_matrix`` of ``poly_matrix(polys)``; a caller that
+    evaluates the same polynomials at many sets of points forms the matrix
+    once and evaluates it for each set.
     """
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    shape = np.broadcast(r, z).shape
-    r = np.broadcast_to(r, shape).ravel()
-    z = np.broadcast_to(z, shape).ravel()
+    return evaluate_poly_matrix(poly_matrix(polys), r, z)
+
+
+def poly_matrix(polys):
+    """The coefficient step of ``evaluate_polys``: (monomials, coefficients).
+
+    The monomials are the sorted union of the polynomials' (a, b) keys,
+    and the coefficients the (n_polys x n_monomials) complex matrix of
+    the polynomials over them.
+    """
     keys = sorted({key for p in polys for key in p.coeffs})
     column = {key: i for i, key in enumerate(keys)}
     coeffs = np.zeros((len(polys), len(keys)), dtype=complex)
     for row, p in enumerate(polys):
         for key, c in p.coeffs.items():
             coeffs[row, column[key]] = c
+    return keys, coeffs
+
+
+def evaluate_poly_matrix(matrix, r, z, out=None) -> np.ndarray:
+    """The evaluation step of ``evaluate_polys`` for a ``poly_matrix``.
+
+    One product of the coefficient matrix with the real table of
+    r**a * z**b over the monomials, each power of r and z formed once.
+    Where a monomial is not finite (a negative power of r at r = 0), each
+    polynomial sums only its own terms, so a monomial it lacks never
+    enters its value as 0 * inf.  A point's values depend on that point
+    alone, so evaluating blocks of the points gives the values of one
+    whole evaluation; a block of one point takes NumPy's matrix-vector
+    product instead, which may round differently.  ``out``, when given, is
+    a C-contiguous complex (n_polys, n_points) array that receives the
+    values; the result is then a view of it.
+    """
+    keys, coeffs = matrix
+    r = np.asarray(r, dtype=float)
+    z = np.asarray(z, dtype=float)
+    shape = np.broadcast(r, z).shape
+    r = np.broadcast_to(r, shape).ravel()
+    z = np.broadcast_to(z, shape).ravel()
     table = np.empty((len(keys), r.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r_pow = {a: r**a for a in {a for a, _ in keys}}
@@ -142,9 +169,11 @@ def evaluate_polys(polys, r, z) -> np.ndarray:
     # of one real product, so the table is never cast to complex and each
     # result row comes out as interleaved complex values.
     parts = np.stack([coeffs.real, coeffs.imag], axis=-1)
-    out = (table.T @ parts).view(complex)[..., 0]
+    if out is None:
+        out = np.empty((len(coeffs), r.size), dtype=complex)
+    np.matmul(table.T, parts, out=out.view(float).reshape(out.shape + (2,)))
     out[:, bad] = own
-    return out.reshape((len(polys),) + shape)
+    return out.reshape((len(coeffs),) + shape)
 
 
 def _as_poly(x) -> Poly2:

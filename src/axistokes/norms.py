@@ -28,9 +28,12 @@ mode's saddle system.  Every other field (closed forms,
 ``FieldDifference`` error fields, mixed triples) is sampled at the norm
 rule's points, and that path stays the reference the quadratic forms are
 tested against.  The sampled sums are array cores
-(``sampled_vector_norm``, ``sampled_energy_product``,
+(``sampled_vector_sums``, ``sampled_energy_product``,
 ``sampled_divergence_product``) that a caller holding samples calls
-directly; both routes of a vector norm meet in ``_vector_report``.
+directly.  They take a leading mode axis, so one call covers many modes,
+and each is a sum over the points, so a caller may add them up block by
+block of triangles.  Both routes of a vector norm meet in
+``_vector_report``.
 """
 
 import io
@@ -166,18 +169,29 @@ def norm_report_csv(reports) -> str:
     return out.getvalue()
 
 
-def _real_sum(W, integrand) -> float:
-    return float(np.sum(W * integrand))
+def _point_sums(W, integrand):
+    """Weighted sums of samples over the points, the last two axes (nt, nq)."""
+    return np.sum(W * integrand, axis=(-2, -1))
 
 
-def _sampled_sums(val, dr, dz, R, W) -> ComponentNorms:
-    asq = val.real**2 + val.imag**2
+def _abs_sq(x):
+    return x.real**2 + x.imag**2
+
+
+def _component_sums(val, dr, dz, R, W) -> np.ndarray:
+    """The ``ComponentNorms`` sums of samples, on any leading axes.
+
+    Returns shape (..., 3): the l2_1, l2_m1 and h1_1_semi sums.
+    """
+    asq = _abs_sq(val)
     gsq = dr.real**2 + dr.imag**2 + dz.real**2 + dz.imag**2
-    return ComponentNorms(
-        l2_1_sq=_real_sum(W, asq * R),
-        l2_m1_sq=_real_sum(W, asq / R),
-        h1_1_semi_sq=_real_sum(W, gsq * R),
-    )
+    sums = (_point_sums(W, asq * R), _point_sums(W, asq / R), _point_sums(W, gsq * R))
+    return np.stack(sums, axis=-1)
+
+
+def _components(x):
+    """The three cylindrical components of samples of shape (..., 3, nt, nq)."""
+    return np.moveaxis(np.asarray(x), -3, 0)
 
 
 def _in_one_fem_space(mesh, comps) -> bool:
@@ -247,7 +261,8 @@ def scalar_mode_norm(mesh, q, k: int) -> NormReport:
     else:
         geometry = quadrature_geometry(mesh, _NORM_RULE)
         R, _, W = geometry
-        comp = _sampled_sums(*sample_component(q, mesh, True, geometry), R, W)
+        sums = _component_sums(*sample_component(q, mesh, True, geometry), R, W)
+        comp = ComponentNorms(*sums.tolist())
     l2_1, l2_m1, semi = comp.l2_1_sq, comp.l2_m1_sq, comp.h1_1_semi_sq
     h1k = l2_1 + semi + (k * k * l2_m1 if k != 0 else 0.0)
     return NormReport(
@@ -289,19 +304,38 @@ def _vector_report(k, per_comp: dict, p_plus: float, p_minus: float) -> NormRepo
     )
 
 
+def sampled_vector_sums(val, dr, dz, R, W):
+    """The sums behind the mode norms of vector coefficients, from samples.
+
+    ``val``, ``dr`` and ``dz`` hold the values and r, z derivatives of the
+    components (r, theta, z), shape (..., 3, nt, nq) with any leading mode
+    axes, at the quadrature points with coordinates R and weights W of
+    ``quadrature_geometry``.  Returns (comp, coupling): comp[..., c, :] the
+    l2_1, l2_m1 and h1_1_semi sums of component c, coupling[..., :] the 1/r
+    sums of v_r + i v_t and v_r - i v_t.  Each is a sum over the points, so
+    the sums of disjoint blocks of points add up to those of their union.
+    """
+    val, dr, dz = (np.asarray(x) for x in (val, dr, dz))
+    vr, vt, _ = _components(val)
+    plus, minus = vr + 1j * vt, vr - 1j * vt
+    coupling = (_point_sums(W, _abs_sq(plus) / R), _point_sums(W, _abs_sq(minus) / R))
+    return _component_sums(val, dr, dz, R, W), np.stack(coupling, axis=-1)
+
+
+def sums_report(k: int, comp, coupling) -> NormReport:
+    """NormReport of one vector mode from its ``sampled_vector_sums``."""
+    rows = np.asarray(comp).tolist()
+    per_comp = {n: ComponentNorms(*row) for n, row in zip(_COMPONENTS, rows)}
+    return _vector_report(k, per_comp, *np.asarray(coupling).tolist())
+
+
 def sampled_vector_norm(k: int, val, dr, dz, R, W) -> NormReport:
     """Mode norm of a vector coefficient from its samples.
 
-    ``val``, ``dr`` and ``dz`` hold the values and r, z derivatives of the
-    components (r, theta, z), each (nt, nq), at the quadrature points with
-    coordinates R and weights W of ``quadrature_geometry``.
+    ``val``, ``dr`` and ``dz`` are as in ``sampled_vector_sums``, with no
+    mode axis.
     """
-    per_comp = {n: _sampled_sums(*s, R, W) for n, *s in zip(_COMPONENTS, val, dr, dz)}
-    plus = val[0] + 1j * val[1]
-    minus = val[0] - 1j * val[1]
-    p_plus = _real_sum(W, (plus.real**2 + plus.imag**2) / R)
-    p_minus = _real_sum(W, (minus.real**2 + minus.imag**2) / R)
-    return _vector_report(k, per_comp, p_plus, p_minus)
+    return sums_report(k, *sampled_vector_sums(val, dr, dz, R, W))
 
 
 def vector_mode_norm(mesh, v, k: int = None) -> NormReport:
@@ -329,18 +363,24 @@ def vector_mode_norm(mesh, v, k: int = None) -> NormReport:
     return sampled_vector_norm(k, *_sample_vector(comps, mesh, geometry), R, W)
 
 
-def sampled_energy_product(k: int, u, v, R, W) -> complex:
-    """``mode_energy_product`` of samples ``u``, ``v``, each (val, dr, dz)."""
-    (uval, udr, udz), (vval, vdr, vdz) = u, v
-    grad = sum(udr[c] * np.conj(vdr[c]) + udz[c] * np.conj(vdz[c]) for c in range(3))
-    ur, ut, uz = uval
-    vr, vt, vz = vval
+def sampled_energy_product(k, u, v, R, W):
+    """``mode_energy_product`` of samples ``u``, ``v``, each (val, dr, dz).
+
+    Each sample array has shape (..., 3, nt, nq), as in
+    ``sampled_vector_sums``; a leading mode axis takes ``k`` as an array
+    of wavenumbers and gives one product per mode.
+    """
+    (uval, udr, udz), (vval, vdr, vdz) = (tuple(np.asarray(x) for x in s) for s in (u, v))
+    grad = (udr * np.conj(vdr) + udz * np.conj(vdz)).sum(axis=-3)
+    ur, ut, uz = _components(uval)
+    vr, vt, vz = _components(vval)
+    k = np.asarray(k)[..., None, None]
     mass = (
         (1 + k * k) * (ur * np.conj(vr) + ut * np.conj(vt))
         + k * k * uz * np.conj(vz)
         + 2j * k * (ut * np.conj(vr) - ur * np.conj(vt))
     )
-    return complex(np.sum(W * (grad * R + mass / R)))
+    return _point_sums(W, grad * R + mass / R)
 
 
 def mode_energy_product(mesh, k: int, u, v) -> complex:
@@ -353,14 +393,20 @@ def mode_energy_product(mesh, k: int, u, v) -> complex:
     geometry = quadrature_geometry(mesh, _NORM_RULE)
     R, _, W = geometry
     su, sv = (_sample_vector(x, mesh, geometry) for x in (u, v))
-    return sampled_energy_product(k, su, sv, R, W)
+    return complex(sampled_energy_product(k, su, sv, R, W))
 
 
-def sampled_divergence_product(k: int, v, qval, R, W) -> complex:
-    """``mode_divergence_product`` of samples ``v`` = (val, dr, dz) and ``qval``."""
-    (vr, vt, _), (vr_r, _, _), (_, _, vz_z) = v
+def sampled_divergence_product(k, v, qval, R, W):
+    """``mode_divergence_product`` of samples ``v`` = (val, dr, dz) and ``qval``.
+
+    The samples of ``v`` have shape (..., 3, nt, nq) and ``qval`` (..., nt,
+    nq); a leading mode axis takes ``k`` as an array, as in
+    ``sampled_energy_product``.
+    """
+    (vr, vt, _), (vr_r, _, _), (_, _, vz_z) = (_components(x) for x in v)
+    k = np.asarray(k)[..., None, None]
     div = vr_r + vr / R + 1j * k * vt / R + vz_z
-    return complex(-np.sum(W * div * np.conj(qval) * R))
+    return -_point_sums(W, div * np.conj(qval) * R)
 
 
 def mode_divergence_product(mesh, k: int, v, q) -> complex:
@@ -369,7 +415,7 @@ def mode_divergence_product(mesh, k: int, v, q) -> complex:
     R, _, W = geometry
     sv = _sample_vector(v, mesh, geometry)
     qval, _, _ = sample_component(q, mesh, False, geometry)
-    return sampled_divergence_product(k, sv, qval, R, W)
+    return complex(sampled_divergence_product(k, sv, qval, R, W))
 
 
 def _sample_vector(v, mesh, geometry):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Poly2, VectorModeFn, evaluate_polys
+from .fields import Poly2, VectorModeFn, evaluate_poly_matrix, poly_matrix
 from .fem import _NORM_RULE, FemSpace, assemble
 from .fourier import angular_grid, fourier_coefficient, reconstruct
 from .meshing import MeridianMesh, generate_structured
@@ -26,8 +26,9 @@ from .norms import (
     integrate_weighted,
     sampled_divergence_product,
     sampled_energy_product,
-    sampled_vector_norm,
+    sampled_vector_sums,
     scalar_mode_norm,
+    sums_report,
     vector_mode_norm,
 )
 from .quadrature import quadrature_geometry
@@ -467,20 +468,45 @@ def _random_mode_field(rng, k, min_r_power=2) -> VectorModeFn:
     return VectorModeFn(k, comps)
 
 
-def _sample_modes(modes, scalars, R, Z):
-    """Samples of vector modes and scalar polynomials from one ``evaluate_polys``.
+def _mode_sampler(modes, scalars):
+    """Sampler of vector modes and scalar polynomials at quadrature points.
 
-    Returns the table of the vector modes, shape (len(modes), 9, nt, nq):
-    for each mode its three cylindrical components, then their r and z
-    derivatives; and the values of the scalars, shape (len(scalars), nt, nq).
+    The polynomials (for each mode its three cylindrical components, then
+    their r and z derivatives; then the scalars) and their ``poly_matrix``
+    are formed once.  The sampler maps coordinates R, Z of shape (nt, nq)
+    to the table of the vector modes, shape (len(modes), 9, nt, nq), and
+    the values of the scalars, shape (len(scalars), nt, nq), from one
+    ``evaluate_poly_matrix``.  Every call writes into one buffer that the
+    sampler keeps, so its arrays hold until the next call.  Blocks
+    allocated afresh each time were handed back to the system and faulted
+    in again: about 39,000 page faults per isometry suite on the two
+    meshes of ``axistokes verify``; with the buffers, none after its first
+    run in a process.
     """
     polys = []
     for mode in modes:
         comps = mode.components
         polys += [*comps, *(c.d_r() for c in comps), *(c.d_z() for c in comps)]
-    table = evaluate_polys(polys + list(scalars), R, Z)
+    polys += scalars
+    matrix = poly_matrix(polys)
     n = 9 * len(modes)
-    return table[:n].reshape((len(modes), 9) + R.shape), table[n:]
+    buffer = np.empty(0, dtype=complex)
+
+    def sample(R, Z):
+        nonlocal buffer
+        size = len(polys) * R.size
+        if buffer.size < size:
+            buffer = np.empty(size, dtype=complex)
+        out = buffer[:size].reshape(len(polys), R.size)
+        table = evaluate_poly_matrix(matrix, R, Z, out=out)
+        return table[:n].reshape((len(modes), 9) + R.shape), table[n:]
+
+    return sample
+
+
+def _sample_modes(modes, scalars, R, Z):
+    """The ``_mode_sampler`` table and scalar values at one set of points."""
+    return _mode_sampler(modes, scalars)(R, Z)
 
 
 # Points (triangles x quadrature points x angles) of one block of the 3D
@@ -492,6 +518,19 @@ _ORACLE_BLOCK_POINTS = 6_000
 def _oracle_block(nq: int, n_theta: int) -> int:
     """Triangles per block of the 3D oracle."""
     return max(1, _ORACLE_BLOCK_POINTS // (nq * n_theta))
+
+
+# Quadrature points of one block of the isometry suite's samples, which the
+# 3D oracle and the mode sums read before the next block is sampled; a
+# whole number of oracle blocks, so the oracle's blocks are those of one
+# pass over the whole mesh.
+_SAMPLE_BLOCK_POINTS = 1_000
+
+
+def _sample_block(nq: int, n_theta: int) -> int:
+    """Triangles per block of ``_family_integrals``' samples."""
+    oracle = _oracle_block(nq, n_theta)
+    return oracle * max(1, _SAMPLE_BLOCK_POINTS // (oracle * nq))
 
 
 def _gradient_rows(t, ik, inv_r, out):
@@ -535,18 +574,26 @@ def _oracle_integrals(R, W, thetas, ks, table_u, table_v, q_vals):
     inv_r = 1.0 / R[..., None]
     l2 = semi = 0.0
     energy = div = 0j
+    # Every block writes into the same two buffers, for the reason given
+    # in ``_mode_sampler``.
+    points = min(block, R.shape[0]) * R.shape[1]
+    coef_buffer = np.empty(23 * points * len(ks), dtype=complex)
+    samples_buffer = np.empty(23 * points * n_theta, dtype=complex)
     for lo in range(0, R.shape[0], block):
         rows = slice(lo, lo + block)
         tu, tv = (np.moveaxis(t[:, :, rows], 0, -1) for t in (table_u, table_v))
         # Rows: u (3), grad u (9), div u, q, grad v (9).
-        coef = np.empty((23,) + tu.shape[1:], dtype=complex)
+        coef = coef_buffer[: 23 * tu[0].size].reshape((23,) + tu.shape[1:])
         coef[0:3] = tu[0:3]
         _gradient_rows(tu, ik, inv_r[rows], coef[3:12])
         coef[12] = coef[3] + coef[7] + coef[11]  # the diagonal of grad u
         coef[13] = np.moveaxis(q_vals[:, rows], 0, -1)
         _gradient_rows(tv, ik, inv_r[rows], coef[14:23])
         coef *= scale[rows]
-        samples = (coef.reshape(-1, len(ks)) @ phases).reshape(23, -1)
+        coef = coef.reshape(-1, len(ks))
+        samples = samples_buffer[: len(coef) * n_theta].reshape(-1, n_theta)
+        np.matmul(coef, phases, out=samples)
+        samples = samples.reshape(23, -1)
         l2 += np.vdot(samples[0:3], samples[0:3]).real
         semi += np.vdot(samples[3:12], samples[3:12]).real
         energy += np.vdot(samples[14:23], samples[3:12])
@@ -558,40 +605,67 @@ def _relative_defect(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _field_defects(mesh, thetas, modes_u, modes_v, modes_q):
-    """Defects of one random field family between mode sums and 3D integrals.
+def _by_derivative(table):
+    """(val, dr, dz) of a ``_mode_sampler`` table, each (n_modes, 3, nt, nq)."""
+    return table.reshape(table.shape[:1] + (3, 3) + table.shape[2:]).swapaxes(0, 1)
+
+
+def _family_integrals(mesh, thetas, modes_u, modes_v, modes_q):
+    """The 3D integrals of one random field family and their mode sums.
 
     ``modes_u``, ``modes_v`` (vector) and ``modes_q`` (scalar) hold one
-    polynomial mode per wavenumber.  Returns the relative defects of the
-    L2 norm, H1 seminorm, full norm, energy form and divergence pairing.
-    The quadrature geometry is built once and each mode sampled once: the
-    3D oracle and the norm engine's array cores read the same samples, and
-    all of them are freed when this returns.
+    polynomial mode per wavenumber.  Returns the ``_oracle_integrals``
+    (||u||^2, |u|_1^2, (grad u, grad v), -(div u, q)) and the mode sums of
+    the L2 norm, H1 seminorm, full norm, energy form and divergence
+    pairing.  The quadrature geometry is built once, and one pass over
+    blocks of triangles samples all modes of a block at once; the 3D
+    oracle and the norm engine's array cores read those samples, and the
+    per-mode sums add up across blocks.  So the memory does not grow with
+    the mesh.
     """
     R, Z, W = quadrature_geometry(mesh, _NORM_RULE)
     ks = [m.k for m in modes_u]
-    table, q_vals = _sample_modes([*modes_u, *modes_v], modes_q, R, Z)
-    table_u, table_v = table[: len(ks)], table[len(ks) :]
-    three_l2, three_semi, three_energy, three_div = _oracle_integrals(
-        R, W, thetas, ks, table_u, table_v, q_vals
+    n = len(ks)
+    sample = _mode_sampler([*modes_u, *modes_v], modes_q)
+    block = _sample_block(R.shape[1], len(thetas))
+    # The oracle's four integrals, then per mode the component and coupling
+    # sums, the energy form and the divergence pairing.
+    totals = [0] * 8
+    for lo in range(0, R.shape[0], block):
+        rows = slice(lo, lo + block)
+        Rb, Wb = R[rows], W[rows]
+        table, q_vals = sample(Rb, Z[rows])
+        su, sv = _by_derivative(table[:n]), _by_derivative(table[n:])
+        parts = (
+            *_oracle_integrals(Rb, Wb, thetas, ks, table[:n], table[n:], q_vals),
+            *sampled_vector_sums(*su, Rb, Wb),
+            sampled_energy_product(ks, su, sv, Rb, Wb),
+            sampled_divergence_product(ks, su, q_vals, Rb, Wb),
+        )
+        totals = [t + p for t, p in zip(totals, parts)]
+    *three, comp, coupling, energy, div = totals
+    reports = [sums_report(k, c, p) for k, c, p in zip(ks, comp, coupling)]
+    sums = (
+        sum(rep.l2_1_sq for rep in reports),
+        sum(rep.h1k_semi_sq for rep in reports),
+        sum(rep.h1k_sq for rep in reports),
+        sum(energy.tolist()),
+        sum(div.tolist()),
     )
-    # Each mode's (val, dr, dz), each of shape (3, nt, nq).
-    su, sv = ([np.split(t, 3) for t in tab] for tab in (table_u, table_v))
-    reports = [sampled_vector_norm(k, *u, R, W) for k, u in zip(ks, su)]
-    sum_l2 = sum(rep.l2_1_sq for rep in reports)
-    sum_semi = sum(rep.h1k_semi_sq for rep in reports)
-    sum_full = sum(rep.h1k_sq for rep in reports)
-    sum_energy = sum(sampled_energy_product(k, u, v, R, W) for k, u, v in zip(ks, su, sv))
-    sum_div = sum(
-        sampled_divergence_product(k, u, q, R, W) for k, u, q in zip(ks, su, q_vals)
+    return tuple(three), sums
+
+
+def _field_defects(mesh, thetas, modes_u, modes_v, modes_q):
+    """Relative defects between the mode sums and the 3D integrals of a family.
+
+    They are those of the L2 norm, H1 seminorm, full norm, energy form and
+    divergence pairing, from ``_family_integrals``.
+    """
+    (l2, semi, energy, div), sums = _family_integrals(
+        mesh, thetas, modes_u, modes_v, modes_q
     )
-    return (
-        _relative_defect(three_l2, sum_l2),
-        _relative_defect(three_semi, sum_semi),
-        _relative_defect(three_l2 + three_semi, sum_full),
-        _relative_defect(three_energy, sum_energy),
-        _relative_defect(three_div, sum_div),
-    )
+    three = (l2, semi, l2 + semi, energy, div)
+    return tuple(_relative_defect(a, b) for a, b in zip(three, sums))
 
 
 def isometry_suite(mesh: MeridianMesh) -> list:
