@@ -267,17 +267,54 @@ def write_stack(stack: FourierStack, directory) -> None:
         "modes " + " ".join(str(k) for k in stack.wavenumbers),
     ]
     (directory / "stack.meta").write_text("\n".join(meta) + "\n")
+
+    def paired(k):
+        return stack.real_data and k != 0 and -k in stack.modes
+
     for k in stack.wavenumbers:
+        if k < 0 and paired(k):
+            continue  # written with mode -k
         mv = stack.modes[k]
-        # One column of text per real or imaginary part; pressure rows stop
-        # at n_p and are padded with empty fields.
-        columns = [map(str, range(mv.n_vel))]
-        for values in (*mv.u, mv.p):
-            pad = [""] * (mv.n_vel - values.size)
-            for part in (values.real, values.imag):
-                columns.append(itertools.chain(map(repr, part.tolist()), pad))
-        lines = [_MODE_HEADER, *map(", ".join, zip(*columns))]
-        (directory / f"mode_{k}.csv").write_text("\n".join(lines) + "\n")
+        if not paired(k):
+            _write_mode(directory, k, mv.n_vel, _value_columns(mv))
+            continue
+        # Real data: mode -k is normally conj(mode k) bit for bit, so its
+        # real columns are mode k's text and its imaginary ones that text
+        # negated.  Bytes, not ==, decide: 0.0 == -0.0 but the reprs differ.
+        columns = [list(c) for c in _value_columns(mv)]
+        _write_mode(directory, k, mv.n_vel, columns)
+        mirror = stack.modes[-k]
+        if (
+            mirror.u.tobytes() == np.conj(mv.u).tobytes()
+            and mirror.p.tobytes() == np.conj(mv.p).tobytes()
+        ):
+            columns[1::2] = [list(map(_negated, c)) for c in columns[1::2]]
+        else:
+            columns = _value_columns(mirror)
+        _write_mode(directory, -k, mv.n_vel, columns)
+
+
+def _value_columns(mv: ModeVectors) -> list:
+    """repr text of the real and imaginary parts of u_r, u_theta, u_z and p."""
+    return [
+        map(repr, part.tolist())
+        for values in (*mv.u, mv.p)
+        for part in (values.real, values.imag)
+    ]
+
+
+def _negated(text: str) -> str:
+    """repr(-x) from repr(x): the sign toggled as text, nan kept as it is."""
+    if text[0] == "-":
+        return text[1:]
+    return text if text == "nan" else "-" + text
+
+
+def _write_mode(directory: Path, k: int, n_vel: int, columns) -> None:
+    # Pressure columns stop at n_p; their rows are padded with empty fields.
+    rows = itertools.zip_longest(map(str, range(n_vel)), *columns, fillvalue="")
+    lines = itertools.chain([_MODE_HEADER], map(", ".join, rows))
+    (directory / f"mode_{k}.csv").write_text("\n".join(lines) + "\n")
 
 
 def read_stack(directory) -> FourierStack:

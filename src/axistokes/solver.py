@@ -121,7 +121,7 @@ class SolveReport:
 
 def _true_residuals(system, u_free, p, F_hat, G_hat):
     Au = system.apply_energy(system.constraints.extend(u_free))
-    res_u = np.linalg.norm(F_hat - Au - system.B_hat.conj().T @ p)
+    res_u = np.linalg.norm(F_hat - Au - system.B_hat.T @ p)
     res_p = np.linalg.norm(system.B_hat @ u_free - G_hat)
     return float(res_u), float(res_p)
 
@@ -187,7 +187,8 @@ def _uzawa_core(system, F, G, config):
     preconditioned steps mean-free under the functional m.
     """
     B = system.B_hat
-    Bh = B.conj().T
+    # B_hat is exactly real (complex dtype only), so its adjoint is B.T.
+    Bh = B.T
     m, e = (system.m_vec, np.ones(system.n_p)) if system.k == 0 else (None, None)
 
     def deflate(x):

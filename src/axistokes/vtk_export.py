@@ -9,7 +9,6 @@ fields; a complex stack exports its real part with a warning when the
 imaginary part is not negligible.
 """
 
-import itertools
 import warnings
 
 import numpy as np
@@ -21,6 +20,8 @@ __all__ = ["write_vtk"]
 
 # Largest imaginary part of the reconstructed field written without a warning.
 _IMAG_TOL = 1e-9
+# Rows of a block formatted and written at a time.
+_CHUNK_ROWS = 4096
 
 
 def write_vtk(path, mesh: MeridianMesh, stack: FourierStack, n_theta: int = 32) -> None:
@@ -56,46 +57,49 @@ def write_vtk(path, mesh: MeridianMesh, stack: FourierStack, n_theta: int = 32) 
     tri = mesh.triangles[None, :, :]
     nxt = np.roll(station, -1, axis=0)
     wedges = np.concatenate([station + tri, nxt + tri], axis=-1)
-    # One block at a time, so that the text of the whole file is never held.
+    # Point columns run over (station, vertex) pairs, stations outermost.
     with open(path, "w") as fh:
-        fh.write(
-            _block(
-                [
-                    "# vtk DataFile Version 3.0",
-                    "revolved axisymmetric Stokes mode stack",
-                    "ASCII",
-                    "DATASET UNSTRUCTURED_GRID",
-                    f"POINTS {nv * n_theta} float",
-                ],
-                _rows(r * cos, r * sin, np.broadcast_to(z, (n_theta, nv))),
-            )
+        _write_block(
+            fh,
+            [
+                "# vtk DataFile Version 3.0",
+                "revolved axisymmetric Stokes mode stack",
+                "ASCII",
+                "DATASET UNSTRUCTURED_GRID",
+                f"POINTS {nv * n_theta} float",
+            ],
+            (r * cos).ravel(),
+            (r * sin).ravel(),
+            # z is the same at every station: formatted once, repeated.
+            list(map(repr, z.tolist())) * n_theta,
         )
-        fh.write(
-            _block(
-                [f"CELLS {n_cells} {n_cells * 7}"],
-                _rows(np.full(n_cells, 6), *wedges.reshape(-1, 6).T),
-            )
+        _write_block(
+            fh,
+            [f"CELLS {n_cells} {n_cells * 7}"],
+            ["6"] * n_cells,
+            *wedges.reshape(-1, 6).T,
         )
-        fh.write(_block([f"CELL_TYPES {n_cells}"], ["13"] * n_cells))
-        fh.write(
-            _block(
-                [f"POINT_DATA {nv * n_theta}", "VECTORS velocity float"],
-                _rows(*(c.T for c in u)),
-            )
+        _write_block(fh, [f"CELL_TYPES {n_cells}"], ["13"] * n_cells)
+        _write_block(
+            fh,
+            [f"POINT_DATA {nv * n_theta}", "VECTORS velocity float"],
+            *(c.T.ravel() for c in u),
         )
-        fh.write(
-            _block(["SCALARS pressure float 1", "LOOKUP_TABLE default"], _rows(p.T))
+        _write_block(
+            fh, ["SCALARS pressure float 1", "LOOKUP_TABLE default"], p.T.ravel()
         )
 
 
-def _block(head, rows) -> str:
-    return "\n".join(itertools.chain(head, rows)) + "\n"
+def _write_block(fh, head, *columns) -> None:
+    """Write the head lines, then one line per row of the columns' entries.
 
-
-def _rows(*columns):
-    """Lines of the columns' entries, each formatted with repr, space-separated.
-
-    Arrays are read in C order, so a (n_theta, nv) column gives one line per
-    (station, vertex) pair, stations outermost.
+    A column is a 1D array, whose entries are formatted with repr, or a
+    list of the entries' text; entries are space-separated.  The rows are
+    formatted and written ``_CHUNK_ROWS`` at a time, so the text of a
+    whole block is never held.
     """
-    return map(" ".join, zip(*(map(repr, np.ravel(c).tolist()) for c in columns)))
+    fh.write("".join(line + "\n" for line in head))
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        parts = (c[start : start + _CHUNK_ROWS] for c in columns)
+        texts = (c if isinstance(c, list) else map(repr, c.tolist()) for c in parts)
+        fh.write("\n".join(map(" ".join, zip(*texts))) + "\n")

@@ -1,16 +1,23 @@
 """End-to-end command line runs: exit codes, outputs, and file formats."""
 
 import hashlib
+import itertools
 import re
 import time
 
 import numpy as np
 import pytest
 
-from axistokes import fem
+from axistokes import fem, vtk_export
 from axistokes.cli import ConfigError, load_config, main
 from axistokes.fem import FemSpace, assemble
-from axistokes.fourier import FourierStack, ModeVectors, read_stack
+from axistokes.fourier import (
+    FourierStack,
+    ModeVectors,
+    angular_grid,
+    read_stack,
+    reconstruct_stack,
+)
 from axistokes.meshing import generate_structured, read_mesh
 from axistokes.solver import solve_mode
 from axistokes.verification import builtin_cases
@@ -489,6 +496,85 @@ def test_vtk_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "59b6768dd7b74a704dac933cff26440a954ebf7e404ac51d81db916428f973ea"
     )
+
+
+def _reference_vtk_text(mesh, stack, n_theta):
+    """The VTK file as the whole-block writer made it: each block one string.
+
+    write_vtk streams its blocks in chunks and must keep these bytes.
+    """
+    thetas = angular_grid(n_theta)
+    u, p = reconstruct_stack(stack, thetas, frame="cartesian")
+    nv = mesh.n_vertices
+    u, p = u[:, :nv, :].real, p.real
+    r, z = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    n_cells = mesh.n_triangles * n_theta
+    station = np.arange(n_theta)[:, None, None] * nv
+    tri = mesh.triangles[None, :, :]
+    nxt = np.roll(station, -1, axis=0)
+    wedges = np.concatenate([station + tri, nxt + tri], axis=-1)
+
+    def rows(*columns):
+        return map(" ".join, zip(*(map(repr, np.ravel(c).tolist()) for c in columns)))
+
+    def block(head, lines):
+        return "\n".join(itertools.chain(head, lines)) + "\n"
+
+    return "".join(
+        [
+            block(
+                [
+                    "# vtk DataFile Version 3.0",
+                    "revolved axisymmetric Stokes mode stack",
+                    "ASCII",
+                    "DATASET UNSTRUCTURED_GRID",
+                    f"POINTS {nv * n_theta} float",
+                ],
+                rows(r * cos, r * sin, np.broadcast_to(z, (n_theta, nv))),
+            ),
+            block(
+                [f"CELLS {n_cells} {n_cells * 7}"],
+                rows(np.full(n_cells, 6), *wedges.reshape(-1, 6).T),
+            ),
+            block([f"CELL_TYPES {n_cells}"], ["13"] * n_cells),
+            block(
+                [f"POINT_DATA {nv * n_theta}", "VECTORS velocity float"],
+                rows(*(c.T for c in u)),
+            ),
+            block(["SCALARS pressure float 1", "LOOKUP_TABLE default"], rows(p.T)),
+        ]
+    )
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7], ids=["default-chunk", "7-row-chunk"])
+def test_streamed_vtk_matches_the_whole_block_writer(tmp_path, monkeypatch, chunk_rows):
+    # h = 1/8 and 64 stations: 5,184 points and 8,192 cells, so with the
+    # default chunk the points end in a partial chunk and the cells fill
+    # whole ones; 7-row chunks split every block many times.
+    if chunk_rows is not None:
+        monkeypatch.setattr(vtk_export, "_CHUNK_ROWS", chunk_rows)
+    mesh = generate_structured((1.0, 1.0), 0.125)
+    n_theta = 64
+    if chunk_rows is None:
+        chunk = vtk_export._CHUNK_ROWS
+        n_points, n_cells = mesh.n_vertices * n_theta, mesh.n_triangles * n_theta
+        assert n_points > chunk and n_points % chunk != 0
+        assert n_cells > chunk and n_cells % chunk == 0
+    space = FemSpace(mesh)
+    rng = np.random.default_rng(25)
+    modes = {}
+    for k in range(3):
+        # Mode 0 of real data is real.
+        u, p = (
+            rng.standard_normal(shape) + (k != 0) * 1j * rng.standard_normal(shape)
+            for shape in ((3, space.n_vel), space.n_p)
+        )
+        modes[k] = ModeVectors(u, p)
+    stack = FourierStack(n_max=2, real_data=True, mesh_id=mesh.mesh_id, modes=modes)
+    path = tmp_path / "field.vtk"
+    write_vtk(path, mesh, stack, n_theta=n_theta)
+    assert path.read_bytes() == _reference_vtk_text(mesh, stack, n_theta).encode()
 
 
 REAL_DATA = "fr = cos(theta)*r + z\nftheta = sin(theta)\nfz = r*z"

@@ -1,5 +1,6 @@
 """Angular transform, conjugation symmetry, and mode stack serialization."""
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axistokes import fourier
 from axistokes.fourier import (
     AngularSamples,
     FourierStack,
@@ -212,6 +214,138 @@ def test_read_stack_rejects_malformed(tmp_path):
     (bad / "stack.meta").write_text("wrong header\n")
     with pytest.raises(MeshError, match="header"):
         read_stack(bad)
+
+
+def _reference_write_stack(stack, directory):
+    """write_stack as it was before mirrored modes shared their text.
+
+    Every mode's eight value columns are formatted with repr, one mode at a
+    time; the writer must keep producing these bytes.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    meta = [
+        "axistokes-stack v1",
+        f"n_max {stack.n_max}",
+        f"real_data {int(stack.real_data)}",
+        f"mesh_id {stack.mesh_id}",
+        "modes " + " ".join(str(k) for k in stack.wavenumbers),
+    ]
+    (directory / "stack.meta").write_text("\n".join(meta) + "\n")
+    for k in stack.wavenumbers:
+        mv = stack.modes[k]
+        columns = [map(str, range(mv.n_vel))]
+        for values in (*mv.u, mv.p):
+            pad = [""] * (mv.n_vel - values.size)
+            for part in (values.real, values.imag):
+                columns.append(itertools.chain(map(repr, part.tolist()), pad))
+        lines = [
+            "dof_index, re_ur, im_ur, re_utheta, im_utheta, re_uz, im_uz, re_p, im_p",
+            *map(", ".join, zip(*columns)),
+        ]
+        (directory / f"mode_{k}.csv").write_text("\n".join(lines) + "\n")
+
+
+def _assert_stack_bytes_match_reference(stack):
+    with tempfile.TemporaryDirectory() as tmp:
+        mine, ref = Path(tmp) / "mine", Path(tmp) / "ref"
+        write_stack(stack, mine)
+        _reference_write_stack(stack, ref)
+        names = sorted(path.name for path in ref.iterdir())
+        assert sorted(path.name for path in mine.iterdir()) == names
+        for name in names:
+            assert (mine / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    -1e-310, 1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+]
+
+
+@st.composite
+def _mirrored_stacks(draw):
+    """Real-data stacks whose negative modes are conj() of the positive ones.
+
+    Values include signed zeros, infinities, nan, subnormals and exponents
+    from -300 to 300; n_p < n_vel, so pressure rows are padded.
+    """
+    n_vel = draw(st.integers(2, 6))
+    n_p = draw(st.integers(1, n_vel - 1))
+    scaled = st.builds(
+        lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 300)
+    )
+    parts = st.one_of(st.sampled_from(_SPECIAL_FLOATS), scaled, st.floats())
+
+    def array(n):
+        # Set the parts one by one: re + 1j * im would turn inf into nan.
+        values = np.empty(n, complex)
+        values.real = draw(st.lists(parts, min_size=n, max_size=n))
+        values.imag = draw(st.lists(parts, min_size=n, max_size=n))
+        return values
+
+    modes = {}
+    for k in draw(st.sets(st.integers(0, 4), min_size=1, max_size=4)):
+        modes[k] = ModeVectors(array(3 * n_vel).reshape(3, n_vel), array(n_p))
+        if k and draw(st.booleans()):
+            modes[-k] = ModeVectors(np.conj(modes[k].u), np.conj(modes[k].p))
+    return FourierStack(
+        n_max=max(map(abs, modes)), real_data=True, mesh_id="cafe01234567", modes=modes
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=_mirrored_stacks())
+def test_mirrored_stack_bytes_match_the_reference_writer(stack):
+    _assert_stack_bytes_match_reference(stack)
+
+
+def _count_column_formatting(monkeypatch):
+    counted = []
+    formatter = fourier._value_columns
+
+    def spy(mv):
+        counted.append(mv)
+        return formatter(mv)
+
+    monkeypatch.setattr(fourier, "_value_columns", spy)
+    return counted
+
+
+def test_mirror_differing_in_one_zero_sign_takes_the_full_path(monkeypatch):
+    # Negative control: mode -1 equals conj(mode 1) under ==, but one of its
+    # imaginary zeros has the other sign, so its text is formatted afresh.
+    u = np.array([[0.5, -1.25], [0.0, 3.0], [-0.0, 1e-300]]) + 1j * np.array(
+        [[0.0, 2.0], [-0.0, -4.5], [1e300, 0.0]]
+    )
+    p = np.array([0.75 - 0.0j])
+    mirror_u = np.conj(u)
+    mirror_u[1, 0] = complex(mirror_u[1, 0].real, -mirror_u[1, 0].imag)
+    assert np.array_equal(mirror_u, np.conj(u))
+    assert mirror_u.tobytes() != np.conj(u).tobytes()
+    stack = FourierStack(
+        n_max=1, real_data=True, mesh_id="cafe01234567",
+        modes={1: ModeVectors(u, p), -1: ModeVectors(mirror_u, np.conj(p))},
+    )
+    counted = _count_column_formatting(monkeypatch)
+    _assert_stack_bytes_match_reference(stack)
+    assert len(counted) == 2
+
+
+def test_real_stack_formats_each_pair_once(monkeypatch):
+    # 49 modes k = -24..24 of real data: mode 0 and modes 1..24 are
+    # formatted, each -k written from the text of k.
+    rng = np.random.default_rng(23)
+    modes = {0: ModeVectors(rng.standard_normal((3, 4)), rng.standard_normal(2))}
+    for k in range(1, 25):
+        u = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        p = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        modes[k], modes[-k] = ModeVectors(u, p), ModeVectors(u.conj(), p.conj())
+    stack = FourierStack(n_max=24, real_data=True, mesh_id="cafe01234567", modes=modes)
+    counted = _count_column_formatting(monkeypatch)
+    _assert_stack_bytes_match_reference(stack)
+    assert len(counted) == 25
+    assert {id(mv) for mv in counted} == {id(modes[k]) for k in range(25)}
 
 
 def test_reconstruct_stack_frames_agree():
