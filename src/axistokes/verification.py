@@ -504,11 +504,6 @@ def _mode_sampler(modes, scalars):
     return sample
 
 
-def _sample_modes(modes, scalars, R, Z):
-    """The ``_mode_sampler`` table and scalar values at one set of points."""
-    return _mode_sampler(modes, scalars)(R, Z)
-
-
 # Points (triangles x quadrature points x angles) of one block of the 3D
 # oracle: its (block, nq, n_theta) arrays then stay in cache, and its memory
 # does not grow with the mesh.
@@ -551,7 +546,7 @@ def _gradient_rows(t, ik, inv_r, out):
 def _oracle_integrals(R, W, thetas, ks, table_u, table_v, q_vals):
     """The 3D integrals of one field family over the revolved domain.
 
-    ``table_u``, ``table_v`` are the ``_sample_modes`` tables of the vector
+    ``table_u``, ``table_v`` are the ``_mode_sampler`` tables of the vector
     fields u and v with wavenumbers ``ks``, ``q_vals`` the values of the
     scalar q (one row per wavenumber), all on quadrature points with
     coordinates R and weights W.  Each field is summed into a genuine 3D

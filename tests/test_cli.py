@@ -577,7 +577,7 @@ def test_streamed_vtk_matches_the_whole_block_writer(tmp_path, monkeypatch, chun
     assert path.read_bytes() == _reference_vtk_text(mesh, stack, n_theta).encode()
 
 
-REAL_DATA = "fr = cos(theta)*r + z\nftheta = sin(theta)\nfz = r*z"
+LOW_MODE_REAL_DATA = "fr = cos(theta)*r + z\nftheta = sin(theta)\nfz = r*z"
 COMPLEX_DATA = "fr = cos(theta)*r + z\nftheta = (-1)**0.5*sin(theta)\nfz = r*z"
 
 
@@ -589,8 +589,8 @@ def test_solve_is_deterministic(tmp_path):
     # --deterministic is accepted with no effect: both runs solve the
     # modes one at a time in the same order and write the same bytes.
     cases = [
-        (REAL_DATA, "n_max = 2"),
-        (REAL_DATA, "wavenumbers = -3 -2 -1 0 1 2 3"),
+        (LOW_MODE_REAL_DATA, "n_max = 2"),
+        (LOW_MODE_REAL_DATA, "wavenumbers = -3 -2 -1 0 1 2 3"),
         (COMPLEX_DATA, "n_max = 2"),
     ]
     for i, (data, modes) in enumerate(cases):
@@ -601,7 +601,7 @@ def test_solve_is_deterministic(tmp_path):
             assert main(["solve", "--config", _config(tmp_path, body), *flags]) == 0
             outs.append(out)
         out_a, out_b = outs
-        assert read_stack(out_a / "stack").real_data == (data == REAL_DATA)
+        assert read_stack(out_a / "stack").real_data == (data == LOW_MODE_REAL_DATA)
         for table in ("norms_velocity.csv", "norms_pressure.csv"):
             assert (out_a / table).read_bytes() == (out_b / table).read_bytes()
         assert _stack_bytes(out_a / "stack") == _stack_bytes(out_b / "stack")

@@ -8,11 +8,13 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axistokes import solver
+from axistokes.cli import L_SHAPE
 from axistokes.expressions import ExpressionField
 from axistokes.fem import FemSpace, assemble, assemble_rhs
 from axistokes.fields import Poly2
 from axistokes.fourier import FourierStack, ModeVectors, angular_grid, reconstruct_stack
-from axistokes.meshing import generate_structured
+from axistokes.meshing import DomainSpec, generate_structured, mesh_from_spec
 from axistokes.solver import (
     SolverBreakdown,
     SolverConfig,
@@ -346,7 +348,6 @@ def test_singular_system_breaks_down():
 @pytest.mark.parametrize("k", [0, 1, 5])
 def test_inf_sup_estimate_in_plausible_range(space, k):
     est = estimate_inf_sup(assemble(space, k))
-    assert est.method == "dense"
     assert est.beta == pytest.approx(np.sqrt(est.lambda_min))
     assert 0.15 < est.beta < 1.0
 
@@ -372,7 +373,6 @@ def test_inf_sup_matches_qr_projected_estimate(h, k):
     # smallest one on the mean-free pressures.
     system = assemble(FemSpace(generate_structured((1.0, 1.0), h)), k)
     est = estimate_inf_sup(system)
-    assert est.method == "dense"
     assert est.lambda_min == pytest.approx(_qr_projected_inf_sup(system), rel=1e-12)
 
 
@@ -461,14 +461,34 @@ def test_zero_slices_skip_their_factor(monkeypatch):
     assert all(np.any(rhs) for rhs in counting.rhs)
 
 
-@pytest.mark.parametrize("k", [0, 2])
-def test_lobpcg_inf_sup_matches_dense(square8_systems, k, monkeypatch):
-    system = square8_systems[k]
-    dense = estimate_inf_sup(system)
-    monkeypatch.setattr("axistokes.solver._DENSE_LIMIT", system.n_p - 1)
-    iterative = estimate_inf_sup(system)
-    assert (dense.method, iterative.method) == ("dense", "lobpcg")
-    assert iterative.lambda_min == pytest.approx(dense.lambda_min, rel=1e-6)
+@pytest.fixture(scope="module")
+def l_shape_spaces():
+    return {
+        h: FemSpace(mesh_from_spec(DomainSpec(polygon=L_SHAPE, target_h=h)))
+        for h in (0.5, 0.25)
+    }
+
+
+@pytest.mark.parametrize("h", [0.5, 0.25])
+@pytest.mark.parametrize("k", [-5, 0, 1, 2, 5, 12])
+def test_inf_sup_on_l_shape_matches_qr_projected_estimate(l_shape_spaces, h, k):
+    # The L-shaped meridian of ``axistokes verify``: a re-entrant corner and
+    # unstructured triangles, off the square's symmetric grid.
+    system = assemble(l_shape_spaces[h], k)
+    est = estimate_inf_sup(system)
+    assert est.lambda_min == pytest.approx(_qr_projected_inf_sup(system), rel=1e-12)
+
+
+def test_inf_sup_iteration_short_of_its_tolerance_breaks_down(space, monkeypatch):
+    core = solver._uzawa_core
+
+    def stopped(*args):
+        u, p, its, _, history, alphas, betas = core(*args)
+        return u, p, its, False, history, alphas, betas
+
+    monkeypatch.setattr(solver, "_uzawa_core", stopped)
+    with pytest.raises(SolverBreakdown, match="inf-sup iteration for mode 1 stopped"):
+        estimate_inf_sup(assemble(space, 1))
 
 
 @pytest.fixture(scope="module")

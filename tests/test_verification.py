@@ -44,12 +44,12 @@ from axistokes.verification import (
 from axistokes.verification import (
     _family_integrals,
     _field_defects,
+    _mode_sampler,
     _oracle_block,
     _oracle_integrals,
     _random_mode_field,
     _random_scalar,
     _sample_block,
-    _sample_modes,
     strong_divergence,
     strong_force,
 )
@@ -206,7 +206,7 @@ def test_isometry_suite_smoke():
 def test_oracle_closed_forms(k, components, want):
     mesh = generate_structured((1.0, 1.0), 0.25)
     R_, Z_, W = quadrature_geometry(mesh, triangle_rule(DEFAULT_NORM_DEGREE))
-    table, q_vals = _sample_modes([VectorModeFn(k, components)], [ONE], R_, Z_)
+    table, q_vals = _mode_sampler([VectorModeFn(k, components)], [ONE])(R_, Z_)
     got = _oracle_integrals(R_, W, angular_grid(16), [k], table, table, q_vals)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-14
@@ -283,7 +283,7 @@ def test_blocked_oracle_matches_whole_mesh_integrals(mesh):
     modes_u = [_random_mode_field(rng, k) for k in ks]
     modes_v = [_random_mode_field(rng, k) for k in ks]
     modes_q = [_random_scalar(rng) for _ in ks]
-    table, q_vals = _sample_modes([*modes_u, *modes_v], modes_q, R, Z)
+    table, q_vals = _mode_sampler([*modes_u, *modes_v], modes_q)(R, Z)
     n = len(modes_u)
     blocked = _oracle_integrals(R, W, thetas, list(ks), table[:n], table[n:], q_vals)
     whole = _whole_mesh_oracle(mesh, rule, thetas, modes_u, modes_v, modes_q)
@@ -299,7 +299,7 @@ def test_array_cores_reproduce_the_mode_norm_functions(k):
     rng = np.random.default_rng(3)
     u, v = (_random_mode_field(rng, k, min_r_power=1) for _ in range(2))
     q = _random_scalar(rng)
-    table, (q_val,) = _sample_modes([u, v], [q], R, Z)
+    table, (q_val,) = _mode_sampler([u, v], [q])(R, Z)
     su, sv = np.split(table[0], 3), np.split(table[1], 3)
 
     def close(got, want):
@@ -374,7 +374,7 @@ def _whole_mesh_sums(mesh, thetas, modes_u, modes_v, modes_q):
     """
     R, Z, W = quadrature_geometry(mesh, triangle_rule(DEFAULT_NORM_DEGREE))
     ks = [m.k for m in modes_u]
-    table, q_vals = _sample_modes([*modes_u, *modes_v], modes_q, R, Z)
+    table, q_vals = _mode_sampler([*modes_u, *modes_v], modes_q)(R, Z)
     table_u, table_v = table[: len(ks)], table[len(ks) :]
     oracle = _oracle_integrals(R, W, thetas, ks, table_u, table_v, q_vals)
     su, sv = ([np.split(t, 3) for t in tab] for tab in (table_u, table_v))
@@ -422,7 +422,7 @@ def test_mode_axis_cores_reproduce_the_per_mode_cores():
     R, Z, W = quadrature_geometry(mesh, triangle_rule(DEFAULT_NORM_DEGREE))
     modes_u, modes_v, modes_q = _random_family(np.random.default_rng(4), 3)
     ks = [m.k for m in modes_u]
-    table, q_vals = _sample_modes([*modes_u, *modes_v], modes_q, R, Z)
+    table, q_vals = _mode_sampler([*modes_u, *modes_v], modes_q)(R, Z)
     rows = (slice(0, 3), slice(3, 6), slice(6, 9))
     su = tuple(table[: len(ks), r] for r in rows)
     sv = tuple(table[len(ks) :, r] for r in rows)
