@@ -21,9 +21,12 @@ unknowns to the full component-major vector; it is applied from each
 component's direction and free nodes and never formed.  The reduced
 velocity block C* A C is the block diagonal of the restricted L_j that
 all modes of a space share, and B_hat = B C, whose column block c is B
-along the direction of component c, is exactly real.  Every 1/r**2
-contribution that survives involves only basis functions that vanish on
-the axis, keeping the interior quadrature consistent.
+along the direction of component c, is exactly real.  B is not formed
+either: its column blocks (Br, -i k D0, Bz), taken from the space's
+operators, build B_hat and carry the wall values into the continuity
+right side.  Every 1/r**2 contribution that survives involves only basis
+functions that vanish on the axis, keeping the interior quadrature
+consistent.
 
 Wall values win at corners where the wall meets the axis; data that
 violates the axis conditions of the current mode there triggers a warning
@@ -358,12 +361,6 @@ def _divergence_blocks(ops: ModeOperators, k: int, nodes=None) -> tuple:
     return Br, Bt, Bz
 
 
-def _divergence_matrix(ops: ModeOperators, k: int) -> sp.csr_matrix:
-    """Full divergence block B (np x 3n) of mode k."""
-    Br, Bt, Bz = _divergence_blocks(ops, k)
-    return sp.bmat([[Br.astype(complex), Bt, Bz.astype(complex)]], format="csr")
-
-
 @dataclass
 class ModeConstraints:
     """Essential conditions of one mode as a linear change of unknowns.
@@ -512,24 +509,26 @@ class DataError(ValueError):
 class SaddleSystem:
     """One mode's constrained saddle problem, ready for right sides.
 
-    Holds only what depends on the wavenumber: the constraints, the full
-    divergence block B and ``B_hat`` = B C, whose column block c is B along
-    ``dirs[:, c]`` at the free nodes of component c (C itself is applied,
-    never formed; see ``ModeConstraints``).  ``B_hat`` is exactly real but
-    kept in complex dtype, since products of a real sparse matrix with
-    complex vectors copy it each time; ``rhs`` folds data and pinned values
-    into the free unknowns.  The reduced velocity block C* A C is the block
-    diagonal of the space's L_j, so it is symmetric positive definite, and
-    no system stores it: ``apply_energy`` applies C* A, and ``a_solve`` the
-    inverse on the factors the space shares.  ``B_hat`` has full rank
-    except for the axisymmetric constant pressure, represented by the
-    space's ``m_vec``; ``mp_solve`` applies the inverse of its ``Mp``.
+    Holds the ``space``, the wavenumber ``k``, the ``constraints`` and
+    ``B_hat`` = B C, whose column block c is B along ``dirs[:, c]`` at the
+    free nodes of component c.  Neither B nor C is formed (see
+    ``ModeConstraints``).  ``B_hat`` is exactly real but kept in complex
+    dtype, since products of a real sparse matrix with complex vectors copy
+    it each time.  ``rhs`` folds data and pinned values into the free
+    unknowns: the pinned values enter the continuity side through B's
+    column blocks, block c acting on component c of ``fix``, as they enter
+    the momentum side through ``apply_energy`` without forming A.  The
+    reduced velocity block C* A C is the block diagonal of the space's L_j,
+    so it is symmetric positive definite, and no system stores it:
+    ``apply_energy`` applies C* A, and ``a_solve`` the inverse on the
+    factors the space shares.  ``B_hat`` has full rank except for the
+    axisymmetric constant pressure, represented by ``m_vec``; ``mp_solve``
+    applies the inverse of the space's pressure mass matrix.
     """
 
     space: FemSpace
     k: int
     constraints: ModeConstraints
-    B_full: sp.csr_matrix
     B_hat: sp.csr_matrix
 
     @property
@@ -539,10 +538,6 @@ class SaddleSystem:
     @property
     def n_p(self) -> int:
         return self.B_hat.shape[0]
-
-    @property
-    def Mp(self) -> sp.csr_matrix:
-        return self.space.operators().Mp
 
     @property
     def m_vec(self) -> np.ndarray:
@@ -558,7 +553,8 @@ class SaddleSystem:
             G = assemble_divergence_rhs(self.space, g_div)
             fix = self.constraints.fix
             F_hat = self.constraints.restrict(F) - self.apply_energy(fix)
-            G_hat = G - self.B_full @ fix
+            blocks = _divergence_blocks(self.space.operators(), self.k)
+            G_hat = G - sum(P @ w for P, w in zip(blocks, fix.reshape(3, -1)))
         if not (np.all(np.isfinite(F_hat)) and np.all(np.isfinite(G_hat))):
             raise DataError(
                 f"mode {self.k}: the body force, divergence or wall data is "
@@ -632,8 +628,7 @@ def assemble(space: FemSpace, k: int, g=None) -> SaddleSystem:
         format="csr",
     )
     B_hat.eliminate_zeros()
-    B = _divergence_matrix(ops, k)
-    return SaddleSystem(space=space, k=k, constraints=cons, B_full=B, B_hat=B_hat)
+    return SaddleSystem(space=space, k=k, constraints=cons, B_hat=B_hat)
 
 
 class FemScalarField:

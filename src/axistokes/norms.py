@@ -32,8 +32,8 @@ tested against.  The sampled sums are array cores
 ``sampled_divergence_product``) that a caller holding samples calls
 directly.  They take a leading mode axis, so one call covers many modes,
 and each is a sum over the points, so a caller may add them up block by
-block of triangles.  Both routes of a vector norm meet in
-``_vector_report``.
+block of triangles.  Both routes of a vector norm supply the same sums,
+and ``sums_report`` turns them into a ``NormReport``.
 """
 
 import io
@@ -52,8 +52,6 @@ __all__ = [
     "integrate_weighted",
     "scalar_mode_norm",
     "vector_mode_norm",
-    "mode_energy_product",
-    "mode_divergence_product",
     "norm_report_csv",
 ]
 
@@ -224,11 +222,13 @@ def _quadratic_forms(M: np.ndarray, locs: np.ndarray) -> list:
 
 
 def _fem_norm_sums(fields, couple: bool = False):
-    """ComponentNorms of finite element fields as element quadratic forms.
+    """The sums of ``sampled_vector_sums`` for finite element fields.
 
-    The sums equal those of sampling each field at the norm rule up to
-    round-off.  With ``couple`` the 1/r sums of fields[0] +- i fields[1]
-    are returned as well (else an empty list).
+    Returns (rows, coupling): rows[c] holds the l2_1, l2_m1 and h1_1_semi
+    sums of fields[c] as element quadratic forms, and with ``couple``
+    coupling holds the 1/r sums of fields[0] +- i fields[1] (else it is
+    empty).  They equal the sums of sampling each field at the norm rule
+    up to round-off.
     """
     space, kind = fields[0].space, fields[0].kind
     mats = space.norm_matrices(kind)
@@ -244,8 +244,7 @@ def _fem_norm_sums(fields, couple: bool = False):
         locs = np.concatenate([locs, np.stack([r + 1j * t, r - 1j * t], axis=2)], axis=2)
     l2_m1 = _quadratic_forms(mats.mass_inv_r, locs)
     n = len(fields)
-    comps = [ComponentNorms(*sums) for sums in zip(l2_1, l2_m1[:n], semi)]
-    return comps, l2_m1[n:]
+    return list(zip(l2_1, l2_m1[:n], semi)), l2_m1[n:]
 
 
 def scalar_mode_norm(mesh, q, k: int) -> NormReport:
@@ -257,12 +256,12 @@ def scalar_mode_norm(mesh, q, k: int) -> NormReport:
     other field by sampling.
     """
     if _in_one_fem_space(mesh, (q,)):
-        (comp,), _ = _fem_norm_sums((q,))
+        (row,), _ = _fem_norm_sums((q,))
     else:
         geometry = quadrature_geometry(mesh, _NORM_RULE)
         R, _, W = geometry
-        sums = _component_sums(*sample_component(q, mesh, True, geometry), R, W)
-        comp = ComponentNorms(*sums.tolist())
+        row = _component_sums(*sample_component(q, mesh, True, geometry), R, W).tolist()
+    comp = ComponentNorms(*row)
     l2_1, l2_m1, semi = comp.l2_1_sq, comp.l2_m1_sq, comp.h1_1_semi_sq
     h1k = l2_1 + semi + (k * k * l2_m1 if k != 0 else 0.0)
     return NormReport(
@@ -274,33 +273,6 @@ def scalar_mode_norm(mesh, q, k: int) -> NormReport:
         h1k_semi_sq=h1k - l2_1,
         h1k_star_sq=h1k,
         components={"scalar": comp},
-    )
-
-
-def _vector_report(k, per_comp: dict, p_plus: float, p_minus: float) -> NormReport:
-    """NormReport of a vector mode from its components' ComponentNorms.
-
-    ``p_plus``, ``p_minus`` are the 1/r sums of v_r + i v_t and v_r - i v_t.
-    """
-    l2_1_tot = l2_m1_tot = semi_tot = 0.0
-    for comp in per_comp.values():
-        l2_1_tot += comp.l2_1_sq
-        l2_m1_tot += comp.l2_m1_sq
-        semi_tot += comp.h1_1_semi_sq
-    z_m1 = per_comp["z"].l2_m1_sq
-    coupling = 0.5 * (k + 1) ** 2 * p_plus + 0.5 * (k - 1) ** 2 * p_minus + k * k * z_m1
-    h1k_semi = semi_tot + coupling
-    h1k = h1k_semi + l2_1_tot
-    star_semi = semi_tot + k * k * l2_m1_tot
-    return NormReport(
-        k=k,
-        l2_1_sq=l2_1_tot,
-        l2_m1_sq=l2_m1_tot,
-        h1_1_semi_sq=semi_tot,
-        h1k_sq=h1k,
-        h1k_semi_sq=h1k_semi,
-        h1k_star_sq=star_semi + l2_1_tot,
-        components=per_comp,
     )
 
 
@@ -323,19 +295,31 @@ def sampled_vector_sums(val, dr, dz, R, W):
 
 
 def sums_report(k: int, comp, coupling) -> NormReport:
-    """NormReport of one vector mode from its ``sampled_vector_sums``."""
+    """NormReport of one vector mode from its ``sampled_vector_sums``.
+
+    ``comp`` holds the l2_1, l2_m1 and h1_1_semi sums of the components
+    (r, theta, z), ``coupling`` the 1/r sums of v_r + i v_t and
+    v_r - i v_t.  The totals are summed in the order r, theta, z.
+    """
     rows = np.asarray(comp).tolist()
     per_comp = {n: ComponentNorms(*row) for n, row in zip(_COMPONENTS, rows)}
-    return _vector_report(k, per_comp, *np.asarray(coupling).tolist())
-
-
-def sampled_vector_norm(k: int, val, dr, dz, R, W) -> NormReport:
-    """Mode norm of a vector coefficient from its samples.
-
-    ``val``, ``dr`` and ``dz`` are as in ``sampled_vector_sums``, with no
-    mode axis.
-    """
-    return sums_report(k, *sampled_vector_sums(val, dr, dz, R, W))
+    l2_1_tot, l2_m1_tot, semi_tot = (sum(col) for col in zip(*rows))
+    p_plus, p_minus = np.asarray(coupling).tolist()
+    z_m1 = per_comp["z"].l2_m1_sq
+    mixed = 0.5 * (k + 1) ** 2 * p_plus + 0.5 * (k - 1) ** 2 * p_minus + k * k * z_m1
+    h1k_semi = semi_tot + mixed
+    h1k = h1k_semi + l2_1_tot
+    star_semi = semi_tot + k * k * l2_m1_tot
+    return NormReport(
+        k=k,
+        l2_1_sq=l2_1_tot,
+        l2_m1_sq=l2_m1_tot,
+        h1_1_semi_sq=semi_tot,
+        h1k_sq=h1k,
+        h1k_semi_sq=h1k_semi,
+        h1k_star_sq=star_semi + l2_1_tot,
+        components=per_comp,
+    )
 
 
 def vector_mode_norm(mesh, v, k: int = None) -> NormReport:
@@ -356,19 +340,21 @@ def vector_mode_norm(mesh, v, k: int = None) -> NormReport:
     if len(comps) != 3:
         raise ValueError("vector mode needs three components (r, theta, z)")
     if _in_one_fem_space(mesh, comps):
-        sums, (p_plus, p_minus) = _fem_norm_sums(comps, couple=True)
-        return _vector_report(k, dict(zip(_COMPONENTS, sums)), p_plus, p_minus)
+        return sums_report(k, *_fem_norm_sums(comps, couple=True))
     geometry = quadrature_geometry(mesh, _NORM_RULE)
     R, _, W = geometry
-    return sampled_vector_norm(k, *_sample_vector(comps, mesh, geometry), R, W)
+    return sums_report(k, *sampled_vector_sums(*_sample_vector(comps, mesh, geometry), R, W))
 
 
 def sampled_energy_product(k, u, v, R, W):
-    """``mode_energy_product`` of samples ``u``, ``v``, each (val, dr, dz).
+    """Sesquilinear energy form of mode k between samples ``u``, ``v``.
 
-    Each sample array has shape (..., 3, nt, nq), as in
-    ``sampled_vector_sums``; a leading mode axis takes ``k`` as an array
-    of wavenumbers and gives one product per mode.
+    This is the inner product whose quadratic form is the squared mode
+    seminorm: gradients weighted by r plus the 1/r**2 mass terms with the
+    radial/angular coupling, with conjugation on ``v``.  ``u`` and ``v``
+    are each (val, dr, dz), each sample array of shape (..., 3, nt, nq) as
+    in ``sampled_vector_sums``; a leading mode axis takes ``k`` as an
+    array of wavenumbers and gives one product per mode.
     """
     (uval, udr, udz), (vval, vdr, vdz) = (tuple(np.asarray(x) for x in s) for s in (u, v))
     grad = (udr * np.conj(vdr) + udz * np.conj(vdz)).sum(axis=-3)
@@ -383,39 +369,17 @@ def sampled_energy_product(k, u, v, R, W):
     return _point_sums(W, grad * R + mass / R)
 
 
-def mode_energy_product(mesh, k: int, u, v) -> complex:
-    """Sesquilinear energy form of mode k between two vector coefficients.
-
-    This is the inner product whose quadratic form is the squared mode
-    seminorm: gradients weighted by r plus the 1/r**2 mass terms with the
-    radial/angular coupling.  Conjugation falls on ``v``.
-    """
-    geometry = quadrature_geometry(mesh, _NORM_RULE)
-    R, _, W = geometry
-    su, sv = (_sample_vector(x, mesh, geometry) for x in (u, v))
-    return complex(sampled_energy_product(k, su, sv, R, W))
-
-
 def sampled_divergence_product(k, v, qval, R, W):
-    """``mode_divergence_product`` of samples ``v`` = (val, dr, dz) and ``qval``.
+    """Mixed form of mode k: minus the r-weighted sum of (div_k v) conj(q).
 
-    The samples of ``v`` have shape (..., 3, nt, nq) and ``qval`` (..., nt,
-    nq); a leading mode axis takes ``k`` as an array, as in
-    ``sampled_energy_product``.
+    ``v`` is (val, dr, dz), each of shape (..., 3, nt, nq), and ``qval``
+    the values of q, of shape (..., nt, nq); a leading mode axis takes
+    ``k`` as an array, as in ``sampled_energy_product``.
     """
     (vr, vt, _), (vr_r, _, _), (_, _, vz_z) = (_components(x) for x in v)
     k = np.asarray(k)[..., None, None]
     div = vr_r + vr / R + 1j * k * vt / R + vz_z
     return -_point_sums(W, div * np.conj(qval) * R)
-
-
-def mode_divergence_product(mesh, k: int, v, q) -> complex:
-    """Mixed form: minus the r-weighted integral of (div_k v) times conj(q)."""
-    geometry = quadrature_geometry(mesh, _NORM_RULE)
-    R, _, W = geometry
-    sv = _sample_vector(v, mesh, geometry)
-    qval, _, _ = sample_component(q, mesh, False, geometry)
-    return complex(sampled_divergence_product(k, sv, qval, R, W))
 
 
 def _sample_vector(v, mesh, geometry):

@@ -4,19 +4,40 @@ The package builds its element matrices from weighted products on the
 reference coordinates (``fem._element_matrices``).  This module keeps the
 direct formulation they are tested against: basis gradients pushed forward
 to every quadrature point of every triangle, (nt, nq, 6, 2), and each
-element matrix as one einsum over that table.  ``mode_matrices`` forms the
-full, unconstrained saddle blocks of one mode from the operators,
-``velocity_matrix`` the reduced velocity block that no system stores, and
-``constraint_matrix`` the constraint map C, which the package applies
-(``ModeConstraints.extend`` and ``restrict``) and never forms; the
-package builds ``B_hat``'s column block c as B along ``dirs[:, c]``, and
-B C from this matrix is its reference.
+element matrix as one einsum over that table.
+
+It also forms the matrices the package only applies.  ``mode_matrices``
+gives the full, unconstrained saddle blocks of one mode, A and the
+divergence block B of ``divergence_matrix``; ``velocity_matrix`` the
+reduced velocity block that no system stores; and ``constraint_matrix``
+the constraint map C (``ModeConstraints.extend`` and ``restrict`` apply
+it).  The package builds ``B_hat``'s column block c as B along
+``dirs[:, c]``, and folds the wall values into the continuity right side
+through B's column blocks, so B C and B @ fix from these matrices are
+their references.
+
+``mode_energy_product`` and ``mode_divergence_product`` are the sampled
+sesquilinear forms of a mode, the references of the array cores
+``norms.sampled_energy_product`` and ``sampled_divergence_product`` that
+``isometry_suite`` runs on.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from axistokes.fem import ModeOperators, _divergence_matrix, _p2_dvalues, _p2_values
+from axistokes.fem import (
+    _NORM_RULE,
+    ModeOperators,
+    _divergence_blocks,
+    _p2_dvalues,
+    _p2_values,
+)
+from axistokes.norms import (
+    _sample_vector,
+    sample_component,
+    sampled_divergence_product,
+    sampled_energy_product,
+)
 from axistokes.quadrature import quadrature_geometry
 
 
@@ -89,6 +110,12 @@ def reference_samples(field, rule):
     )
 
 
+def divergence_matrix(ops: ModeOperators, k: int) -> sp.csr_matrix:
+    """Full divergence block B (np x 3n) of mode k."""
+    Br, Bt, Bz = _divergence_blocks(ops, k)
+    return sp.bmat([[Br.astype(complex), Bt, Bz.astype(complex)]], format="csr")
+
+
 def mode_matrices(space, k: int):
     """Full (unconstrained) saddle blocks A (3n x 3n) and B (np x 3n) of mode k."""
     ops = space.operators()
@@ -100,7 +127,7 @@ def mode_matrices(space, k: int):
     A = sp.bmat(
         [[A_rr, A_rt, None], [A_tr, A_rr, None], [None, None, A_zz]], format="csr"
     )
-    return A, _divergence_matrix(ops, k)
+    return A, divergence_matrix(ops, k)
 
 
 def velocity_matrix(system):
@@ -120,3 +147,25 @@ def constraint_matrix(cons):
         [sp.kron(cons.dirs[:, [c]], eye[:, nodes]) for c, nodes in enumerate(cons.nodes)],
         format="csr",
     )
+
+
+def mode_energy_product(mesh, k: int, u, v) -> complex:
+    """Sesquilinear energy form of mode k between two vector coefficients.
+
+    This is the inner product whose quadratic form is the squared mode
+    seminorm: gradients weighted by r plus the 1/r**2 mass terms with the
+    radial/angular coupling.  Conjugation falls on ``v``.
+    """
+    geometry = quadrature_geometry(mesh, _NORM_RULE)
+    R, _, W = geometry
+    su, sv = (_sample_vector(x, mesh, geometry) for x in (u, v))
+    return complex(sampled_energy_product(k, su, sv, R, W))
+
+
+def mode_divergence_product(mesh, k: int, v, q) -> complex:
+    """Mixed form: minus the r-weighted integral of (div_k v) times conj(q)."""
+    geometry = quadrature_geometry(mesh, _NORM_RULE)
+    R, _, W = geometry
+    sv = _sample_vector(v, mesh, geometry)
+    qval, _, _ = sample_component(q, mesh, False, geometry)
+    return complex(sampled_divergence_product(k, sv, qval, R, W))

@@ -1,8 +1,10 @@
 """Every public name has one home: the module whose ``__all__`` lists it.
 
 The package star-imports its modules, so a name in two modules' lists, or
-one equal to a module's name, would be shadowed without an error.  And
-every name a module imports at its top level is used there.
+one equal to a module's name, would be shadowed without an error.  Every
+name a module imports at its top level is used there, and every name a
+module exports is read by the package, the demos or the benchmark, so no
+public name is there for its own tests only.
 """
 
 import ast
@@ -23,6 +25,9 @@ MODULES = [
     importlib.import_module(f"axistokes.{info.name}")
     for info in pkgutil.iter_modules(axistokes.__path__)
 ]
+
+REPO = Path(axistokes.__file__).parents[2]
+READER_DIRS = ("src", "demos", "perfbench")
 
 
 def _imported_names(tree) -> set:
@@ -118,3 +123,65 @@ def _unused_imports(module) -> set:
 def test_module_has_no_unused_imports(module):
     unused = _unused_imports(module)
     assert not unused, f"{module.__name__} imports {sorted(unused)} without using them"
+
+
+def _names_read(node) -> set:
+    """Names an AST reads: loaded names and attributes, and imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in sub.names)
+    return names
+
+
+def _unread_exports(source: str, exported, other_sources) -> set:
+    """Names of ``exported`` that no source reads outside their own definition.
+
+    ``source`` is the home module, where the top-level statement defining a
+    name does not count as a read of it; ``other_sources`` are the rest.
+    """
+    read = set()
+    for text in other_sources:
+        read |= _names_read(ast.parse(text))
+    home = [(getattr(stmt, "name", None), _names_read(stmt)) for stmt in ast.parse(source).body]
+    return {
+        name
+        for name in exported
+        if name not in read and not any(name in names for owner, names in home if owner != name)
+    }
+
+
+def _reader_sources(skip: Path) -> list:
+    paths = sorted(p for d in READER_DIRS for p in (REPO / d).rglob("*.py"))
+    return [p.read_text() for p in paths if p.resolve() != skip.resolve()]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_exports_are_read_outside_tests(module):
+    path = Path(inspect.getsourcefile(module))
+    unread = _unread_exports(path.read_text(), module.__all__, _reader_sources(path))
+    assert not unread, (
+        f"{module.__name__}.__all__ lists {sorted(unread)}, which only tests read"
+    )
+
+
+def test_export_read_only_by_its_own_definition_is_caught():
+    # Negative control: a recursive call and the ``__all__`` entry are not
+    # reads, a call elsewhere in the module or an import in another is.
+    source = (
+        "__all__ = ['walk', 'used', 'imported']\n"
+        "def walk(n):\n"
+        "    return walk(n - 1) if n else 0\n"
+        "def used():\n"
+        "    return 1\n"
+        "def imported():\n"
+        "    return 2\n"
+        "x = used()\n"
+    )
+    other = "from axistokes.norms import imported\n"
+    exported = ["walk", "used", "imported"]
+    assert _unread_exports(source, exported, [other]) == {"walk"}

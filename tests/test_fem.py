@@ -33,6 +33,7 @@ from axistokes.solver import SolverConfig, solve_mode
 
 from fem_reference import (
     constraint_matrix,
+    divergence_matrix,
     mode_matrices,
     reference_operators,
     reference_samples,
@@ -99,20 +100,27 @@ def test_unit_wavenumber_axis_tie(space, k):
 @pytest.mark.parametrize("k", [0, 1, -1, 2, 5])
 def test_constraint_map_matches_reference(space, k):
     # extend and restrict apply C and C* without forming C (measured
-    # defect 0 against the reference matrix), and B_hat, built block by
-    # block along the directions, has the entries and the nnz of B C.
+    # defect 0 against the reference matrix), B_hat, built block by block
+    # along the directions, has the entries and the nnz of B C, and rhs
+    # folds the wall values into G through B's column blocks as B @ fix.
     system = assemble(space, k, g=(R, R * Z, R))
     cons = system.constraints
     C = constraint_matrix(cons)
+    B = divergence_matrix(space.operators(), k)
     rng = np.random.default_rng(60 + k)
     free = rng.standard_normal(cons.n_free) + 1j * rng.standard_normal(cons.n_free)
     full = rng.standard_normal(C.shape[0]) + 1j * rng.standard_normal(C.shape[0])
     for mine, ref in ((cons.extend(free), C @ free), (cons.restrict(full), C.conj().T @ full)):
         assert mine.shape == ref.shape
         assert np.abs(mine - ref).max() <= 1e-15 * np.abs(ref).max()
-    product = (system.B_full @ C).tocsr()
+    product = (B @ C).tocsr()
     assert system.B_hat.nnz == product.nnz
     assert (system.B_hat != product).nnz == 0
+    g_div = ONE + R * Z
+    G_hat = system.rhs(None, g_div)[1]
+    ref = assemble_divergence_rhs(space, g_div) - B @ cons.fix
+    assert np.any(cons.fix)
+    assert np.abs(G_hat - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_wall_values_enter_fix(space):

@@ -357,7 +357,7 @@ def _qr_projected_inf_sup(system):
     Bh = system.B_hat.conj().T.tocsc()
     S = system.B_hat @ system.a_solve(Bh.toarray())
     S = 0.5 * (S + S.conj().T)
-    Mp = system.Mp.toarray()
+    Mp = system.space.operators().Mp.toarray()
     if system.k == 0:
         eye = np.eye(system.n_p)
         q, _ = np.linalg.qr(np.hstack([system.m_vec.reshape(-1, 1), eye]))
@@ -500,8 +500,7 @@ def _reference_mode_solve(system, f):
     """Complex spsolve of the bordered system built from the full blocks."""
     cons = system.constraints
     C, fix = constraint_matrix(cons), cons.fix
-    A = mode_matrices(system.space, system.k)[0]
-    B = system.B_full
+    A, B = mode_matrices(system.space, system.k)
     A_hat = C.conj().T @ A @ C
     B_hat = B @ C
     F_hat = C.conj().T @ (assemble_rhs(system.space, f) - A @ fix)
