@@ -235,16 +235,35 @@ def _parse_truncation(cp, config: RunConfig) -> None:
         raise ConfigError("[truncation] h must be positive")
 
 
+class _KeyRecorder(configparser.ConfigParser):
+    """Records each (section, key) read; every typed getter goes through ``get``."""
+
+    def __init__(self):
+        # No interpolation: a '%' in a formula goes to the grammar.
+        super().__init__(inline_comment_prefixes=("#", ";"), interpolation=None)
+        self.keys_read = set()
+
+    def get(self, section, option, **kwargs):
+        self.keys_read.add((section, self.optionxform(option)))
+        return super().get(section, option, **kwargs)
+
+
 def load_config(path) -> RunConfig:
-    """Parse and validate an INI run configuration."""
+    """Parse and validate an INI run configuration.
+
+    A key that no parser reads is an error.  [DEFAULT] takes no keys, as
+    each key belongs to one section.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = _KeyRecorder()
     try:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if cp.defaults():
+        raise ConfigError(f"{path}: [DEFAULT] takes no keys, got {', '.join(cp.defaults())}")
     config = RunConfig()
     _parse_domain(cp, config)
     _parse_data(cp, config)
@@ -252,6 +271,14 @@ def load_config(path) -> RunConfig:
     _parse_solver(cp, config)
     _parse_output(cp, config)
     _parse_truncation(cp, config)
+    unread = [
+        f"[{section}] {key}"
+        for section in cp.sections()
+        for key in cp.options(section)
+        if (section, key) not in cp.keys_read
+    ]
+    if unread:
+        raise ConfigError(f"{path}: unknown keys: {', '.join(unread)}")
     return config
 
 

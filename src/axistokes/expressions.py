@@ -106,7 +106,6 @@ def compile_expression(source: str):
     def evaluate(r, z, theta=0.0):
         return np.asarray(_evaluate(code, r, z, theta), dtype=complex)
 
-    evaluate.source = source
     evaluate.is_real = probe.dtype.kind != "c"
     return evaluate
 

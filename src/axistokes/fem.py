@@ -60,7 +60,7 @@ __all__ = [
     "boundary_flux",
 ]
 
-COMP_R, COMP_T, COMP_Z = 0, 1, 2
+COMP_R, COMP_Z = 0, 2
 
 # Velocity factors a space keeps: the three scalar indices of one mode.
 _VELOCITY_FACTORS_KEPT = 3

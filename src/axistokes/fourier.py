@@ -340,10 +340,14 @@ def read_stack(directory) -> FourierStack:
     modes = {}
     for k in wavenumbers:
         modes[k] = _read_mode_csv(directory / f"mode_{k}.csv")
-    return FourierStack(n_max=n_max, real_data=real_data, mesh_id=mesh_id, modes=modes)
+    try:
+        return FourierStack(n_max=n_max, real_data=real_data, mesh_id=mesh_id, modes=modes)
+    except ValueError as exc:
+        raise MeshError(f"{directory}: {exc}") from exc
 
 
 def _read_mode_csv(path: Path) -> ModeVectors:
+    """One mode file: a velocity in every row, a pressure in the first n_p rows."""
     if not path.is_file():
         raise MeshError(f"{path}: mode file not found")
     lines = path.read_text().splitlines()
@@ -358,7 +362,8 @@ def _read_mode_csv(path: Path) -> ModeVectors:
             raise MeshError(f"{path}:{lineno}: expected 9 columns, got {len(cells)}")
         try:
             idx = int(cells[0])
-            vals = [float(c) if c else None for c in cells[1:]]
+            vals = [float(c) for c in cells[1:7]]
+            p_vals = [float(c) for c in cells[7:] if c]
         except ValueError as exc:
             raise MeshError(f"{path}:{lineno}: bad number ({exc})") from exc
         if idx != len(u_rows):
@@ -366,8 +371,12 @@ def _read_mode_csv(path: Path) -> ModeVectors:
         u_rows.append(
             [complex(vals[0], vals[1]), complex(vals[2], vals[3]), complex(vals[4], vals[5])]
         )
-        if vals[6] is not None and vals[7] is not None:
-            p_rows.append(complex(vals[6], vals[7]))
+        if len(p_vals) == 1:
+            raise MeshError(f"{path}:{lineno}: pressure needs both cells or neither")
+        if p_vals:
+            if len(p_rows) != idx:
+                raise MeshError(f"{path}:{lineno}: pressure after a row without one")
+            p_rows.append(complex(*p_vals))
     u = np.asarray(u_rows, dtype=complex).T if u_rows else np.zeros((3, 0), complex)
     return ModeVectors(u=u, p=np.asarray(p_rows, dtype=complex))
 

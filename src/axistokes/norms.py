@@ -37,7 +37,7 @@ and ``sums_report`` turns them into a ``NormReport``.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class FieldDifference:
 
     a: object
     b: object
-
-
-_COMPONENTS = ("r", "theta", "z")
 
 
 def sample_component(comp, mesh: MeridianMesh, need_grad=True, geometry=None):
@@ -110,23 +107,15 @@ def integrate_weighted(mesh, f, weight_exponent: int = 1):
 
 
 @dataclass(frozen=True)
-class ComponentNorms:
-    """Squared weighted norms of a single scalar component."""
-
-    l2_1_sq: float
-    l2_m1_sq: float
-    h1_1_semi_sq: float
-
-
-@dataclass(frozen=True)
 class NormReport:
     """Squared mode norms of a scalar or vector coefficient at wavenumber k.
 
-    Scalar reports fill the single component slot ``scalar``; vector
-    reports carry one entry per cylindrical component.  ``h1k_sq`` is the
-    full mode norm, ``h1k_semi_sq`` drops the plain L2 part, and
-    ``h1k_star_sq`` is the simpler comparison norm (mode-independent
-    grouping, equivalent for \\|k\\| >= 2 with constants 1/2 and 3/2).
+    The l2_1, l2_m1 and h1_1_semi sums of a vector report are totals over
+    its cylindrical components.  ``h1k_sq`` is the full mode norm,
+    ``h1k_semi_sq`` drops the plain L2 part, and ``h1k_star_sq`` is the
+    simpler comparison norm (mode-independent grouping, equivalent for
+    \\|k\\| >= 2 with constants 1/2 and 3/2).  These are the columns of
+    ``norm_report_csv``.
     """
 
     k: int
@@ -136,7 +125,6 @@ class NormReport:
     h1k_sq: float
     h1k_semi_sq: float
     h1k_star_sq: float
-    components: dict = field(default_factory=dict)
 
     @property
     def l2_1(self) -> float:
@@ -177,7 +165,7 @@ def _abs_sq(x):
 
 
 def _component_sums(val, dr, dz, R, W) -> np.ndarray:
-    """The ``ComponentNorms`` sums of samples, on any leading axes.
+    """The squared weighted norms of one component's samples, on any leading axes.
 
     Returns shape (..., 3): the l2_1, l2_m1 and h1_1_semi sums.
     """
@@ -256,13 +244,12 @@ def scalar_mode_norm(mesh, q, k: int) -> NormReport:
     other field by sampling.
     """
     if _in_one_fem_space(mesh, (q,)):
-        (row,), _ = _fem_norm_sums((q,))
+        ((l2_1, l2_m1, semi),), _ = _fem_norm_sums((q,))
     else:
         geometry = quadrature_geometry(mesh, _NORM_RULE)
         R, _, W = geometry
-        row = _component_sums(*sample_component(q, mesh, True, geometry), R, W).tolist()
-    comp = ComponentNorms(*row)
-    l2_1, l2_m1, semi = comp.l2_1_sq, comp.l2_m1_sq, comp.h1_1_semi_sq
+        sums = _component_sums(*sample_component(q, mesh, True, geometry), R, W)
+        l2_1, l2_m1, semi = sums.tolist()
     h1k = l2_1 + semi + (k * k * l2_m1 if k != 0 else 0.0)
     return NormReport(
         k=k,
@@ -272,7 +259,6 @@ def scalar_mode_norm(mesh, q, k: int) -> NormReport:
         h1k_sq=h1k,
         h1k_semi_sq=h1k - l2_1,
         h1k_star_sq=h1k,
-        components={"scalar": comp},
     )
 
 
@@ -302,10 +288,9 @@ def sums_report(k: int, comp, coupling) -> NormReport:
     v_r - i v_t.  The totals are summed in the order r, theta, z.
     """
     rows = np.asarray(comp).tolist()
-    per_comp = {n: ComponentNorms(*row) for n, row in zip(_COMPONENTS, rows)}
     l2_1_tot, l2_m1_tot, semi_tot = (sum(col) for col in zip(*rows))
     p_plus, p_minus = np.asarray(coupling).tolist()
-    z_m1 = per_comp["z"].l2_m1_sq
+    z_m1 = rows[2][1]
     mixed = 0.5 * (k + 1) ** 2 * p_plus + 0.5 * (k - 1) ** 2 * p_minus + k * k * z_m1
     h1k_semi = semi_tot + mixed
     h1k = h1k_semi + l2_1_tot
@@ -318,7 +303,6 @@ def sums_report(k: int, comp, coupling) -> NormReport:
         h1k_sq=h1k,
         h1k_semi_sq=h1k_semi,
         h1k_star_sq=star_semi + l2_1_tot,
-        components=per_comp,
     )
 
 

@@ -32,13 +32,12 @@ class QuadratureRule:
         Barycentric coordinates, all strictly positive.
     weights : ndarray, shape (n,)
         Positive weights summing to one.
-    degree : int
-        Highest total polynomial degree integrated exactly.
+    A rule is exact to the degree asked of ``triangle_rule``, which does
+    not record it (the 7-point rule serves every request up to 5).
     """
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -65,7 +64,6 @@ class EdgeRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 def _seven_point_rule() -> QuadratureRule:
@@ -81,7 +79,7 @@ def _seven_point_rule() -> QuadratureRule:
         third = 1.0 - 2.0 * c
         points += [[third, c, c], [c, third, c], [c, c, third]]
         weights += [w, w, w]
-    return QuadratureRule(np.array(points), np.array(weights), degree=5)
+    return QuadratureRule(np.array(points), np.array(weights))
 
 
 def _collapsed_rule(degree: int) -> QuadratureRule:
@@ -108,7 +106,7 @@ def _collapsed_rule(degree: int) -> QuadratureRule:
     lam = np.stack([1.0 - x - y, x, y], axis=-1).reshape(-1, 3)
     # Normalize so weights sum to one (reference triangle area is 1/2).
     weights = (w / 0.5).reshape(-1)
-    return QuadratureRule(lam, weights, degree=degree)
+    return QuadratureRule(lam, weights)
 
 
 @lru_cache(maxsize=None)
@@ -128,10 +126,10 @@ def triangle_rule(degree: int) -> QuadratureRule:
 
 @lru_cache(maxsize=None)
 def edge_rule(degree: int = 7) -> EdgeRule:
-    """Gauss-Legendre rule on [0, 1] for integrals along boundary edges."""
+    """Gauss-Legendre rule on [0, 1], exact to ``degree`` rounded up to odd."""
     n = max(1, (degree + 2) // 2)
     x, w = np.polynomial.legendre.leggauss(n)
-    return EdgeRule(0.5 * (x + 1.0), 0.5 * w, degree=2 * n - 1)
+    return EdgeRule(0.5 * (x + 1.0), 0.5 * w)
 
 
 def quadrature_geometry(mesh, rule: QuadratureRule):

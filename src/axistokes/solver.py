@@ -36,7 +36,6 @@ import scipy.sparse.linalg as spla
 from .fem import ModeSolution, SaddleSystem, _real_solve
 
 __all__ = [
-    "InfSupEstimate",
     "SolveReport",
     "SolverBreakdown",
     "SolverConfig",
@@ -94,21 +93,20 @@ class SolverConfig:
 class SolveReport:
     """What happened during one mode solve.
 
-    ``residuals`` is the Uzawa iteration's history of (iteration, res_p),
-    empty for the direct method; ``res_u`` and ``res_p`` are the true
-    residuals of the returned solution.  A breakdown raises
-    SolverBreakdown instead of returning a report.
+    ``iterations``, ``converged`` and ``residuals`` (the history of
+    (iteration, res_p)) are the Uzawa iteration's; ``res_u`` and ``res_p``
+    are the true residuals of the returned solution, and
+    ``compatibility_flux`` the net flux of k = 0 data (None at k != 0).  A
+    breakdown raises SolverBreakdown instead of returning a report.
     """
 
     k: int
     method: str
     n_free: int
-    n_p: int
     iterations: int = 0
     converged: bool = True
     res_u: float = 0.0
     res_p: float = 0.0
-    mean_multiplier: float = 0.0
     compatibility_flux: complex = None
     residuals: list = field(default_factory=list)
 
@@ -155,9 +153,9 @@ def _check_lu_memory(n: int) -> None:
 def _direct_bordered(A, B, F, G, m=None):
     """LU solve of [[A, B^T], [B, 0]] with an optional mean row for pressure.
 
-    Returns (u, p, multiplier).  ``m`` is the weighted-mean functional; when
-    given, the system is bordered once more so the pressure is mean-free
-    and inconsistent continuity data lands in the multiplier.  The blocks
+    Returns (u, p).  ``m`` is the weighted-mean functional; when given,
+    the system is bordered once more so the pressure is mean-free and
+    inconsistent continuity data lands in the multiplier.  The blocks
     are exactly real whatever their dtype, so one real LU is factored and
     complex data is solved as two real columns.
     """
@@ -176,8 +174,7 @@ def _direct_bordered(A, B, F, G, m=None):
     sol = _real_solve(lu, np.concatenate(rhs))
     if not np.all(np.isfinite(sol)):
         raise SolverBreakdown("bordered solve produced non-finite values")
-    mult = float(sol[-1].real) if m is not None else 0.0
-    return sol[:nf], sol[nf : nf + np_], mult
+    return sol[:nf], sol[nf : nf + np_]
 
 
 def _uzawa_core(system, F, G, config):
@@ -272,9 +269,7 @@ def solve_mode(
     config = config or SolverConfig()
     F_hat, G_hat = system.rhs(f, g_div)
     k = system.k
-    report = SolveReport(
-        k=k, method=config.method, n_free=system.n_free, n_p=system.n_p
-    )
+    report = SolveReport(k=k, method=config.method, n_free=system.n_free)
     if k == 0:
         flux = report.compatibility_flux = complex(np.sum(G_hat))
         scale = max(1.0, float(np.abs(system.constraints.fix).max(initial=0.0)))
@@ -289,7 +284,7 @@ def solve_mode(
     if config.method == "direct":
         m = system.m_vec if k == 0 else None
         blocks = [system.space.velocity_block(j) for j in system.constraints.j]
-        u_free, p, report.mean_multiplier = _direct_bordered(
+        u_free, p = _direct_bordered(
             sp.block_diag(blocks, format="csr"), system.B_hat, F_hat, G_hat, m
         )
     else:
@@ -307,27 +302,21 @@ def solve_mode(
     return ModeSolution(k=k, space=system.space, u=u_full, p=p, report=report)
 
 
-@dataclass(frozen=True)
-class InfSupEstimate:
-    """Discrete inf-sup constant of one mode on one mesh."""
+def estimate_inf_sup(system: SaddleSystem) -> float:
+    """The discrete inf-sup constant beta of one mode on one mesh.
 
-    beta: float
-    lambda_min: float
-
-
-def estimate_inf_sup(system: SaddleSystem) -> InfSupEstimate:
-    """Smallest eigenvalue of the pressure Schur complement against the mass.
-
-    beta**2 is the minimum of q^T S q / q^T Mp q over admissible pressures
-    (mean-free ones for the axisymmetric mode), with S = B_hat (C* A C)^-1
-    B_hat^T.  The Schur-complement iteration of ``solve_mode`` runs on a
-    seeded random continuity right side with no force, to a tolerance far
-    below the solver's; its step lengths alpha_j and ratios beta_j give
-    the Lanczos tridiagonal matrix T of (S, Mp) on the Krylov space, with
-    diagonal 1/alpha_j + beta_(j-1)/alpha_(j-1) and off-diagonal
-    sqrt(beta_j)/alpha_j, and lambda_min is T's smallest eigenvalue.  At
-    k = 0 the iteration already works on the mean-free pressures.  An
-    iteration that stops short of its tolerance raises SolverBreakdown.
+    beta**2 is the smallest eigenvalue of the pressure Schur complement
+    against the mass, the minimum of q^T S q / q^T Mp q over admissible
+    pressures (mean-free ones for the axisymmetric mode), with S = B_hat
+    (C* A C)^-1 B_hat^T.  The Schur-complement iteration of ``solve_mode``
+    runs on a seeded random continuity right side with no force, to a
+    tolerance far below the solver's; its step lengths alpha_j and ratios
+    beta_j give the Lanczos tridiagonal matrix T of (S, Mp) on the Krylov
+    space, with diagonal 1/alpha_j + beta_(j-1)/alpha_(j-1) and
+    off-diagonal sqrt(beta_j)/alpha_j, and beta**2 is T's smallest
+    eigenvalue.  At k = 0 the iteration already works on the mean-free
+    pressures.  An iteration that stops short of its tolerance raises
+    SolverBreakdown.
     """
     rng = np.random.default_rng(_INF_SUP_SEED)
     G = rng.standard_normal(system.n_p)
@@ -345,5 +334,4 @@ def estimate_inf_sup(system: SaddleSystem) -> InfSupEstimate:
     lam = scipy.linalg.eigvalsh_tridiagonal(
         diag, np.sqrt(b) / a[:-1], select="i", select_range=(0, 0)
     )
-    lam = float(lam[0])
-    return InfSupEstimate(beta=float(np.sqrt(lam)), lambda_min=lam)
+    return float(np.sqrt(lam[0]))

@@ -111,10 +111,9 @@ class ManufacturedCase:
     p: Poly2
     f: VectorModeFn
     g_div: Poly2 = None
-    description: str = ""
 
     @classmethod
-    def from_fields(cls, name, k, u, p, g_div=None, description=""):
+    def from_fields(cls, name, k, u, p, g_div=None):
         if not isinstance(u, VectorModeFn):
             u = VectorModeFn(k, tuple(u))
         f = strong_force(k, u, p)
@@ -125,9 +124,7 @@ class ManufacturedCase:
             raise ValueError(
                 f"case {name}: declared divergence is off by {defect:.3e}"
             )
-        return cls(
-            name=name, k=k, u=u, p=p, f=f, g_div=g_div, description=description
-        )
+        return cls(name=name, k=k, u=u, p=p, f=f, g_div=g_div)
 
     def pressure_offset(self, mesh: MeridianMesh) -> float:
         """Weighted mean of the exact pressure over the meshed domain.
@@ -166,33 +163,34 @@ def builtin_cases() -> dict:
     def add(case):
         cases[case.name] = case
 
+    # Quadratic axisymmetric swirl flow, reproduced exactly.
     add(
         ManufacturedCase.from_fields(
             "k0_exact",
             0,
             (_R * _Z, _R, Poly2({(0, 2): -1.0})),
             Poly2({(0, 1): 1.0, (0, 0): -0.5}),
-            description="quadratic axisymmetric swirl flow, reproduced exactly",
         )
     )
+    # Rigid transverse translation, nonzero on the axis.
     add(
         ManufacturedCase.from_fields(
             "k1_exact",
             1,
             (2 * _ONE, 2j * _ONE, _ZERO),
             _R,
-            description="rigid transverse translation, nonzero on the axis",
         )
     )
+    # Quadratic mode-2 field, reproduced exactly.
     add(
         ManufacturedCase.from_fields(
             "k2_exact",
             2,
             (_R * _R, 1.5j * (_R * _R), _ZERO),
             _R,
-            description="quadratic mode-2 field, reproduced exactly",
         )
     )
+    # Quartic axisymmetric flow from a stream function.
     add(
         ManufacturedCase.from_fields(
             "k0_convergence",
@@ -203,9 +201,9 @@ def builtin_cases() -> dict:
                 Poly2({(2, 2): 4.0}),
             ),
             Poly2({(2, 1): 1.0, (0, 0): -0.25}),
-            description="quartic axisymmetric flow from a stream function",
         )
     )
+    # Quartic mode-1 flow with compatible axis behavior.
     add(
         ManufacturedCase.from_fields(
             "k1_convergence",
@@ -216,9 +214,9 @@ def builtin_cases() -> dict:
                 Poly2({(1, 1): 1.0, (1, 2): -1.0}),
             ),
             Poly2({(2, 1): 1.0}),
-            description="quartic mode-1 flow with compatible axis behavior",
         )
     )
+    # Quartic mode-3 flow vanishing on the axis.
     add(
         ManufacturedCase.from_fields(
             "k3_convergence",
@@ -229,16 +227,15 @@ def builtin_cases() -> dict:
                 Poly2({(2, 1): 1.0, (2, 2): -1.0}),
             ),
             Poly2({(1, 2): 1.0}),
-            description="quartic mode-3 flow vanishing on the axis",
         )
     )
+    # Cubic divergence-free mode-2 pair.
     add(
         ManufacturedCase.from_fields(
             "k2_divfree",
             2,
             (Poly2({(3, 1): 1.0}), Poly2({(3, 1): 2j}), _ZERO),
             _ZERO,
-            description="cubic divergence-free mode-2 pair",
         )
     )
     return cases
@@ -248,8 +245,6 @@ def builtin_cases() -> dict:
 class ConvergenceStudy:
     """Error table of a manufactured case over a mesh family."""
 
-    case: str
-    k: int
     hs: list
     err_u: list
     err_p: list
@@ -296,9 +291,7 @@ def convergence_study(
         eu, ep = case.errors(sol)
         err_u.append(eu)
         err_p.append(ep)
-    return ConvergenceStudy(
-        case=case.name, k=case.k, hs=list(hs), err_u=err_u, err_p=err_p
-    )
+    return ConvergenceStudy(hs=list(hs), err_u=err_u, err_p=err_p)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 The package star-imports its modules, so a name in two modules' lists, or
 one equal to a module's name, would be shadowed without an error.  Every
-name a module imports at its top level is used there, and every name a
-module exports is read by the package, the demos or the benchmark, so no
-public name is there for its own tests only.
+name a module imports at its top level is used there.  Every name a module
+binds at its top level, exported or not, and every field of a dataclass it
+defines, is read by the package, the demos or the benchmark, so none is
+there for its own tests only.
 """
 
 import ast
 import collections
+import dataclasses
 import importlib
 import inspect
 import os
@@ -138,35 +140,89 @@ def _names_read(node) -> set:
     return names
 
 
-def _unread_exports(source: str, exported, other_sources) -> set:
-    """Names of ``exported`` that no source reads outside their own definition.
+def _bound_names(stmt) -> set:
+    """Names a top-level statement binds: a def or class, or assignment targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {
+            node.id
+            for target in targets
+            for node in ast.walk(target)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+    return set()
 
-    ``source`` is the home module, where the top-level statement defining a
+
+def _unread_names(source: str, names, other_sources) -> set:
+    """Names of ``names`` that no source reads outside their own statement.
+
+    ``source`` is the home module, where the top-level statement binding a
     name does not count as a read of it; ``other_sources`` are the rest.
     """
     read = set()
     for text in other_sources:
         read |= _names_read(ast.parse(text))
-    home = [(getattr(stmt, "name", None), _names_read(stmt)) for stmt in ast.parse(source).body]
+    home = [(_bound_names(stmt), _names_read(stmt)) for stmt in ast.parse(source).body]
     return {
         name
-        for name in exported
-        if name not in read and not any(name in names for owner, names in home if owner != name)
+        for name in names
+        if name not in read and not any(name in reads for bound, reads in home if name not in bound)
     }
 
 
+def _reader_paths() -> list:
+    return sorted(p for d in READER_DIRS for p in (REPO / d).rglob("*.py"))
+
+
 def _reader_sources(skip: Path) -> list:
-    paths = sorted(p for d in READER_DIRS for p in (REPO / d).rglob("*.py"))
-    return [p.read_text() for p in paths if p.resolve() != skip.resolve()]
+    return [p.read_text() for p in _reader_paths() if p.resolve() != skip.resolve()]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_module_exports_are_read_outside_tests(module):
     path = Path(inspect.getsourcefile(module))
-    unread = _unread_exports(path.read_text(), module.__all__, _reader_sources(path))
+    unread = _unread_names(path.read_text(), module.__all__, _reader_sources(path))
     assert not unread, (
         f"{module.__name__}.__all__ lists {sorted(unread)}, which only tests read"
     )
+
+
+def _unexported_names(source: str, exported) -> set:
+    """Names bound at the top level of a module and not in its ``__all__``."""
+    bound = set().union(*(_bound_names(stmt) for stmt in ast.parse(source).body))
+    return bound - set(exported) - {"__all__"}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_unexported_names_are_read_outside_tests(module):
+    path = Path(inspect.getsourcefile(module))
+    source = path.read_text()
+    names = _unexported_names(source, module.__all__)
+    unread = _unread_names(source, names, _reader_sources(path))
+    assert not unread, f"{module.__name__} binds {sorted(unread)}, which only tests read"
+
+
+def test_unexported_name_read_only_by_its_own_statement_is_caught():
+    # Negative control: a tuple target, a second target of one assignment
+    # and a recursive helper count, as do reads in another statement of the
+    # module and imports in another module.
+    source = (
+        "__all__ = ['run']\n"
+        "_A, _B = 1, 2\n"
+        "_C = _C0 = 3\n"
+        "def _walk(n):\n"
+        "    return _walk(n - 1) if n else _A\n"
+        "def _loop():\n"
+        "    return _loop()\n"
+        "def run():\n"
+        "    return _walk(_C)\n"
+    )
+    other = "from axistokes.norms import _B\n"
+    names = _unexported_names(source, ["run"])
+    assert names == {"_A", "_B", "_C", "_C0", "_walk", "_loop"}
+    assert _unread_names(source, names, [other]) == {"_C0", "_loop"}
 
 
 def test_export_read_only_by_its_own_definition_is_caught():
@@ -184,4 +240,51 @@ def test_export_read_only_by_its_own_definition_is_caught():
     )
     other = "from axistokes.norms import imported\n"
     exported = ["walk", "used", "imported"]
-    assert _unread_exports(source, exported, [other]) == {"walk"}
+    assert _unread_names(source, exported, [other]) == {"walk"}
+
+
+def _dataclass_fields(module) -> set:
+    """(class, field) of every field of the dataclasses a module defines."""
+    return {
+        (obj.__name__, f.name)
+        for obj in vars(module).values()
+        if inspect.isclass(obj)
+        and dataclasses.is_dataclass(obj)
+        and obj.__module__ == module.__name__
+        for f in dataclasses.fields(obj)
+    }
+
+
+def _unread_fields(fields, sources) -> set:
+    """The (class, field) pairs whose field no source loads as an attribute."""
+    loaded = {
+        node.attr
+        for text in sources
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {(cls, name) for cls, name in fields if name not in loaded}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_dataclass_fields_are_read_outside_tests(module):
+    sources = [p.read_text() for p in _reader_paths()]
+    unread = _unread_fields(_dataclass_fields(module), sources)
+    assert not unread, (
+        f"{module.__name__} defines the fields {sorted(unread)}, which only tests read"
+    )
+
+
+def test_dataclass_field_read_only_by_tests_is_caught():
+    # Negative control: a keyword at construction and an assignment are not
+    # reads of a field, a load anywhere is.  The fields come from the
+    # dataclasses themselves, so the check is not empty.
+    source = (
+        "report = Report(read=1, unread=2)\n"
+        "report.written = 3\n"
+        "print(report.read)\n"
+    )
+    fields = {("Report", "read"), ("Report", "written"), ("Report", "unread")}
+    assert _unread_fields(fields, [source]) == {("Report", "written"), ("Report", "unread")}
+    assert ("SolveReport", "res_u") in _dataclass_fields(axistokes.solver)
+    assert ("SolverConfig", "tol") in _dataclass_fields(axistokes.solver)

@@ -204,6 +204,26 @@ def test_norms_recomputes_identical_tables(tmp_path, capsys):
     assert (out / "norms_pressure.csv").read_bytes() == before_p
 
 
+def test_norms_of_a_corrupted_stack_exit_3(tmp_path, capsys):
+    # Dof 3 loses its pressure and dof 4 half of it: a malformed file is
+    # a data error named by file and line, not a short pressure vector.
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, _base(out))
+    assert main(["solve", "--config", cfg]) == 0
+    path = out / "stack" / "mode_0.csv"
+    lines = path.read_text().splitlines()
+    for dof, columns in ((3, (7, 8)), (4, (8,))):
+        cells = lines[dof + 1].split(",")
+        for c in columns:
+            cells[c] = ""
+        lines[dof + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["norms", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:6: pressure needs both cells or neither\n"
+
+
 def test_uzawa_solve_writes_residual_history(tmp_path):
     out = tmp_path / "out"
     cfg = _config(
@@ -327,6 +347,11 @@ _DEEP = "*".join(["r"] * 3000)
             f"fr = {_DEEP}\nftheta = 0\nfz = 0",
             f"{_DEEP!r} is nested too deeply",
         ),
+        (
+            "manufactured = k0_exact",
+            "fr = r % 2\nftheta = 0\nfz = 0",
+            "operator not supported in 'r % 2'",
+        ),
     ],
     ids=[
         "float",
@@ -345,6 +370,7 @@ _DEEP = "*".join(["r"] * 3000)
         "integer-power-tower",
         "bool-constant",
         "deep-nesting",
+        "percent",
     ],
 )
 def test_bad_config_values_name_key_and_type(tmp_path, capsys, old, new, message):
@@ -354,6 +380,26 @@ def test_bad_config_values_name_key_and_type(tmp_path, capsys, old, new, message
     # Refused when the config loads: 9^9^9 overflows as a float at once.
     assert time.perf_counter() - start <= 1.0
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ("\n[solver]\nmethd = uzawa\n", "[solver] methd"),
+        ("\n[solvers]\nmethod = uzawa\n", "[solvers] method"),
+        ("vtk_ntheta = 16\n", "[output] vtk_ntheta"),
+        ("\n[DEFAULT]\nh = 0.5\n", "[DEFAULT] takes no keys, got h"),
+    ],
+    ids=["misspelled-key", "unknown-section", "misspelled-output-key", "default-key"],
+)
+def test_unread_config_keys_exit_3(tmp_path, capsys, extra, named):
+    # A key that no parser reads is refused, not dropped: a dropped
+    # `methd = uzawa` would solve by the direct method and exit 0.
+    cfg = _config(tmp_path, _base(tmp_path / "out", extra=extra))
+    assert main(["solve", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_missing_config_exits_3(tmp_path, capsys):
@@ -387,17 +433,21 @@ def test_help_exits_0(capsys):
 
 
 def test_load_config_validation_details(tmp_path):
-    # pressure_mass_precond is not a key any more; like any unknown key it
-    # is ignored.
-    cfg = _config(
-        tmp_path,
+    body = (
         "[domain]\npolygon = 0 0 1 0 1 1 0 1\nh = 0.2\n\n"
         "[data]\nfr = sin(theta)*r\nftheta = 0\nfz = z\n\n"
         "[modes]\nn_max = 3\nwavenumbers = 2 0 2 -1\n\n"
-        "[solver]\nmethod = uzawa_cg\npressure_mass_precond = no\n\n"
-        "[truncation]\ns = 0.5 2\nns = 8 2 4\nh = 0.5\n",
+        "[solver]\nmethod = uzawa_cg\n\n"
+        "[truncation]\ns = 0.5 2\nns = 8 2 4\nh = 0.5\n"
     )
-    config = load_config(cfg)
+    # pressure_mass_precond is not a key any more; like any key that no
+    # parser reads, it is refused.
+    stale = _config(
+        tmp_path, body.replace("uzawa_cg\n", "uzawa_cg\npressure_mass_precond = no\n"), "stale.ini"
+    )
+    with pytest.raises(ConfigError, match=r"\[solver\] pressure_mass_precond"):
+        load_config(stale)
+    config = load_config(_config(tmp_path, body))
     assert config.domain.polygon == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
     assert config.wavenumbers == [-1, 0, 2]
     assert config.solver.method == "uzawa"

@@ -230,14 +230,14 @@ def test_shared_sampling_samples_once():
     field = ExpressionField(*sources, n_theta=16)
     calls = []
 
-    def counted(fn):
+    def counted(fn, source):
         def wrapper(*args):
-            calls.append(fn.source)
+            calls.append(source)
             return fn(*args)
 
         return wrapper
 
-    field.fns = tuple(counted(fn) for fn in field.fns)
+    field.fns = tuple(counted(fn, source) for fn, source in zip(field.fns, sources))
     modes = field.modes(range(-3, 4))
     r, z = np.meshgrid(np.linspace(0.1, 0.9, 9), np.linspace(0.0, 1.0, 4))
     got = {k: [c(r, z) for c in modes[k]] for k in range(-3, 4)}

@@ -10,7 +10,6 @@ import pytest
 from axistokes import fem
 from axistokes.fem import (
     COMP_R,
-    COMP_T,
     COMP_Z,
     FemScalarField,
     FemSpace,
@@ -44,6 +43,8 @@ ONE = Poly2({(0, 0): 1.0})
 R = Poly2({(1, 0): 1.0})
 Z = Poly2({(0, 1): 1.0})
 ZERO = 0.0 * ONE
+# The angular velocity component sits between fem's COMP_R and COMP_Z.
+COMP_T = 1
 
 MESHES = pytest.mark.parametrize(
     "mesh",

@@ -1,6 +1,7 @@
 """Angular transform, conjugation symmetry, and mode stack serialization."""
 
 import itertools
+import re
 import tempfile
 from pathlib import Path
 
@@ -214,6 +215,47 @@ def test_read_stack_rejects_malformed(tmp_path):
     (bad / "stack.meta").write_text("wrong header\n")
     with pytest.raises(MeshError, match="header"):
         read_stack(bad)
+
+
+def _write_blanked_stack(directory, blanks):
+    """A written stack whose mode 0 file has the given cells emptied.
+
+    ``blanks`` maps a dof to the columns (1-8, after dof_index) to empty.
+    """
+    stack = _random_stack(np.random.default_rng(4), n_vel=6, n_p=5)
+    write_stack(stack, directory)
+    path = directory / "mode_0.csv"
+    lines = path.read_text().splitlines()
+    for dof, columns in blanks.items():
+        cells = lines[dof + 1].split(",")
+        for c in columns:
+            cells[c] = ""
+        lines[dof + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "blanks, message",
+    [
+        ({3: (7, 8), 4: (8,)}, "mode_0.csv:6: pressure needs both cells or neither"),
+        ({1: (7, 8)}, "mode_0.csv:4: pressure after a row without one"),
+        ({2: (1,)}, "mode_0.csv:4: bad number"),
+    ],
+    ids=["one-cell", "gap", "velocity"],
+)
+def test_read_stack_rejects_malformed_rows(tmp_path, blanks, message):
+    # Each is refused with its file and line, not read as a mode with
+    # fewer pressures or left to raise TypeError.
+    _write_blanked_stack(tmp_path / "stack", blanks)
+    with pytest.raises(MeshError, match=re.escape(message)):
+        read_stack(tmp_path / "stack")
+
+
+def test_read_stack_names_the_directory_of_unequal_modes(tmp_path):
+    # Mode 0 loses its last pressure row, a well-formed file on its own.
+    _write_blanked_stack(tmp_path / "stack", {4: (7, 8)})
+    with pytest.raises(MeshError, match=re.escape(f"{tmp_path / 'stack'}: all modes")):
+        read_stack(tmp_path / "stack")
 
 
 def _reference_write_stack(stack, directory):

@@ -16,11 +16,15 @@ from axistokes.meshing import DomainSpec, generate_structured, mesh_from_spec, r
 from axistokes.norms import (
     FieldDifference,
     NormReport,
+    _fem_norm_sums,
+    _sample_vector,
     integrate_weighted,
     norm_report_csv,
+    sampled_vector_sums,
     scalar_mode_norm,
     vector_mode_norm,
 )
+from axistokes.quadrature import DEFAULT_NORM_DEGREE, quadrature_geometry, triangle_rule
 
 from fem_reference import mode_divergence_product, mode_energy_product
 
@@ -110,10 +114,12 @@ def test_callables_have_values_but_no_gradients(square):
 def test_component_breakdown_sums_to_totals(square):
     v = VectorModeFn(1, (R * Z, 1j * R * R, Z * Z * R))
     rep = vector_mode_norm(square, v)
-    comp_total = sum(c.l2_1_sq for c in rep.components.values())
-    assert comp_total == pytest.approx(rep.l2_1_sq, rel=1e-14)
-    semi_total = sum(c.h1_1_semi_sq for c in rep.components.values())
-    assert semi_total == pytest.approx(rep.h1_1_semi_sq, rel=1e-14)
+    geometry = quadrature_geometry(square, triangle_rule(DEFAULT_NORM_DEGREE))
+    rows, _ = sampled_vector_sums(*_sample_vector(v, square, geometry), geometry[0], geometry[2])
+    l2_1, l2_m1, semi = rows.sum(axis=0)
+    assert l2_1 == pytest.approx(rep.l2_1_sq, rel=1e-14)
+    assert l2_m1 == pytest.approx(rep.l2_m1_sq, rel=1e-14)
+    assert semi == pytest.approx(rep.h1_1_semi_sq, rel=1e-14)
 
 
 def test_energy_product_matches_seminorm(square):
@@ -232,14 +238,27 @@ def _sampled(fields):
 
 
 def _report_values(rep):
-    """Every reported sum of a NormReport, per-component sums included."""
+    """Every reported sum of a NormReport."""
     values = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
     del values["k"]
-    components = values.pop("components")
-    for name, comp in components.items():
-        for f in dataclasses.fields(comp):
-            values[f"{name}.{f.name}"] = getattr(comp, f.name)
     return values
+
+
+def _route_sums(mesh, triple):
+    """Per-component and coupling sums of three fields of one space, by both routes.
+
+    Returns the element quadratic forms of ``_fem_norm_sums`` and the
+    ``sampled_vector_sums`` of the fields' samples, each one flat array:
+    the l2_1, l2_m1 and h1_1_semi sums of r, theta and z, then the 1/r sums
+    of v_r + i v_t and v_r - i v_t.
+    """
+    geometry = quadrature_geometry(mesh, triangle_rule(DEFAULT_NORM_DEGREE))
+    samples = _sample_vector(_sampled(triple), mesh, geometry)
+    routes = (
+        _fem_norm_sums(triple, couple=True),
+        sampled_vector_sums(*samples, geometry[0], geometry[2]),
+    )
+    return [np.concatenate([np.ravel(rows), np.ravel(coupling)]) for rows, coupling in routes]
 
 
 def _assert_reports_agree(fast, sampled, rtol=1e-13):
@@ -261,6 +280,8 @@ def test_fem_field_norms_match_sampling(fem_spaces, mesh_name, k):
         _assert_reports_agree(
             vector_mode_norm(mesh, triple, k=k), vector_mode_norm(mesh, _sampled(triple), k=k)
         )
+        fast, sampled = _route_sums(mesh, triple)
+        assert np.all(np.abs(fast - sampled) <= 1e-13 * np.abs(sampled)), (fast, sampled)
         q = _random_field(rng, space, kind)
         _assert_reports_agree(
             scalar_mode_norm(mesh, q, k), scalar_mode_norm(mesh, _sampled([q])[0], k)
@@ -276,6 +297,7 @@ def test_zero_fem_field_has_zero_norms(fem_spaces):
         scalar_mode_norm(space.mesh, pressure, 3),
     ):
         assert all(value == 0.0 for value in _report_values(rep).values())
+    assert not np.any(_route_sums(space.mesh, triple)[0])
 
 
 def test_fem_field_norms_are_nonnegative(fem_spaces):
@@ -290,9 +312,11 @@ def test_fem_field_norms_are_nonnegative(fem_spaces):
     ]
     for k in (0, 1, -2):
         reports = [scalar_mode_norm(space.mesh, f, k) for f in fields]
-        reports.append(vector_mode_norm(space.mesh, (fields[0], fields[2], fields[0]), k=k))
+        triple = (fields[0], fields[2], fields[0])
+        reports.append(vector_mode_norm(space.mesh, triple, k=k))
         for rep in reports:
             assert all(value >= 0.0 for value in _report_values(rep).values())
+        assert np.all(_route_sums(space.mesh, triple)[0] >= 0.0)
 
 
 def test_fem_field_norm_refuses_another_mesh(fem_spaces):

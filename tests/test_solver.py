@@ -121,8 +121,6 @@ def test_real_data_takes_one_real_column(cases, monkeypatch, name):
         assert sol.report.res_u <= 1e-9 and sol.report.res_p <= 1e-9
         if case.k == 0:
             assert not np.any(sol.u.imag) and not np.any(sol.p.imag)
-            # Compatible data leaves nothing for the mean row's multiplier.
-            assert abs(sol.report.mean_multiplier) <= 1e-8
     assert seen and all(b.dtype == np.float64 and b.ndim == 1 for b in seen)
 
 
@@ -347,9 +345,9 @@ def test_singular_system_breaks_down():
 
 @pytest.mark.parametrize("k", [0, 1, 5])
 def test_inf_sup_estimate_in_plausible_range(space, k):
-    est = estimate_inf_sup(assemble(space, k))
-    assert est.beta == pytest.approx(np.sqrt(est.lambda_min))
-    assert 0.15 < est.beta < 1.0
+    beta = estimate_inf_sup(assemble(space, k))
+    assert type(beta) is float
+    assert 0.15 < beta < 1.0
 
 
 def _qr_projected_inf_sup(system):
@@ -372,8 +370,8 @@ def test_inf_sup_matches_qr_projected_estimate(h, k):
     # At k = 0 the second eigenvalue of the whole pencil (S, Mp) equals the
     # smallest one on the mean-free pressures.
     system = assemble(FemSpace(generate_structured((1.0, 1.0), h)), k)
-    est = estimate_inf_sup(system)
-    assert est.lambda_min == pytest.approx(_qr_projected_inf_sup(system), rel=1e-12)
+    beta = estimate_inf_sup(system)
+    assert beta**2 == pytest.approx(_qr_projected_inf_sup(system), rel=1e-12)
 
 
 def _rel_err(x, ref):
@@ -475,8 +473,8 @@ def test_inf_sup_on_l_shape_matches_qr_projected_estimate(l_shape_spaces, h, k):
     # The L-shaped meridian of ``axistokes verify``: a re-entrant corner and
     # unstructured triangles, off the square's symmetric grid.
     system = assemble(l_shape_spaces[h], k)
-    est = estimate_inf_sup(system)
-    assert est.lambda_min == pytest.approx(_qr_projected_inf_sup(system), rel=1e-12)
+    beta = estimate_inf_sup(system)
+    assert beta**2 == pytest.approx(_qr_projected_inf_sup(system), rel=1e-12)
 
 
 def test_inf_sup_iteration_short_of_its_tolerance_breaks_down(space, monkeypatch):

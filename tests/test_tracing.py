@@ -2,10 +2,11 @@
 
 ``perfbench/tracing.py`` replaces names of ``axistokes.cli`` and a few
 methods by spans; a rename of any of them makes that run fail.  This
-runs it on a tiny Uzawa solve and reads its spans with the benchmark's
-own ``layer_metrics``.  Nothing is written under ``perfbench/``.
+runs it on a tiny Uzawa solve, checks that each layer of a solve made
+its spans, and reads them with the benchmark's own ``layer_metrics``.  Nothing is written under ``perfbench/``.
 """
 
+import collections
 import json
 import os
 import runpy
@@ -37,6 +38,21 @@ directory = out
 """
 
 
+# The spans behind the per-layer metrics of a solve without VTK output.
+_SOLVE_SPANS = (
+    "meshing.build",
+    "fem.space",
+    "fem.operators",
+    "fem.assemble",
+    "fem.rhs",
+    "solver.solve_mode",
+    "solver.factor",
+    "solver.backsolve",
+    "norms.mode_norm",
+    "fourier.write_stack",
+)
+
+
 def test_traced_solve_sees_factors_and_backsolves(tmp_path):
     (tmp_path / "run.ini").write_text(_CONFIG)
     env = dict(os.environ)
@@ -52,8 +68,14 @@ def test_traced_solve_sees_factors_and_backsolves(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "spans.json").read_text())
+    # A wrapped name that cli stops calling would zero its layer's metric
+    # without failing the run.
+    seen = collections.Counter(span["name"] for span in doc["spans"])
+    missing = [name for name in _SOLVE_SPANS if not seen[name]]
+    assert not missing, f"the traced solve made no {missing} spans"
     # run_path compiles the script without writing bytecode next to it.
     tracing = runpy.run_path(str(TRACING), run_name="tracing")
-    metrics = tracing["layer_metrics"](json.loads((tmp_path / "spans.json").read_text()))
+    metrics = tracing["layer_metrics"](doc)
     assert metrics["solver.factor_count"] > 0
     assert metrics["solver.backsolve_count"] > 0
