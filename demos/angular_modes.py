@@ -15,16 +15,16 @@ from axistokes import (
     AngularSamples,
     anisotropic_norm,
     conjugation_defect,
-    fourier_coefficient,
+    fourier_coefficients,
     min_angular_samples,
     reconstruct,
     rotate_to_cartesian,
     rotate_to_cylindrical,
 )
 
-# How many equispaced angles does mode k need?  The rule is a power of
-# two with at least 4|k| + 2 samples, so quadratic nonlinearities of the
-# highest mode still cannot alias back onto it.
+# How many equispaced angles does mode k need?  At least 4|k| + 2, so
+# quadratic nonlinearities of the highest mode still cannot alias back
+# onto it; min_angular_samples rounds that up to a power of two.
 for k in (0, 1, 3, 5, 12):
     print(f"mode {k:2d} needs n_theta >= {min_angular_samples(k)}")
 
@@ -42,14 +42,15 @@ rng = np.random.default_rng(7)
 coeffs = {k: complex(rng.normal(), rng.normal()) for k in range(-4, 5)}
 thetas = samples.thetas
 signal = reconstruct(coeffs, thetas)
-recovered = {k: complex(fourier_coefficient(signal, k) / 1.0) for k in coeffs}
-worst = max(abs(coeffs[k] - recovered[k]) for k in coeffs)
+recovered = fourier_coefficients(signal, list(coeffs))
+worst = max(abs(coeffs[k] - c) for k, c in zip(coeffs, recovered))
 print(f"\nround-trip error over k in [-4, 4]: {worst:.3e}")
 
 # Real signals satisfy c(-k) = conj(c(k)); the defect is a cheap sanity
 # check on data that is supposed to be real.
 real_signal = np.cos(2 * thetas) + 0.25 * np.sin(5 * thetas)
-modes = {k: fourier_coefficient(real_signal, k) for k in range(-6, 7)}
+ks = range(-6, 7)
+modes = dict(zip(ks, fourier_coefficients(real_signal, ks)))
 print(f"conjugation defect of a real signal: {conjugation_defect(modes):.3e}")
 
 # Vector data given in Cartesian components must be rotated into

@@ -14,7 +14,7 @@ mesh        generate a mesh from the configured domain, or inspect one.
 
 Configuration is an INI file; see the package README for the schema.
 Exit codes: 0 success, 1 verification failure, 2 numerical breakdown,
-3 configuration error or non-finite data.
+3 configuration error, non-finite data, or a file that cannot be read.
 """
 
 import argparse
@@ -260,7 +260,7 @@ def load_config(path) -> RunConfig:
     cp = _KeyRecorder()
     try:
         cp.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if cp.defaults():
         raise ConfigError(f"{path}: [DEFAULT] takes no keys, got {', '.join(cp.defaults())}")
@@ -368,13 +368,13 @@ def cmd_solve(args) -> int:
     space = FemSpace(mesh)
     real_data = _data_is_real(config)
     ks = _mode_list(config, real_data)
+    out = config.out_dir
+    out.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     solved = _solve_modes(config, space, ks, real_data)
     elapsed = time.perf_counter() - started
 
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     if config.mesh_path is None:
         write_mesh(mesh, out / "mesh.txt")
 
@@ -455,6 +455,13 @@ def cmd_norms(args) -> int:
             f"not on the configured mesh {mesh.mesh_id}"
         )
     space = FemSpace(mesh)
+    # The stack checks that its modes agree; the space, that they fit the mesh.
+    mv = stack.modes[stack.wavenumbers[0]]
+    if (mv.n_vel, mv.n_p) != (space.n_vel, space.n_p):
+        raise MeshError(
+            f"{stack_dir}: modes have {mv.n_vel} velocity and {mv.n_p} pressure dofs, "
+            f"the mesh has {space.n_vel} and {space.n_p}"
+        )
     reports_u, reports_p = [], []
     for k in stack.wavenumbers:
         mv = stack.modes[k]
@@ -690,7 +697,7 @@ def main(argv=None) -> int:
     except SolverBreakdown as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

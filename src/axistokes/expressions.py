@@ -11,8 +11,8 @@ Compiled expressions evaluate vectorized over numpy arrays.  An
 ``ExpressionField`` of one formula (divergence data) or three (the
 cylindrical components of the body force) produces per-wavenumber mode
 coefficients by angular sampling and FFT, which is how expression data
-enters the per-mode solver; the modes asked for together on one angular
-grid come from one sampling.
+enters the per-mode solver; the modes asked for together come from one
+sampling on one angular grid.
 """
 
 import ast
@@ -20,7 +20,7 @@ import functools
 
 import numpy as np
 
-from .fourier import angular_grid, min_angular_samples
+from .fourier import angular_grid, fourier_coefficients, min_angular_samples
 
 __all__ = ["ExpressionError", "ExpressionField"]
 
@@ -119,31 +119,19 @@ def _evaluate(code, r, z, theta) -> np.ndarray:
         return np.asarray(eval(code, {"__builtins__": {}}, env))
 
 
-def _grid_size(k: int, n_theta) -> int:
-    """Angular sample count of mode k: n_theta, or the smallest safe grid."""
-    k = abs(k)
-    n = n_theta or min_angular_samples(k)
-    if n < 4 * k + 2:
-        raise ExpressionError(
-            f"n_theta = {n} cannot resolve mode {k}; need at least {4 * k + 2}"
-        )
-    return n
-
-
 class _SharedSampling:
     """Coefficients of wavenumbers ``ks`` of compiled expressions on one grid.
 
     The first evaluation at a set of points samples each expression there
-    once on the n-point angular grid and keeps the requested FFT bins of
-    all of them; later evaluations at the same points reuse those bins.
-    Like the finite element space, a sampling serves one thread: the
-    modes that share it are solved one after another.
+    once on the n-point angular grid and keeps the coefficients of every
+    k in ``ks``; later evaluations at the same points reuse them.  Like
+    the finite element space, a sampling serves one thread: the modes
+    that share it are solved one after another.
     """
 
     def __init__(self, fns, ks, n: int):
         self.fns = fns
-        self.row = {k: j for j, k in enumerate(ks)}
-        self.bins = [k % n for k in ks]
+        self.ks = ks
         self.thetas = angular_grid(n)
         self._points = None
         self._coeffs = None
@@ -153,7 +141,7 @@ class _SharedSampling:
         if not self._holds(r, z):
             self._coeffs = self._sample(r, z)
             self._points = (r.copy(), z.copy())
-        return self._coeffs[self.row[k], c].copy()
+        return self._coeffs[c, ..., self.ks.index(k)].copy()
 
     def _holds(self, r, z) -> bool:
         if self._points is None:
@@ -162,14 +150,12 @@ class _SharedSampling:
         return r.shape == r0.shape and np.array_equal(r, r0) and np.array_equal(z, z0)
 
     def _sample(self, r, z) -> np.ndarray:
-        n = self.thetas.size
-        out = np.empty((len(self.bins), len(self.fns)) + r.shape, dtype=complex)
+        out = np.empty((len(self.fns),) + r.shape + (len(self.ks),), dtype=complex)
         with np.errstate(invalid="ignore", over="ignore"):
             for c, fn in enumerate(self.fns):
                 vals = fn(r[..., None], z[..., None], self.thetas)
-                spectrum = np.fft.fft(np.broadcast_to(vals, r.shape + (n,)), axis=-1)
-                out[:, c] = np.moveaxis(spectrum[..., self.bins], -1, 0)
-            out *= np.sqrt(2.0 * np.pi) / n
+                vals = np.broadcast_to(vals, r.shape + self.thetas.shape)
+                out[c] = fourier_coefficients(vals, self.ks)
         return out
 
 
@@ -179,8 +165,9 @@ class ExpressionField:
     One formula is a scalar such as divergence data; three are the
     cylindrical components (r, theta, z) of a vector such as the body
     force.  Mode coefficients come from equispaced angular sampling and the
-    FFT, with the sample count chosen to rule out aliasing up to the
-    requested wavenumber.
+    FFT, on ``n_theta`` samples when it is given and otherwise on the
+    smallest grid that rules out aliasing up to the largest requested
+    wavenumber.
     """
 
     def __init__(self, *sources: str, n_theta: int = None):
@@ -192,24 +179,30 @@ class ExpressionField:
     def modes(self, ks) -> dict:
         """{k: mode-k coefficient functions, one per formula} for ks.
 
-        Each mode keeps its own grid (n_theta, or the smallest safe one
-        for |k|); the modes on one grid share a single sampling and FFT.
+        Every k comes from one sampling of each formula on one grid:
+        n_theta, or min_angular_samples(max |k|).  Data content up to
+        |k| = 3 max|k| + 1 cannot alias into a requested mode.  Raises
+        ExpressionError when n_theta is below 4 max|k| + 2.
         """
-        groups = {}
-        for k in sorted(set(ks)):
-            groups.setdefault(_grid_size(k, self.n_theta), []).append(k)
-        out = {}
-        for n, group in groups.items():
-            shared = _SharedSampling(self.fns, group, n)
-            for k in group:
-                out[k] = tuple(
-                    functools.partial(shared.coefficient, c, k)
-                    for c in range(len(self.fns))
-                )
-        return out
+        ks = sorted(set(ks))
+        k_max = max(map(abs, ks), default=0)
+        n = self.n_theta or min_angular_samples(k_max)
+        if n < 4 * k_max + 2:
+            raise ExpressionError(
+                f"n_theta = {n} cannot resolve mode {k_max}; need at least {4 * k_max + 2}"
+            )
+        shared = _SharedSampling(self.fns, ks, n)
+        return {
+            k: tuple(functools.partial(shared.coefficient, c, k) for c in range(len(self.fns)))
+            for k in ks
+        }
 
     def mode(self, k: int):
-        """Mode-k coefficient functions, one per formula."""
+        """Mode-k coefficient functions, one per formula, on mode k's own grid.
+
+        Without n_theta this grid is min_angular_samples(|k|), so mode(k)
+        matches modes(ks)[k] only when n_theta is set.
+        """
         return self.modes([k])[k]
 
     def is_real(self) -> bool:

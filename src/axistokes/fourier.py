@@ -17,10 +17,12 @@ stacked along a trailing axis and multiplied by the matrix of normalized
 phases exp(i k theta) / sqrt(2 pi), so arbitrary angles cost no more than
 equispaced ones.  Angular integrals use the equispaced trapezoid rule,
 which is exact for trigonometric polynomials resolved by the sample
-count; coefficients come from FFT bins.  Sample counts are powers of two,
-and extraction of mode k demands at least 4|k| + 2 samples so that
-quadratically nonlinear integrands of resolved fields cannot alias into
-the extracted bin.
+count; coefficients come from the bins of one FFT, and this module is
+the only one that calls the FFT.  Extracting modes up to |k| = K takes
+any sample count of at least 4K + 2, so that quadratically nonlinear
+integrands of resolved fields cannot alias into an extracted bin;
+``min_angular_samples`` picks the smallest power of two that meets this,
+and ``AngularSamples`` takes powers of two only.
 """
 
 import itertools
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .meshing import MeshError
+from .meshing import MeshError, _read_text
 
 __all__ = [
     "AngularSamples",
@@ -39,7 +41,7 @@ __all__ = [
     "angular_grid",
     "anisotropic_norm",
     "conjugation_defect",
-    "fourier_coefficient",
+    "fourier_coefficients",
     "min_angular_samples",
     "read_stack",
     "reconstruct",
@@ -86,17 +88,22 @@ def rotate_to_cylindrical(v_cart, theta):
     return (vx * c + vy * s, -vx * s + vy * c, vz + np.zeros_like(c))
 
 
-def fourier_coefficient(values: np.ndarray, k: int) -> np.ndarray:
-    """Mode-k coefficient of samples on angular_grid, along the last axis."""
+def fourier_coefficients(values: np.ndarray, ks) -> np.ndarray:
+    """Coefficients of modes ``ks`` of samples on angular_grid (last axis).
+
+    One FFT serves every k; the coefficients replace the sample axis, in
+    the order of ``ks``.
+    """
     values = np.asarray(values)
     n = values.shape[-1]
-    if n < 4 * abs(k) + 2:
+    k_max = max(map(abs, ks), default=0)
+    if n < 4 * k_max + 2:
         raise ValueError(
-            f"extracting mode {k} needs at least {4 * abs(k) + 2} angular "
+            f"extracting mode {k_max} needs at least {4 * k_max + 2} angular "
             f"samples to rule out aliasing, got {n}"
         )
     spectrum = np.fft.fft(values, axis=-1)
-    return spectrum[..., k % n] * (_SQRT_2PI / n)
+    return spectrum[..., [k % n for k in ks]] * (_SQRT_2PI / n)
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,7 @@ class AngularSamples:
         return cls(np.asarray(fn(angular_grid(n_theta))))
 
     def coefficient(self, k: int) -> np.ndarray:
-        return fourier_coefficient(self.values, k)
+        return fourier_coefficients(self.values, [k])[..., 0]
 
 
 def reconstruct(coefficients: dict, thetas) -> np.ndarray:
@@ -323,7 +330,7 @@ def read_stack(directory) -> FourierStack:
     meta_path = directory / "stack.meta"
     if not meta_path.is_file():
         raise MeshError(f"{meta_path}: stack metadata file not found")
-    lines = [ln.strip() for ln in meta_path.read_text().splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(meta_path).splitlines() if ln.strip()]
     if not lines or lines[0] != _STACK_TAG:
         raise MeshError(f"{meta_path}: expected header '{_STACK_TAG}'")
     fields = {}
@@ -350,7 +357,7 @@ def _read_mode_csv(path: Path) -> ModeVectors:
     """One mode file: a velocity in every row, a pressure in the first n_p rows."""
     if not path.is_file():
         raise MeshError(f"{path}: mode file not found")
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or _normalize_header(lines[0]) != _normalize_header(_MODE_HEADER):
         raise MeshError(f"{path}: unexpected column header")
     u_rows, p_rows = [], []

@@ -480,10 +480,18 @@ def write_mesh(mesh: MeridianMesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_text(path) -> str:
+    """The text of a mesh or stack file; bytes that do not decode are a MeshError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: not a text file ({exc})") from exc
+
+
 def read_mesh(path) -> MeridianMesh:
     """Read a mesh in the native text format, validating as it goes."""
-    with open(path) as fh:
-        raw = fh.readlines()
+    raw = _read_text(path).split("\n")
     rows = []
     for lineno, line in enumerate(raw, start=1):
         body = line.split("#", 1)[0].strip()

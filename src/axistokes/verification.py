@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import Poly2, VectorModeFn, evaluate_poly_matrix, poly_matrix
 from .fem import _NORM_RULE, FemSpace, assemble
-from .fourier import angular_grid, fourier_coefficient, reconstruct
+from .fourier import angular_grid, conjugation_defect, fourier_coefficients, reconstruct
 from .meshing import MeridianMesh, generate_structured
 from .norms import (
     FieldDifference,
@@ -749,11 +749,9 @@ def isometry_suite(mesh: MeridianMesh) -> list:
         )
         if np.max(np.abs(total.imag)) > 1e-9:
             worst_conj = max(worst_conj, float(np.max(np.abs(total.imag))))
-        real_samples = total.real
-        for k in range(0, _ISO_K_MAX + 1):
-            up = fourier_coefficient(real_samples, k)
-            dn = fourier_coefficient(real_samples, -k)
-            worst_conj = max(worst_conj, float(np.max(np.abs(dn - np.conj(up)))))
+        ks = range(-_ISO_K_MAX, _ISO_K_MAX + 1)
+        bins = np.moveaxis(fourier_coefficients(total.real, ks), -1, 0)
+        worst_conj = max(worst_conj, conjugation_defect(dict(zip(ks, bins))))
 
     return [
         CheckResult("l2_isometry", worst_l2 <= _TOL_ISO, worst_l2, _TOL_ISO),

@@ -5,7 +5,8 @@ one equal to a module's name, would be shadowed without an error.  Every
 name a module imports at its top level is used there.  Every name a module
 binds at its top level, exported or not, and every field of a dataclass it
 defines, is read by the package, the demos or the benchmark, so none is
-there for its own tests only.
+there for its own tests only.  The angular transform has one home too:
+no module but ``fourier`` takes an FFT.
 """
 
 import ast
@@ -288,3 +289,37 @@ def test_dataclass_field_read_only_by_tests_is_caught():
     assert _unread_fields(fields, [source]) == {("Report", "written"), ("Report", "unread")}
     assert ("SolveReport", "res_u") in _dataclass_fields(axistokes.solver)
     assert ("SolverConfig", "tol") in _dataclass_fields(axistokes.solver)
+
+
+def _fft_lines(source: str) -> list:
+    """Lines of a module that reach for an FFT: ``x.fft`` or an import of one."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            if any("fft" in name.split(".") for name in names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_fourier_takes_an_fft():
+    users = {module.__name__: _fft_lines(inspect.getsource(module)) for module in MODULES}
+    assert users.pop("axistokes.fourier"), "fourier no longer takes the FFT"
+    others = {name: lines for name, lines in users.items() if lines}
+    assert not others, f"modules other than fourier take an FFT at {others}"
+
+
+def test_fft_outside_fourier_is_caught():
+    # Negative control: an attribute chain, a from-import of the module or
+    # of a function in it, and a plain import are all caught.
+    source = (
+        "import numpy as np\n"
+        "from numpy.fft import rfft\n"
+        "from scipy import fft\n"
+        "import scipy.fft\n"
+        "def f(x):\n"
+        "    return np.fft.fft(x) + np.sum(x)\n"
+    )
+    assert _fft_lines(source) == [2, 3, 4, 6]

@@ -100,6 +100,24 @@ def test_solve_real_expression_data_keeps_nonnegative_modes(tmp_path):
     np.testing.assert_array_equal(implied.u, np.conj(stack.modes[1].u))
 
 
+def test_default_grid_keeps_higher_modes_out_of_lower_ones(tmp_path, capsys):
+    # Without n_theta all modes share min_angular_samples(2) = 16 samples,
+    # so r cos(2 theta) drives mode 2 alone.  A 2-point grid for mode 0 read
+    # it as data: |p|_l2 = 2.6e-1 there, above mode 2's own 1.3e-1.
+    out = tmp_path / "out"
+    data = "fr = r*cos(2*theta)\nftheta = 0\nfz = 0"
+    extra = "\n[modes]\nn_max = 2\n\n[solver]\nmethod = uzawa\n"
+    assert main(["solve", "--config", _config(tmp_path, _base(out, data, extra))]) == 0
+    rows = re.findall(
+        r"^mode ([+-]\d+): .*\|u\|_h1k=(\S+), \|p\|_l2=(\S+)$", capsys.readouterr().out, re.M
+    )
+    norms = {int(k): (float(u), float(p)) for k, u, p in rows}
+    assert sorted(norms) == [0, 1, 2]
+    for k in (0, 1):
+        for got, scale in zip(norms[k], norms[2]):
+            assert got <= 1e-12 * scale, (k, norms)
+
+
 def test_complex_data_off_the_diagonal_solves_every_mode(tmp_path):
     # The formula is real on r = z and complex elsewhere; its mode -1 is not
     # the conjugate of mode 1, so solve must not take it as real data.
@@ -222,6 +240,22 @@ def test_norms_of_a_corrupted_stack_exit_3(tmp_path, capsys):
     assert main(["norms", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert err == f"error: {path}:6: pressure needs both cells or neither\n"
+
+
+def test_norms_of_a_truncated_stack_exit_3(tmp_path, capsys):
+    # Every mode file loses its last row: the modes still agree with each
+    # other, so only the space can tell that they do not fit the mesh.
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, _base(out, data=REAL_DATA, extra="\n[modes]\nn_max = 1\n"))
+    assert main(["solve", "--config", cfg]) == 0
+    for path in (out / "stack").glob("mode_*.csv"):
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    capsys.readouterr()
+    assert main(["norms", "--config", cfg]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {out / 'stack'}: modes have 80 velocity and 25 pressure dofs, "
+        "the mesh has 81 and 25\n"
+    )
 
 
 def test_uzawa_solve_writes_residual_history(tmp_path):
@@ -405,6 +439,42 @@ def test_unread_config_keys_exit_3(tmp_path, capsys, extra, named):
 def test_missing_config_exits_3(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 3
     assert "not found" in capsys.readouterr().err
+
+
+def _one_error_line(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_directory_and_file_mixups_exit_3(tmp_path, capsys, monkeypatch):
+    assert main(["mesh", "--inspect", str(tmp_path)]) == 3
+    _one_error_line(capsys, tmp_path)
+    # The output directory is made before any mode is solved.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setattr(
+        "axistokes.cli._solve_modes", lambda *args: pytest.fail("solved before mkdir")
+    )
+    for out in (blocker, blocker / "out"):
+        assert main(["solve", "--config", _config(tmp_path, _base(out))]) == 3
+        _one_error_line(capsys, out)
+
+
+@pytest.mark.parametrize(
+    "target", ["run.ini", "out/mesh.txt", "out/stack/stack.meta", "out/stack/mode_1.csv"]
+)
+def test_undecodable_files_exit_3(tmp_path, capsys, target):
+    cfg = _config(tmp_path, _base(tmp_path / "out", REAL_DATA, "\n[modes]\nn_max = 1\n"))
+    assert main(["solve", "--config", cfg]) == 0
+    path = tmp_path / target
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    if target.endswith("mesh.txt"):
+        assert main(["mesh", "--inspect", str(path)]) == 3
+    else:
+        assert main(["norms", "--config", cfg]) == 3
+    _one_error_line(capsys, path)
 
 
 @pytest.mark.parametrize(

@@ -189,7 +189,7 @@ def _direct_sum(source, k, n, r, z):
     "n_theta, ks",
     [
         (32, list(range(-7, 8))),
-        # Default grids: 2, 8, 16, 32 and 64 samples, several modes on some.
+        # Default grid: min_angular_samples(13) = 64 samples for all modes.
         (None, [-13, -4, 0, 1, 2, 3, 5, 7, 8, 13]),
     ],
 )
@@ -202,17 +202,28 @@ def test_shared_sampling_matches_per_mode_sums(n_theta, ks):
     shared_g = scalar.modes(ks)
     assert sorted(shared) == sorted(shared_g) == sorted(ks)
     for c, source in enumerate(sources):
-        direct = {
-            k: _direct_sum(source, k, n_theta or min_angular_samples(k), r, z)
-            for k in ks
-        }
+        n = n_theta or min_angular_samples(max(map(abs, ks)))
+        direct = {k: _direct_sum(source, k, n, r, z) for k in ks}
         scale = max(np.abs(v).max() for v in direct.values())
         for k in ks:
             got = shared[k][c](r, z)
             assert np.abs(got - direct[k]).max() <= 1e-13 * scale, (c, k)
-            np.testing.assert_array_equal(field.mode(k)[c](r, z), got)
+            if n_theta:
+                # Without n_theta, mode(k) samples on mode k's own grid.
+                np.testing.assert_array_equal(field.mode(k)[c](r, z), got)
             if c == 1:
                 assert np.abs(shared_g[k][0](r, z) - direct[k]).max() <= 1e-13 * scale
+
+
+def test_default_grid_keeps_higher_modes_out_of_lower_ones():
+    # One grid for all requested modes: min_angular_samples(2) = 16 samples
+    # hold cos(2 theta) out of modes 0 and 1.  A 2-point grid for mode 0
+    # alone would read it as sqrt(pi/2) * 2 r (1.2533 at r = 0.5).
+    modes = ExpressionField("r*cos(2*theta)").modes([0, 1, 2])
+    r, z = np.array([0.25, 0.5, 1.0]), np.array([0.0, 0.5, 1.0])
+    for k in (0, 1):
+        assert np.abs(modes[k][0](r, z)).max() <= 1e-15
+    np.testing.assert_allclose(modes[2][0](r, z), np.sqrt(np.pi / 2.0) * r, rtol=1e-14)
 
 
 def test_shared_sampling_resamples_at_new_points():

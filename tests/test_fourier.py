@@ -18,7 +18,7 @@ from axistokes.fourier import (
     angular_grid,
     anisotropic_norm,
     conjugation_defect,
-    fourier_coefficient,
+    fourier_coefficients,
     min_angular_samples,
     read_stack,
     reconstruct,
@@ -35,19 +35,19 @@ def test_cosine_coefficient_closed_form():
     # sqrt(pi/2).
     thetas = angular_grid(16)
     vals = np.cos(thetas)
-    for k in (1, -1):
-        c = fourier_coefficient(vals, k)
+    c1, c_1, c0, c2 = fourier_coefficients(vals, [1, -1, 0, 2])
+    for c in (c1, c_1):
         assert c == pytest.approx(np.sqrt(np.pi / 2.0), rel=1e-14)
-    assert fourier_coefficient(vals, 0) == pytest.approx(0.0, abs=1e-15)
-    assert fourier_coefficient(vals, 2) == pytest.approx(0.0, abs=1e-15)
+    assert c0 == pytest.approx(0.0, abs=1e-15)
+    assert c2 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_aliasing_guard():
     vals = np.cos(angular_grid(8))
     with pytest.raises(ValueError, match="aliasing"):
-        fourier_coefficient(vals, 2)
+        fourier_coefficients(vals, [2])
     # 4|k| + 2 = 10 > 8 forbids k = 2 on eight samples; sixteen are enough.
-    fourier_coefficient(np.cos(angular_grid(16)), 2)
+    fourier_coefficients(np.cos(angular_grid(16)), [2])
 
 
 def test_min_angular_samples_power_of_two():
@@ -67,11 +67,11 @@ def test_roundtrip_trig_polynomial():
     coeffs = {k: rng.standard_normal() + 1j * rng.standard_normal() for k in ks}
     thetas = angular_grid(32)
     signal = reconstruct(coeffs, thetas)
-    for k in ks:
-        back = fourier_coefficient(signal, k)
-        assert back == pytest.approx(coeffs[k], rel=1e-13, abs=1e-14)
+    back = fourier_coefficients(signal, ks)
+    for k, c in zip(ks, back):
+        assert c == pytest.approx(coeffs[k], rel=1e-13, abs=1e-14)
     # Unresolved-but-guarded bins of a resolved signal are empty.
-    assert fourier_coefficient(signal, 6) == pytest.approx(0.0, abs=1e-13)
+    assert fourier_coefficients(signal, [6])[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_real_signal_conjugation_parity():
@@ -82,8 +82,26 @@ def test_real_signal_conjugation_parity():
         amp = rng.standard_normal(3)
         phase = rng.standard_normal(3)
         signal += amp[:, None] * np.cos(k * thetas + phase[:, None])
-    modes = {k: fourier_coefficient(signal, k) for k in range(-4, 5)}
+    ks = range(-4, 5)
+    modes = dict(zip(ks, np.moveaxis(fourier_coefficients(signal, ks), -1, 0)))
     assert conjugation_defect(modes) < 1e-13
+
+
+@pytest.mark.parametrize("n", [14, 15, 16, 21])
+def test_batched_coefficients_match_trapezoid_sums(n):
+    # One transform, any count of at least 4 max|k| + 2 samples (14 for
+    # k = -3 .. 3), matches the trapezoid sum of each mode on its own.
+    rng = np.random.default_rng(n)
+    thetas = angular_grid(n)
+    values = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+    ks = [3, -3, 0, 1, -2]
+    got = fourier_coefficients(values, ks)
+    assert got.shape == (2, 3, len(ks))
+    for j, k in enumerate(ks):
+        want = np.sqrt(2.0 * np.pi) / n * np.sum(values * np.exp(-1j * k * thetas), axis=-1)
+        assert np.abs(got[..., j] - want).max() <= 1e-13 * np.abs(want).max()
+    with pytest.raises(ValueError, match="needs at least 14 angular samples"):
+        fourier_coefficients(values[..., :13], ks)
 
 
 def test_angular_samples_validation_and_extraction():
