@@ -77,7 +77,6 @@ class RunConfig:
     vtk_n_theta: int = 32
     trunc_s: tuple = (0.5, 1.0, 2.0)
     trunc_ns: tuple = (2, 4, 8, 16, 32)
-    trunc_h: float = 0.25
 
 
 def _finite(value, context: str):
@@ -124,13 +123,14 @@ def _parse_domain(cp, config: RunConfig) -> None:
             "[domain] needs exactly one of rectangle, polygon, mesh; "
             f"got {given or 'none'}"
         )
-    h = _get(cp, "domain", "h", 0.125)
-    if h <= 0:
-        raise ConfigError("[domain] h must be positive")
     kind = given[0]
     if kind == "mesh":
         config.mesh_path = cp.get("domain", "mesh")
         return
+    # A stored mesh has its own sizes, so h belongs to generated domains only.
+    h = _get(cp, "domain", "h", 0.125)
+    if h <= 0:
+        raise ConfigError("[domain] h must be positive")
     if kind == "rectangle":
         vals = _numbers(cp.get("domain", "rectangle"), "[domain] rectangle")
         if len(vals) not in (2, 4):
@@ -224,15 +224,12 @@ def _parse_truncation(cp, config: RunConfig) -> None:
         svals = _numbers(cp.get("truncation", "s"), "[truncation] s")
         if not svals or any(s <= 0 for s in svals):
             raise ConfigError("[truncation] s values must be positive")
-        config.trunc_s = tuple(svals)
+        config.trunc_s = tuple(sorted(set(svals)))
     if cp.has_option("truncation", "ns"):
         ns = _numbers(cp.get("truncation", "ns"), "[truncation] ns", int)
         if not ns or any(n < 1 for n in ns):
             raise ConfigError("[truncation] ns must be positive integers")
         config.trunc_ns = tuple(sorted(set(ns)))
-    config.trunc_h = _get(cp, "truncation", "h", config.trunc_h)
-    if config.trunc_h <= 0:
-        raise ConfigError("[truncation] h must be positive")
 
 
 class _KeyRecorder(configparser.ConfigParser):
@@ -386,14 +383,13 @@ def cmd_solve(args) -> int:
         if k in solved:
             solution = solved[k]
             modes[k] = ModeVectors(solution.u, solution.p)
-            rpt = solution.report
             rep_u, rep_p = norm_rows[k]
         else:
             # Mode -k of real data: the conjugate of mode k, with its norms.
             solution = solved[-k]
             modes[k] = ModeVectors(solution.u.conj(), solution.p.conj())
-            rpt = dataclasses.replace(solution.report, k=k)
             rep_u, rep_p = (dataclasses.replace(rep, k=k) for rep in norm_rows[-k])
+        rpt = solution.report
         reports_u.append(rep_u)
         reports_p.append(rep_p)
         note = f"method={rpt.method}"
@@ -574,21 +570,15 @@ def cmd_truncation(args) -> int:
         config = RunConfig()
     config.out_dir.mkdir(parents=True, exist_ok=True)
     for s in config.trunc_s:
-        study = truncation_study(
-            DecayFamily(s),
-            config.trunc_ns,
-            with_solves=args.with_solves,
-            h=config.trunc_h,
-        )
+        study = truncation_study(DecayFamily(s), config.trunc_ns)
         name = f"truncation_s{s:g}.csv"
         (config.out_dir / name).write_text(study.csv())
-        print(f"s = {s:g} (mode norms {'solved' if study.solved else 'analytic'})")
+        print(f"s = {s:g}")
         print(study.csv(), end="")
-        # Solved mode norms decay faster than the data's slope -(s + 1/2).
-        target = "" if study.solved else f" (target -(s+1/2) = {-(s + 0.5):.4f})"
         print(
             f"one-sided ratio {study.one_sided_ratio:.4f}, "
-            f"extrapolated slope {study.extrapolated_slope:.4f}{target}"
+            f"extrapolated slope {study.extrapolated_slope:.4f} "
+            f"(target -(s+1/2) = {-(s + 0.5):.4f})"
         )
         print(f"written to {config.out_dir / name}")
     return 0
@@ -666,12 +656,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_trunc = sub.add_parser("truncation", help="tabulate truncation tails")
     p_trunc.add_argument("--config", help="optional configuration")
-    p_trunc.add_argument(
-        "--with-solves",
-        action="store_true",
-        help="realize mode norms by finite element solves instead of the "
-        "analytic decay model",
-    )
     p_trunc.set_defaults(fn=cmd_truncation)
 
     p_norms = sub.add_parser("norms", help="norm tables for a solved stack")

@@ -185,11 +185,11 @@ class ExpressionField:
         ExpressionError when n_theta is below 4 max|k| + 2.
         """
         ks = sorted(set(ks))
-        k_max = max(map(abs, ks), default=0)
-        n = self.n_theta or min_angular_samples(k_max)
-        if n < 4 * k_max + 2:
+        n_max = max(map(abs, ks), default=0)
+        n = self.n_theta or min_angular_samples(n_max)
+        if n < 4 * n_max + 2:
             raise ExpressionError(
-                f"n_theta = {n} cannot resolve mode {k_max}; need at least {4 * k_max + 2}"
+                f"n_theta = {n} cannot resolve mode {n_max}; need at least {4 * n_max + 2}"
             )
         shared = _SharedSampling(self.fns, ks, n)
         return {

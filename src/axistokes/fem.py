@@ -678,7 +678,6 @@ class FemScalarField:
 class ModeSolution:
     """Velocity and pressure coefficients of one solved mode."""
 
-    k: int
     space: FemSpace
     u: np.ndarray
     p: np.ndarray

@@ -61,9 +61,9 @@ def angular_grid(n_theta: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_theta) / n_theta
 
 
-def min_angular_samples(k_max: int) -> int:
-    """Smallest power of two meeting the aliasing guard for modes up to k_max."""
-    need = 4 * abs(int(k_max)) + 2
+def min_angular_samples(n_max: int) -> int:
+    """Smallest power of two meeting the aliasing guard for modes up to n_max."""
+    need = 4 * abs(int(n_max)) + 2
     n = 2
     while n < need:
         n *= 2
@@ -96,10 +96,10 @@ def fourier_coefficients(values: np.ndarray, ks) -> np.ndarray:
     """
     values = np.asarray(values)
     n = values.shape[-1]
-    k_max = max(map(abs, ks), default=0)
-    if n < 4 * k_max + 2:
+    n_max = max(map(abs, ks), default=0)
+    if n < 4 * n_max + 2:
         raise ValueError(
-            f"extracting mode {k_max} needs at least {4 * k_max + 2} angular "
+            f"extracting mode {n_max} needs at least {4 * n_max + 2} angular "
             f"samples to rule out aliasing, got {n}"
         )
     spectrum = np.fft.fft(values, axis=-1)

@@ -100,7 +100,6 @@ class SolveReport:
     breakdown raises SolverBreakdown instead of returning a report.
     """
 
-    k: int
     method: str
     n_free: int
     iterations: int = 0
@@ -269,7 +268,7 @@ def solve_mode(
     config = config or SolverConfig()
     F_hat, G_hat = system.rhs(f, g_div)
     k = system.k
-    report = SolveReport(k=k, method=config.method, n_free=system.n_free)
+    report = SolveReport(method=config.method, n_free=system.n_free)
     if k == 0:
         flux = report.compatibility_flux = complex(np.sum(G_hat))
         scale = max(1.0, float(np.abs(system.constraints.fix).max(initial=0.0)))
@@ -299,7 +298,7 @@ def solve_mode(
 
     report.res_u, report.res_p = _true_residuals(system, u_free, p, F_hat, G_hat)
     u_full = system.recover(u_free)
-    return ModeSolution(k=k, space=system.space, u=u_full, p=p, report=report)
+    return ModeSolution(space=system.space, u=u_full, p=p, report=report)
 
 
 def estimate_inf_sup(system: SaddleSystem) -> float:

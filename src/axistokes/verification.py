@@ -4,8 +4,8 @@ Everything here closes a loop: manufactured cases turn exact polynomial
 fields into body forces through the strong per-mode operator, convergence
 studies measure discretization error against those fields, the isometry
 suite compares weighted meridian quantities against honest 3D integrals
-evaluated by tensor quadrature, and truncation studies compare mode-sum
-tails against their analytic decay.
+evaluated by tensor quadrature, and truncation studies tabulate the
+closed-form tails of a decaying mode family against their limiting rate.
 
 The polynomial calculus is exact: body forces and divergences are
 computed coefficient-wise, including the negative radial powers the
@@ -65,10 +65,6 @@ _ISO_K_MAX = 5
 _ISO_N_FIELDS = 10
 _ISO_SEED = 0
 _RANDOM_DEGREE = 2
-
-# truncation_study doubles its analytic cutoff until the largest tail
-# changes by less than this fraction.
-_TAIL_REL_CHANGE = 0.001
 
 
 def mode_gradient(k: int, p: Poly2):
@@ -312,6 +308,17 @@ class DecayFamily:
         """(1 + |k|)**-(s+1) of a wavenumber or an integer array of them."""
         return (1.0 + np.abs(k)) ** (-(self.s + 1.0))
 
+    def tail(self, n: int) -> float:
+        """Root of the squared velocity and pressure mode norms summed over |k| > n.
+
+        Both norms of mode k are amplitude(k), so the squared tail is
+        4 sum_{k > n} (1 + k)**-(2s+2) = 4 zeta(2s + 2, n + 2), Hurwitz zeta.
+        """
+        # Imported here: scipy.special would add 0.05 s to every package import.
+        from scipy.special import zeta
+
+        return 2.0 * float(np.sqrt(zeta(2.0 * self.s + 2.0, n + 2.0)))
+
 
 @dataclass
 class TruncationStudy:
@@ -320,8 +327,6 @@ class TruncationStudy:
     s: float
     ns: list
     tails: list
-    k_max: int
-    solved: bool = False
 
     CSV_HEADER = "N, tail, bound_ratio"
 
@@ -367,68 +372,10 @@ class TruncationStudy:
         return "\n".join(lines) + "\n"
 
 
-def _solved_norms(family: DecayFamily, k_max: int, h: float):
-    """Per-mode norms realized by actual solves with decaying data."""
-    mesh = generate_structured((1.0, 1.0), h)
-    space = FemSpace(mesh)
-    base = VectorModeFn(0, (_R * _Z, _R * _Z, _R))
-    u_norms = np.empty(k_max + 1)
-    p_norms = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        f = VectorModeFn(
-            k, tuple(family.amplitude(k) * c for c in base.components)
-        )
-        system = assemble(space, k)
-        sol = solve_mode(system, f=f)
-        u_norms[k] = vector_mode_norm(
-            mesh, sol.velocity_fields(), k=k
-        ).h1k
-        p_norms[k] = scalar_mode_norm(mesh, sol.pressure_field(), k).l2_1
-    return u_norms, p_norms
-
-
-def _tail_sq(sq, n: int) -> float:
-    """Squared tail over |k| > n of the squared mode norms sq[k], k >= 0."""
-    return 2.0 * np.sum(sq[n + 1 :])
-
-
-def truncation_study(
-    family: DecayFamily,
-    ns=(2, 4, 8, 16, 32),
-    *,
-    with_solves: bool = False,
-    h: float = 0.25,
-) -> TruncationStudy:
-    """Tails of the mode family beyond each truncation order.
-
-    tail(N)**2 sums the squared velocity and pressure mode norms over
-    |k| > N.  The cutoff starts at four times the largest N and doubles
-    until the largest tail changes by less than ``_TAIL_REL_CHANGE``; solved
-    norms use the fixed starting cutoff for tractability.
-    """
+def truncation_study(family: DecayFamily, ns=(2, 4, 8, 16, 32)) -> TruncationStudy:
+    """Tails of the mode family beyond each truncation order ``ns``."""
     ns = sorted(ns)
-    n_max = ns[-1]
-    k_max = 4 * n_max
-    if with_solves:
-        u_norms, p_norms = _solved_norms(family, k_max, h)
-        sq = u_norms**2 + p_norms**2
-    else:
-        def squares(cutoff):
-            # The velocity and the pressure norm of mode k are both amplitude(k).
-            return 2.0 * family.amplitude(np.arange(cutoff + 1)) ** 2
-
-        sq = squares(k_max)
-        tail_sq = _tail_sq(sq, n_max)
-        while True:
-            bigger = squares(2 * k_max)
-            bigger_tail_sq = _tail_sq(bigger, n_max)
-            if bigger_tail_sq - tail_sq <= _TAIL_REL_CHANGE * tail_sq:
-                break
-            k_max, sq, tail_sq = 2 * k_max, bigger, bigger_tail_sq
-    tails = [float(np.sqrt(_tail_sq(sq, n))) for n in ns]
-    return TruncationStudy(
-        s=family.s, ns=list(ns), tails=tails, k_max=k_max, solved=with_solves
-    )
+    return TruncationStudy(s=family.s, ns=ns, tails=[family.tail(n) for n in ns])
 
 
 @dataclass(frozen=True)

@@ -98,18 +98,29 @@ def test_no_public_name_is_shadowed():
     assert not clash, f"{clash} are exported under a submodule's name"
 
 
-def test_package_import_leaves_cli_unloaded():
-    # ``python -m axistokes.cli`` would otherwise run the module twice.
+def _loaded_by(statement: str) -> set:
+    """Modules a fresh interpreter holds after running ``statement``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(axistokes.__file__).parents[1]), env.get("PYTHONPATH")])
     )
-    probe = "import sys, axistokes; print('axistokes.cli' in sys.modules)"
+    probe = f"import sys; {statement}; print(' '.join(sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(proc.stdout.split())
+
+
+def test_package_import_leaves_cli_unloaded():
+    # ``python -m axistokes.cli`` would otherwise run the module twice.
+    assert "axistokes.cli" not in _loaded_by("import axistokes")
+
+
+def test_imports_leave_scipy_special_unloaded():
+    # scipy.special serves only the truncation tails and would add about
+    # 0.05 s to every run, so it is imported where the tails are taken.
+    assert "scipy.special" not in _loaded_by("import axistokes, axistokes.cli")
 
 
 def _unused_imports(module) -> set:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +223,25 @@ def test_norms_recomputes_identical_tables(tmp_path, capsys):
     assert (out / "norms_pressure.csv").read_bytes() == before_p
 
 
+def test_stored_mesh_reproduces_the_generated_run(tmp_path, capsys):
+    # [domain] mesh = FILE solves on the stored mesh as the rectangle run
+    # did on the generated one, and does not write the mesh again.
+    first, second = tmp_path / "first", tmp_path / "second"
+    extra = "\n[modes]\nn_max = 1\n"
+    assert main(["solve", "--config", _config(tmp_path, _base(first, REAL_DATA, extra))]) == 0
+    stored = _base(second, REAL_DATA, extra).replace(
+        "rectangle = 1 1\nh = 0.25", f"mesh = {first / 'mesh.txt'}"
+    )
+    cfg = _config(tmp_path, stored, "stored.ini")
+    assert main(["solve", "--config", cfg]) == 0
+    names = sorted(p.name for p in (first / "stack").iterdir())
+    assert names == sorted(p.name for p in (second / "stack").iterdir())
+    for name in names:
+        assert (second / "stack" / name).read_bytes() == (first / "stack" / name).read_bytes()
+    assert not (second / "mesh.txt").exists()
+    assert main(["norms", "--config", cfg]) == 0
+
+
 def test_norms_of_a_corrupted_stack_exit_3(tmp_path, capsys):
     # Dof 3 loses its pressure and dof 4 half of it: a malformed file is
     # a data error named by file and line, not a short pressure vector.
@@ -417,19 +437,28 @@ def test_bad_config_values_name_key_and_type(tmp_path, capsys, old, new, message
 
 
 @pytest.mark.parametrize(
-    "extra, named",
+    "domain, extra, named",
     [
-        ("\n[solver]\nmethd = uzawa\n", "[solver] methd"),
-        ("\n[solvers]\nmethod = uzawa\n", "[solvers] method"),
-        ("vtk_ntheta = 16\n", "[output] vtk_ntheta"),
-        ("\n[DEFAULT]\nh = 0.5\n", "[DEFAULT] takes no keys, got h"),
+        ("rectangle = 1 1", "\n[solver]\nmethd = uzawa\n", "[solver] methd"),
+        ("rectangle = 1 1", "\n[solvers]\nmethod = uzawa\n", "[solvers] method"),
+        ("rectangle = 1 1", "vtk_ntheta = 16\n", "[output] vtk_ntheta"),
+        ("rectangle = 1 1", "\n[DEFAULT]\nh = 0.5\n", "[DEFAULT] takes no keys, got h"),
+        ("mesh = m.txt", "", "[domain] h"),
     ],
-    ids=["misspelled-key", "unknown-section", "misspelled-output-key", "default-key"],
+    ids=[
+        "misspelled-key",
+        "unknown-section",
+        "misspelled-output-key",
+        "default-key",
+        "mesh-size-of-a-stored-mesh",
+    ],
 )
-def test_unread_config_keys_exit_3(tmp_path, capsys, extra, named):
+def test_unread_config_keys_exit_3(tmp_path, capsys, domain, extra, named):
     # A key that no parser reads is refused, not dropped: a dropped
-    # `methd = uzawa` would solve by the direct method and exit 0.
-    cfg = _config(tmp_path, _base(tmp_path / "out", extra=extra))
+    # `methd = uzawa` would solve by the direct method and exit 0, and a
+    # stored mesh has its own size, whatever [domain] h says.
+    body = _base(tmp_path / "out", extra=extra).replace("rectangle = 1 1", domain)
+    cfg = _config(tmp_path, body)
     assert main(["solve", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
@@ -483,8 +512,9 @@ def test_undecodable_files_exit_3(tmp_path, capsys, target):
         ["solve", "--config", "run.ini", "--bogus"],
         ["solve"],
         ["solve", "--config", "run.ini", "--jobs", "2"],
+        ["truncation", "--with-solves"],
     ],
-    ids=["unknown-flag", "missing-config", "removed-jobs"],
+    ids=["unknown-flag", "missing-config", "removed-jobs", "removed-with-solves"],
 )
 def test_usage_errors_exit_3(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -508,7 +538,7 @@ def test_load_config_validation_details(tmp_path):
         "[data]\nfr = sin(theta)*r\nftheta = 0\nfz = z\n\n"
         "[modes]\nn_max = 3\nwavenumbers = 2 0 2 -1\n\n"
         "[solver]\nmethod = uzawa_cg\n\n"
-        "[truncation]\ns = 0.5 2\nns = 8 2 4\nh = 0.5\n"
+        "[truncation]\ns = 2 0.5 2\nns = 8 2 4\n"
     )
     # pressure_mass_precond is not a key any more; like any key that no
     # parser reads, it is refused.
@@ -523,9 +553,20 @@ def test_load_config_validation_details(tmp_path):
     assert config.solver.method == "uzawa"
     assert config.trunc_s == (0.5, 2.0)
     assert config.trunc_ns == (2, 4, 8)
-    assert config.trunc_h == 0.5
+    # The truncation tails are closed-form, so no mesh size is read for them.
+    with pytest.raises(ConfigError, match=r"\[truncation\] h"):
+        load_config(_config(tmp_path, body + "h = 0.5\n", "trunc_h.ini"))
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.ini")
+
+
+def test_readme_config_loads(tmp_path):
+    # The schema the README shows is a config that loads as it stands.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
+    config = load_config(_config(tmp_path, block))
+    assert config.domain.rectangle == (1.0, 1.0)
+    assert config.trunc_s == (0.5, 1.0, 2.0)
 
 
 def test_mesh_generate_and_inspect(tmp_path, capsys):
@@ -549,31 +590,20 @@ def test_truncation_command(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _config(
         tmp_path,
-        _base(out, extra="\n[truncation]\ns = 1\nns = 2 4 8\n"),
+        _base(out, extra="\n[truncation]\ns = 1 1\nns = 2 4 8\n"),
     )
     assert main(["truncation", "--config", cfg]) == 0
     captured = capsys.readouterr().out
+    # A repeated s is tabulated once.
+    assert captured.splitlines().count("s = 1") == 1
     assert (
-        "one-sided ratio 1.0269, extrapolated slope -1.3888 (target -(s+1/2) = -1.5000)"
+        "one-sided ratio 1.0269, extrapolated slope -1.3883 (target -(s+1/2) = -1.5000)"
         in captured.splitlines()
     )
     assert (out / "truncation_s1.csv").is_file()
     table = (out / "truncation_s1.csv").read_text().strip().splitlines()
     assert table[0] == "N, tail, bound_ratio"
     assert len(table) == 4
-
-
-def test_truncation_command_with_solves(tmp_path, capsys):
-    # Solved mode norms decay faster than the data, so no target is printed.
-    out = tmp_path / "out"
-    cfg = _config(
-        tmp_path,
-        _base(out, extra="\n[truncation]\ns = 1\nns = 2 4 8\nh = 0.5\n"),
-    )
-    assert main(["truncation", "--config", cfg, "--with-solves"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert "s = 1 (mode norms solved)" in lines
-    assert "one-sided ratio 1.0000, extrapolated slope -2.3588" in lines
 
 
 def test_vtk_export_structure(tmp_path):
