@@ -225,6 +225,13 @@ def _parse_truncation(cp, config: RunConfig) -> None:
         if not svals or any(s <= 0 for s in svals):
             raise ConfigError("[truncation] s values must be positive")
         config.trunc_s = tuple(sorted(set(svals)))
+        # Each value's table is named truncation_s{s:g}.csv.
+        for lo, hi in zip(config.trunc_s, config.trunc_s[1:]):
+            if f"{lo:g}" == f"{hi:g}":
+                raise ConfigError(
+                    f"[truncation] s values {lo!r} and {hi!r} would share the table "
+                    f"truncation_s{lo:g}.csv"
+                )
     if cp.has_option("truncation", "ns"):
         ns = _numbers(cp.get("truncation", "ns"), "[truncation] ns", int)
         if not ns or any(n < 1 for n in ns):
@@ -294,7 +301,7 @@ def _data_is_real(config: RunConfig) -> bool:
     if config.case is not None:
         if config.case.k != 0:
             return False
-        polys = [*config.case.f.components, *config.case.u.components]
+        polys = [*config.case.f, *config.case.u]
         if config.case.g_div is not None:
             polys.append(config.case.g_div)
         return all(_poly_is_real(p) for p in polys)
@@ -484,7 +491,7 @@ def _solver_checks() -> list:
         system = assemble(space, case.k, g=case.u)
         solution = solve_mode(system, f=case.f, g_div=case.g_div)
         err_u, err_p = case.errors(solution)
-        scale = max(vector_mode_norm(mesh, case.u).h1k, 1.0)
+        scale = max(vector_mode_norm(mesh, case.u, case.k).h1k, 1.0)
         value = (err_u + err_p) / scale
         checks.append(CheckResult(f"exact_solve_{name}", value <= 1e-9, value, 1e-9))
 
@@ -499,7 +506,7 @@ def _solver_checks() -> list:
     # Axisymmetric decoupling: purely meridian data leaves the angular
     # component zero; purely angular data leaves meridian and pressure zero.
     case = cases["k0_convergence"]
-    fr, ftheta, fz = case.f.components
+    fr, ftheta, fz = case.f
     zero = 0.0 * fr
     sys0 = assemble(space, 0)
     sol_meridian = solve_mode(sys0, f=(fr, zero, fz))
@@ -523,8 +530,8 @@ def _solver_checks() -> list:
     case = cases["k2_divfree"]
     sys_pos = assemble(space, case.k, g=case.u)
     sol_pos = solve_mode(sys_pos, f=case.f)
-    sys_neg = assemble(space, -case.k, g=case.u.conj())
-    sol_neg = solve_mode(sys_neg, f=case.f.conj())
+    sys_neg = assemble(space, -case.k, g=tuple(c.conj() for c in case.u))
+    sol_neg = solve_mode(sys_neg, f=tuple(c.conj() for c in case.f))
     scale = max(float(np.max(np.abs(sol_pos.u))), 1.0)
     value = (
         max(

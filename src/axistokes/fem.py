@@ -415,8 +415,8 @@ def _mode_basis(k: int):
 def mode_constraints(space: FemSpace, k: int, g=None) -> ModeConstraints:
     """Dirichlet and axis conditions for wavenumber k.
 
-    ``g`` is the wall velocity data (a vector mode function or any triple
-    of mode functions); omitted means homogeneous.  Wall values are
+    ``g`` is the wall velocity data, a triple of mode functions
+    (r, theta, z); omitted means homogeneous.  Wall values are
     interpolated at wall degrees of freedom.  At wall/axis corners the wall
     data wins; a warning reports data whose component along any direction
     with j != 0 exceeds ``_CORNER_TOL``.

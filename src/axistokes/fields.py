@@ -4,7 +4,9 @@ A "mode function" is a complex-valued function of (r, z): any callable
 f(r, z) broadcasting over arrays.  Polynomials in r and z (with integer,
 possibly negative, powers of r) cover every manufactured solution and
 induced datum in the package while keeping differentiation exact, so they
-get a small dedicated class; any other callable has values only.
+get a small dedicated class; any other callable has values only.  Vector
+mode data is a triple of mode functions (r, theta, z); the wavenumber is
+passed wherever it is used.
 
 Polynomials are evaluated in batches: ``evaluate_polys`` takes a list of
 them at the same points as one product of their coefficient matrix with a
@@ -13,11 +15,9 @@ batch of one.  The coefficient matrix (``poly_matrix``) can be formed once
 and evaluated at many sets of points (``evaluate_poly_matrix``).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["Poly2", "VectorModeFn"]
+__all__ = ["Poly2"]
 
 
 class Poly2:
@@ -181,31 +181,3 @@ def _as_poly(x) -> Poly2:
         return x
     return Poly2({(0, 0): complex(x)})
 
-
-@dataclass(frozen=True)
-class VectorModeFn:
-    """Cylindrical-component Fourier coefficient of a 3D vector field.
-
-    Components are the radial, azimuthal and axial coefficient functions
-    u_r^k, u_theta^k, u_z^k on the meridian domain, each a mode function;
-    iterating over a vector mode yields them in that order.
-    """
-
-    k: int
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) != 3:
-            raise ValueError("a vector mode has exactly three components")
-        for c in comps:
-            if not callable(c):
-                raise TypeError(f"vector mode component {c!r} is not callable")
-        object.__setattr__(self, "components", comps)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def conj(self) -> "VectorModeFn":
-        """Mode -k of a real field; the components must be ``Poly2``."""
-        return VectorModeFn(-self.k, tuple(c.conj() for c in self.components))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import _NORM_RULE, FemScalarField
-from .fields import Poly2, VectorModeFn, evaluate_polys
+from .fields import Poly2, evaluate_polys
 from .meshing import MeridianMesh
 from .quadrature import quadrature_geometry
 
@@ -306,20 +306,15 @@ def sums_report(k: int, comp, coupling) -> NormReport:
     )
 
 
-def vector_mode_norm(mesh, v, k: int = None) -> NormReport:
-    """Mode norm of a vector coefficient at its wavenumber.
+def vector_mode_norm(mesh, v, k: int) -> NormReport:
+    """Mode norm at wavenumber k of a vector coefficient (r, theta, z).
 
-    ``v`` is a VectorModeFn or any triple of component fields (then ``k``
-    must be passed).  All quadratic terms are accumulated from squares and
-    the sum-of-squares regrouping of the radial/angular coupling, so the
-    result is real and nonnegative by construction.  Three finite element
-    fields of one space are measured by element quadratic forms, any
-    other triple by sampling; both supply the same sums.
+    All quadratic terms are accumulated from squares and the sum-of-squares
+    regrouping of the radial/angular coupling, so the result is real and
+    nonnegative by construction.  Three finite element fields of one space
+    are measured by element quadratic forms, any other triple by sampling;
+    both supply the same sums.
     """
-    if k is None:
-        if not isinstance(v, VectorModeFn):
-            raise ValueError("pass k when the vector is a bare component triple")
-        k = v.k
     comps = tuple(v)
     if len(comps) != 3:
         raise ValueError("vector mode needs three components (r, theta, z)")
@@ -367,8 +362,5 @@ def sampled_divergence_product(k, v, qval, R, W):
 
 
 def _sample_vector(v, mesh, geometry):
-    """(val, dr, dz) of a vector field, each a tuple over its three components."""
-    comps = tuple(v)
-    if len(comps) != 3:
-        raise ValueError("vector field needs three components")
-    return tuple(zip(*(sample_component(c, mesh, True, geometry) for c in comps)))
+    """(val, dr, dz) of a vector field, each a tuple over its components."""
+    return tuple(zip(*(sample_component(c, mesh, True, geometry) for c in v)))

@@ -5,10 +5,12 @@ would not fit in memory; for the axisymmetric mode the border is the
 weighted-mean row that pins the constant pressure (and its multiplier
 absorbs incompatible data).  The iterative path is a conjugate gradient
 iteration on the pressure Schur complement S = B A^-1 B*, preconditioned
-by the r-weighted pressure mass matrix; for the axisymmetric mode the
-constant-pressure kernel is deflated by keeping residuals
-Euclidean-orthogonal to the constant vector, which makes every
-preconditioned iterate exactly mean-free.
+by the r-weighted pressure mass matrix.  For the axisymmetric mode the
+constant-pressure kernel is deflated: each residual loses its part along
+the weighted-mean vector m = Mp 1, as the direct path's border does
+(which subtracts a constant from the divergence data), and each
+preconditioned step is kept mean-free.  So both paths balance net k = 0
+flux the same way.
 
 Both paths run on the reduced blocks, which are exactly real for every
 mode (u_theta = i w, see ``fem.ModeConstraints``), so every factor is
@@ -186,18 +188,19 @@ def _uzawa_core(system, F, G, config):
     ``system.a_solve`` applies the inverse velocity block and
     ``system.mp_solve`` the inverse pressure mass preconditioner.  At
     k = 0 the Schur complement has the constant pressure in its kernel, so
-    residuals keep Euclidean-orthogonal to the constant vector e and the
-    preconditioned steps mean-free under the functional m.
+    residuals lose their part along m = Mp 1, as in the direct path's
+    border, which leaves them orthogonal to the constants, and the
+    preconditioned steps are kept mean-free under the functional m.
     """
     B = system.B_hat
     # B_hat is exactly real (complex dtype only), so its adjoint is B.T.
     Bh = B.T
-    m, e = (system.m_vec, np.ones(system.n_p)) if system.k == 0 else (None, None)
+    m = system.m_vec if system.k == 0 else None
 
     def deflate(x):
-        if e is None:
+        if m is None:
             return x
-        return x - e * (np.vdot(e, x) / np.vdot(e, e))
+        return x - m * (np.sum(x) / np.sum(m))
 
     def deflate_mean(x):
         if m is None:

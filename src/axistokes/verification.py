@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Poly2, VectorModeFn, evaluate_poly_matrix, poly_matrix
+from .fields import Poly2, evaluate_poly_matrix, poly_matrix
 from .fem import _NORM_RULE, FemSpace, assemble
 from .fourier import angular_grid, conjugation_defect, fourier_coefficients, reconstruct
 from .meshing import MeridianMesh, generate_structured
@@ -82,7 +82,8 @@ def strong_force(k: int, u, p: Poly2):
     """Body force of mode k produced by exact fields (u, p).
 
     Applies the strong operator coefficient-wise: vector Laplacian parts,
-    the 1/r**2 mass coupling, and the mode pressure gradient.
+    the 1/r**2 mass coupling, and the mode pressure gradient.  Returns
+    the triple (f_r, f_theta, f_z).
     """
     ur, ut, uz = u
     gp = mode_gradient(k, p)
@@ -90,28 +91,28 @@ def strong_force(k: int, u, p: Poly2):
     f_r = -ur.laplace_axi() + ((1 + kk) * ur + (2j * k) * ut).div_r(2) + gp[0]
     f_t = -ut.laplace_axi() + ((1 + kk) * ut + (-2j * k) * ur).div_r(2) + gp[1]
     f_z = -uz.laplace_axi() + (kk * uz).div_r(2) + gp[2]
-    return VectorModeFn(k, (f_r, f_t, f_z))
+    return f_r, f_t, f_z
 
 
 @dataclass(frozen=True)
 class ManufacturedCase:
     """Exact per-mode solution with its induced body force.
 
+    ``u`` and ``f`` are triples of polynomials (r, theta, z) of mode ``k``.
     ``g_div`` is the exact mode divergence (None means divergence-free,
     verified coefficient-wise at construction).
     """
 
     name: str
     k: int
-    u: VectorModeFn
+    u: tuple
     p: Poly2
-    f: VectorModeFn
+    f: tuple
     g_div: Poly2 = None
 
     @classmethod
     def from_fields(cls, name, k, u, p, g_div=None):
-        if not isinstance(u, VectorModeFn):
-            u = VectorModeFn(k, tuple(u))
+        u = tuple(u)
         f = strong_force(k, u, p)
         div = strong_divergence(k, u)
         target = g_div if g_div is not None else _ZERO
@@ -144,7 +145,7 @@ class ManufacturedCase:
         mesh = solution.space.mesh
         diffs = tuple(
             FieldDifference(field, exact)
-            for field, exact in zip(solution.velocity_fields(), self.u.components)
+            for field, exact in zip(solution.velocity_fields(), self.u)
         )
         err_u = vector_mode_norm(mesh, diffs, k=self.k).h1k
         p_exact = self.p - self.pressure_offset(mesh)
@@ -304,14 +305,10 @@ class DecayFamily:
 
     s: float
 
-    def amplitude(self, k):
-        """(1 + |k|)**-(s+1) of a wavenumber or an integer array of them."""
-        return (1.0 + np.abs(k)) ** (-(self.s + 1.0))
-
     def tail(self, n: int) -> float:
         """Root of the squared velocity and pressure mode norms summed over |k| > n.
 
-        Both norms of mode k are amplitude(k), so the squared tail is
+        Both norms of mode k are (1 + |k|)**-(s+1), so the squared tail is
         4 sum_{k > n} (1 + k)**-(2s+2) = 4 zeta(2s + 2, n + 2), Hurwitz zeta.
         """
         # Imported here: scipy.special would add 0.05 s to every package import.
@@ -402,10 +399,9 @@ def _random_scalar(rng, min_r_power=2) -> Poly2:
     return Poly2(coeffs)
 
 
-def _random_mode_field(rng, k, min_r_power=2) -> VectorModeFn:
+def _random_mode_field(rng, min_r_power=2) -> tuple:
     """Random polynomial mode shape with enough radial decay for 3D checks."""
-    comps = tuple(_random_scalar(rng, min_r_power) for _ in range(3))
-    return VectorModeFn(k, comps)
+    return tuple(_random_scalar(rng, min_r_power) for _ in range(3))
 
 
 def _mode_sampler(modes, scalars):
@@ -424,8 +420,7 @@ def _mode_sampler(modes, scalars):
     run in a process.
     """
     polys = []
-    for mode in modes:
-        comps = mode.components
+    for comps in modes:
         polys += [*comps, *(c.d_r() for c in comps), *(c.d_z() for c in comps)]
     polys += scalars
     matrix = poly_matrix(polys)
@@ -545,21 +540,20 @@ def _by_derivative(table):
     return table.reshape(table.shape[:1] + (3, 3) + table.shape[2:]).swapaxes(0, 1)
 
 
-def _family_integrals(mesh, thetas, modes_u, modes_v, modes_q):
+def _family_integrals(mesh, thetas, ks, modes_u, modes_v, modes_q):
     """The 3D integrals of one random field family and their mode sums.
 
-    ``modes_u``, ``modes_v`` (vector) and ``modes_q`` (scalar) hold one
-    polynomial mode per wavenumber.  Returns the ``_oracle_integrals``
-    (||u||^2, |u|_1^2, (grad u, grad v), -(div u, q)) and the mode sums of
-    the L2 norm, H1 seminorm, full norm, energy form and divergence
-    pairing.  The quadrature geometry is built once, and one pass over
+    ``modes_u``, ``modes_v`` (vector triples) and ``modes_q`` (scalar) hold
+    one polynomial mode per wavenumber of ``ks``.  Returns the
+    ``_oracle_integrals`` (||u||^2, |u|_1^2, (grad u, grad v), -(div u, q))
+    and the mode sums of the L2 norm, H1 seminorm, full norm, energy form
+    and divergence pairing.  The quadrature geometry is built once, and one pass over
     blocks of triangles samples all modes of a block at once; the 3D
     oracle and the norm engine's array cores read those samples, and the
     per-mode sums add up across blocks.  So the memory does not grow with
     the mesh.
     """
     R, Z, W = quadrature_geometry(mesh, _NORM_RULE)
-    ks = [m.k for m in modes_u]
     n = len(ks)
     sample = _mode_sampler([*modes_u, *modes_v], modes_q)
     block = _sample_block(R.shape[1], len(thetas))
@@ -590,14 +584,14 @@ def _family_integrals(mesh, thetas, modes_u, modes_v, modes_q):
     return tuple(three), sums
 
 
-def _field_defects(mesh, thetas, modes_u, modes_v, modes_q):
+def _field_defects(mesh, thetas, ks, modes_u, modes_v, modes_q):
     """Relative defects between the mode sums and the 3D integrals of a family.
 
     They are those of the L2 norm, H1 seminorm, full norm, energy form and
     divergence pairing, from ``_family_integrals``.
     """
     (l2, semi, energy, div), sums = _family_integrals(
-        mesh, thetas, modes_u, modes_v, modes_q
+        mesh, thetas, ks, modes_u, modes_v, modes_q
     )
     three = (l2, semi, l2 + semi, energy, div)
     return tuple(_relative_defect(a, b) for a, b in zip(three, sums))
@@ -620,19 +614,18 @@ def isometry_suite(mesh: MeridianMesh) -> list:
     worst = [0.0] * 5
     ks = list(range(-_ISO_K_MAX, _ISO_K_MAX + 1))
     for _ in range(_ISO_N_FIELDS):
-        modes_u = [_random_mode_field(rng, k) for k in ks]
-        modes_v = [_random_mode_field(rng, k) for k in ks]
+        modes_u = [_random_mode_field(rng) for _ in ks]
+        modes_v = [_random_mode_field(rng) for _ in ks]
         modes_q = [_random_scalar(rng) for _ in ks]
-        defects = _field_defects(mesh, thetas, modes_u, modes_v, modes_q)
+        defects = _field_defects(mesh, thetas, ks, modes_u, modes_v, modes_q)
         worst = [max(w, d) for w, d in zip(worst, defects)]
     worst_l2, worst_semi, worst_full, worst_energy, worst_div = worst
 
     # Polarization identity, pointwise exact regrouping.
     worst_polar = 0.0
     for k in ks:
-        v = _random_mode_field(rng, k, min_r_power=1)
-        vr, vt, vz = v.components
-        lhs = vector_mode_norm(mesh, v).h1k_sq
+        vr, vt, vz = v = _random_mode_field(rng, min_r_power=1)
+        lhs = vector_mode_norm(mesh, v, k).h1k_sq
         plus = vr + Poly2({(0, 0): 1j}) * vt
         minus = vr + Poly2({(0, 0): -1j}) * vt
         rhs = (
@@ -646,8 +639,8 @@ def isometry_suite(mesh: MeridianMesh) -> list:
     worst_bounds = 0.0
     for k in (2, 3, 5, 10):
         for _ in range(4):
-            v = _random_mode_field(rng, k, min_r_power=1)
-            rep = vector_mode_norm(mesh, v)
+            v = _random_mode_field(rng, min_r_power=1)
+            rep = vector_mode_norm(mesh, v, k)
             ratio = rep.h1k / rep.h1k_star
             worst_bounds = max(
                 worst_bounds, max(0.5 - ratio, ratio - 1.5, 0.0)
@@ -657,8 +650,8 @@ def isometry_suite(mesh: MeridianMesh) -> list:
     # toward one as the wavenumber grows.
     trend_ratios = []
     for k in (2, 3, 5, 10, 20):
-        v = VectorModeFn(k, (_R, Poly2({(0, 0): -1j}) * _R, _ZERO))
-        rep = vector_mode_norm(mesh, v)
+        v = (_R, Poly2({(0, 0): -1j}) * _R, _ZERO)
+        rep = vector_mode_norm(mesh, v, k)
         trend_ratios.append(rep.h1k / rep.h1k_star)
     trend_ok = all(
         later <= earlier + 1e-12
@@ -678,18 +671,13 @@ def isometry_suite(mesh: MeridianMesh) -> list:
     for _ in range(3):
         modes = {}
         for k in range(0, _ISO_K_MAX + 1):
-            m = _random_mode_field(rng, k)
+            m = _random_mode_field(rng)
             if k == 0:
                 # The axisymmetric coefficient of a real field is real.
-                m = VectorModeFn(
-                    0,
-                    tuple(
-                        0.5 * (c + c.conj()) for c in m.components
-                    ),
-                )
+                m = tuple(0.5 * (c + c.conj()) for c in m)
             modes[k] = m
             if k > 0:
-                modes[-k] = m.conj()
+                modes[-k] = tuple(c.conj() for c in m)
         total = reconstruct(
             {k: [c(Rg, Zg) for c in m] for k, m in modes.items()},
             grid,
@@ -747,14 +735,13 @@ def stability_study(ks=range(0, 21), h: float = 1 / 8) -> StabilityStudy:
     """
     mesh = generate_structured((1.0, 1.0), h)
     space = FemSpace(mesh)
-    f = VectorModeFn(0, (_R * _Z, _R * _Z, _R + _Z))
+    f = (_R * _Z, _R * _Z, _R + _Z)
     ks = list(ks)
     ratios = []
     for k in ks:
-        fk = VectorModeFn(k, f.components)
         system = assemble(space, k)
-        sol = solve_mode(system, f=fk)
-        dual = system.dual_norm(fk)
+        sol = solve_mode(system, f=f)
+        dual = system.dual_norm(f)
         u_norm = vector_mode_norm(mesh, sol.velocity_fields(), k=k).h1k
         p_norm = scalar_mode_norm(mesh, sol.pressure_field(), k).l2_1
         ratios.append((u_norm + p_norm) / dual)

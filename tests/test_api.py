@@ -4,8 +4,9 @@ The package star-imports its modules, so a name in two modules' lists, or
 one equal to a module's name, would be shadowed without an error.  Every
 name a module imports at its top level is used there.  Every name a module
 binds at its top level, exported or not, and every field of a dataclass it
-defines, is read by the package, the demos or the benchmark, so none is
-there for its own tests only.  The angular transform has one home too:
+defines, and every method and property of a class it defines, is read by
+the package, the demos or the benchmark, so none is there for its own
+tests only.  The angular transform has one home too:
 no module but ``fourier`` takes an FFT.
 """
 
@@ -18,6 +19,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -267,21 +269,21 @@ def _dataclass_fields(module) -> set:
     }
 
 
-def _unread_fields(fields, sources) -> set:
-    """The (class, field) pairs whose field no source loads as an attribute."""
+def _unread_attributes(members, sources) -> set:
+    """The (class, name) pairs whose name no source loads as an attribute."""
     loaded = {
         node.attr
         for text in sources
         for node in ast.walk(ast.parse(text))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    return {(cls, name) for cls, name in fields if name not in loaded}
+    return {(cls, name) for cls, name in members if name not in loaded}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_dataclass_fields_are_read_outside_tests(module):
     sources = [p.read_text() for p in _reader_paths()]
-    unread = _unread_fields(_dataclass_fields(module), sources)
+    unread = _unread_attributes(_dataclass_fields(module), sources)
     assert not unread, (
         f"{module.__name__} defines the fields {sorted(unread)}, which only tests read"
     )
@@ -297,9 +299,85 @@ def test_dataclass_field_read_only_by_tests_is_caught():
         "print(report.read)\n"
     )
     fields = {("Report", "read"), ("Report", "written"), ("Report", "unread")}
-    assert _unread_fields(fields, [source]) == {("Report", "written"), ("Report", "unread")}
+    assert _unread_attributes(fields, [source]) == {("Report", "written"), ("Report", "unread")}
     assert ("SolveReport", "res_u") in _dataclass_fields(axistokes.solver)
     assert ("SolverConfig", "tol") in _dataclass_fields(axistokes.solver)
+
+
+_MEMBER_KINDS = (types.FunctionType, property, classmethod, staticmethod)
+
+
+def _class_members(classes) -> set:
+    """(class, name) of the methods and properties the classes define.
+
+    Dunders are left out, and so is a member that overrides one of a base
+    class, such as ``_Parser.error``: the base class reads it.
+    """
+    return {
+        (cls.__name__, name)
+        for cls in classes
+        for name, member in vars(cls).items()
+        if isinstance(member, _MEMBER_KINDS)
+        and not (name.startswith("__") and name.endswith("__"))
+        and not any(name in vars(base) for base in cls.__mro__[1:])
+    }
+
+
+def _module_classes(module) -> list:
+    return [
+        obj
+        for obj in vars(module).values()
+        if inspect.isclass(obj) and obj.__module__ == module.__name__
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_methods_and_properties_are_read_outside_tests(module):
+    sources = [p.read_text() for p in _reader_paths()]
+    unread = _unread_attributes(_class_members(_module_classes(module)), sources)
+    assert not unread, (
+        f"{module.__name__} defines the members {sorted(unread)}, which only tests read"
+    )
+
+
+def test_method_read_only_by_tests_is_caught():
+    # Negative control: dunders and an override of a base class's method
+    # are skipped; a method, property or classmethod counts as read once
+    # any source loads it, and an assignment is not a load.
+    class Base:
+        def shared(self):
+            pass
+
+    class Sample(Base):
+        def shared(self):
+            pass
+
+        def __repr__(self):
+            return "Sample"
+
+        def read(self):
+            pass
+
+        def unread(self):
+            pass
+
+        @property
+        def shown(self):
+            return 1
+
+        @classmethod
+        def build(cls):
+            return cls()
+
+    members = _class_members([Sample])
+    assert members == {
+        ("Sample", name) for name in ("read", "unread", "shown", "build")
+    }
+    source = "x = Sample.build()\nx.read()\nprint(x.shown)\nx.unread = 1\n"
+    assert _unread_attributes(members, [source]) == {("Sample", "unread")}
+    cli_members = _class_members(_module_classes(importlib.import_module("axistokes.cli")))
+    assert ("_Parser", "error") not in cli_members
+    assert ("Poly2", "d_r") in _class_members(_module_classes(axistokes.fields))
 
 
 def _fft_lines(source: str) -> list:

@@ -71,7 +71,7 @@ def test_manufactured_solve_reproduces_exact_field(tmp_path, name):
     mesh = read_mesh(out / "mesh.txt")
     space = FemSpace(mesh)
     r, z = space.dof_coords.T
-    u_exact = np.stack([c(r, z) for c in case.u.components])
+    u_exact = np.stack([c(r, z) for c in case.u])
     p_exact = case.p(*mesh.vertices.T) - case.pressure_offset(mesh)
     for k, mode in stack.modes.items():
         want_u, want_p = (u_exact, p_exact) if k == case.k else (0.0, 0.0)
@@ -276,6 +276,26 @@ def test_norms_of_a_truncated_stack_exit_3(tmp_path, capsys):
         f"error: {out / 'stack'}: modes have 80 velocity and 25 pressure dofs, "
         "the mesh has 81 and 25\n"
     )
+
+
+def test_methods_agree_on_axisymmetric_data_with_net_flux(tmp_path, capsys):
+    # g = 1 carries net flux at k = 0; both methods warn of it and balance
+    # it the same way, so their norm tables agree.
+    tables = {}
+    for method in ("direct", "uzawa"):
+        out = tmp_path / method
+        extra = f"\n[modes]\nn_max = 0\n\n[solver]\nmethod = {method}\ntol = 1e-12\n"
+        body = _base(out, data="fr = r*z\nftheta = 0\nfz = z\ng = 1", extra=extra)
+        cfg = _config(tmp_path, body.replace("h = 0.25", "h = 0.125"), f"{method}.ini")
+        with pytest.warns(UserWarning, match="net volume flux"):
+            assert main(["solve", "--config", cfg]) == 0
+        assert "compatibility flux defect" in capsys.readouterr().out
+        tables[method] = [
+            np.array([row.split(", ") for row in (out / name).read_text().splitlines()[1:]], float)
+            for name in NORM_TABLES
+        ]
+    for direct, uzawa in zip(tables["direct"], tables["uzawa"]):
+        np.testing.assert_allclose(uzawa, direct, rtol=1e-8, atol=0)
 
 
 def test_uzawa_solve_writes_residual_history(tmp_path):
@@ -558,6 +578,10 @@ def test_load_config_validation_details(tmp_path):
         load_config(_config(tmp_path, body + "h = 0.5\n", "trunc_h.ini"))
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.ini")
+    # Distinct s values whose tables would share a file name are refused.
+    clash = _config(tmp_path, body.replace("s = 2 0.5 2", "s = 1 1.0000001"), "clash.ini")
+    with pytest.raises(ConfigError, match=r"1\.0 and 1\.0000001 .* truncation_s1\.csv"):
+        load_config(clash)
 
 
 def test_readme_config_loads(tmp_path):

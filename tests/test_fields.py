@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axistokes.fields import Poly2, VectorModeFn, evaluate_polys
+from axistokes.fields import Poly2, evaluate_polys
 
 
 def _per_term(poly, r, z):
@@ -75,12 +75,3 @@ def test_single_polynomial_keeps_the_broadcast_shape():
     assert Poly2.zero()(np.ones(4), 0.0).tolist() == [0j] * 4
 
 
-def test_vector_mode_components_are_callables():
-    comps = (Poly2.monomial(1, 0), lambda r, z: r * z, Poly2.zero())
-    v = VectorModeFn(2, list(comps))
-    assert v.components == comps
-    assert tuple(v) == comps
-    with pytest.raises(TypeError, match="not callable"):
-        VectorModeFn(1, (Poly2.zero(), 1.0, Poly2.zero()))
-    with pytest.raises(ValueError, match="three components"):
-        VectorModeFn(1, comps[:2])

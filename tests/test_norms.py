@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from axistokes.fem import FemScalarField, FemSpace
-from axistokes.fields import Poly2, VectorModeFn
+from axistokes.fields import Poly2
 from axistokes.meshing import DomainSpec, generate_structured, mesh_from_spec, refine
 from axistokes.norms import (
     FieldDifference,
@@ -73,8 +73,8 @@ def test_scalar_mode_norm_of_rz(square):
 def test_vector_mode_norm_coupling_terms(square):
     # v = (r, -i r, 0) makes v_r + i v_theta = 2r and v_r - i v_theta = 0,
     # isolating the (k+1)^2 branch of the coupling.
-    v = VectorModeFn(2, (R, -1j * R, ONE * 0.0))
-    rep = vector_mode_norm(square, v)
+    v = (R, -1j * R, ONE * 0.0)
+    rep = vector_mode_norm(square, v, 2)
     assert rep.k == 2
     assert rep.l2_1_sq == pytest.approx(0.5, rel=1e-13)
     assert rep.h1_1_semi_sq == pytest.approx(1.0, rel=1e-13)
@@ -86,9 +86,10 @@ def test_vector_mode_norm_coupling_terms(square):
     assert rep.h1k_star_sq == pytest.approx(5.5, rel=1e-13)
 
 
-def test_vector_norm_requires_wavenumber_for_bare_triples(square):
-    with pytest.raises(ValueError, match="pass k"):
-        vector_mode_norm(square, (R, R, R))
+def test_vector_norm_requires_three_components(square):
+    for comps in ((R, R), (R, R, R, R)):
+        with pytest.raises(ValueError, match="three components"):
+            vector_mode_norm(square, comps, 1)
 
 
 def test_callables_have_values_but_no_gradients(square):
@@ -104,7 +105,7 @@ def test_callables_have_values_but_no_gradients(square):
     calls.clear()
     for measure in (
         lambda: scalar_mode_norm(square, rz, 0),
-        lambda: vector_mode_norm(square, VectorModeFn(1, (rz, R, R))),
+        lambda: vector_mode_norm(square, (rz, R, R), 1),
     ):
         with pytest.raises(TypeError, match="no derivatives"):
             measure()
@@ -112,8 +113,8 @@ def test_callables_have_values_but_no_gradients(square):
 
 
 def test_component_breakdown_sums_to_totals(square):
-    v = VectorModeFn(1, (R * Z, 1j * R * R, Z * Z * R))
-    rep = vector_mode_norm(square, v)
+    v = (R * Z, 1j * R * R, Z * Z * R)
+    rep = vector_mode_norm(square, v, 1)
     geometry = quadrature_geometry(square, triangle_rule(DEFAULT_NORM_DEGREE))
     rows, _ = sampled_vector_sums(*_sample_vector(v, square, geometry), geometry[0], geometry[2])
     l2_1, l2_m1, semi = rows.sum(axis=0)
@@ -128,23 +129,20 @@ def test_energy_product_matches_seminorm(square):
     rng = np.random.default_rng(3)
     for k in (0, 1, 3):
         coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        u = VectorModeFn(
-            k,
-            (
-                coeffs[0] * R * Z + coeffs[1] * R * R,
-                coeffs[2] * R * Z + coeffs[3] * R,
-                coeffs[4] * R * Z * Z + coeffs[5] * R,
-            ),
+        u = (
+            coeffs[0] * R * Z + coeffs[1] * R * R,
+            coeffs[2] * R * Z + coeffs[3] * R,
+            coeffs[4] * R * Z * Z + coeffs[5] * R,
         )
         quad = mode_energy_product(square, k, u, u)
-        rep = vector_mode_norm(square, u)
+        rep = vector_mode_norm(square, u, k)
         assert quad.imag == pytest.approx(0.0, abs=1e-12 * abs(quad.real))
         assert quad.real == pytest.approx(rep.h1k_semi_sq, rel=1e-12)
 
 
 def test_energy_product_hermitian(square):
-    u = VectorModeFn(2, (R * Z, 1j * R, R * R))
-    v = VectorModeFn(2, ((1 + 2j) * R, Z * R, -1j * R * Z))
+    u = (R * Z, 1j * R, R * R)
+    v = ((1 + 2j) * R, Z * R, -1j * R * Z)
     uv = mode_energy_product(square, 2, u, v)
     vu = mode_energy_product(square, 2, v, u)
     assert uv == pytest.approx(np.conj(vu), rel=1e-13)
@@ -161,7 +159,7 @@ def test_energy_product_hermitian(square):
     ],
 )
 def test_divergence_pairing_closed_forms(square, k, v, q, exact):
-    value = mode_divergence_product(square, k, VectorModeFn(k, v), q)
+    value = mode_divergence_product(square, k, v, q)
     assert value == pytest.approx(exact, rel=1e-13)
 
 
@@ -191,13 +189,13 @@ def test_axis_violation_grows_under_refinement():
     # while an admissible field reproduces to round-off.
     mesh = generate_structured((1.0, 1.0), 0.25)
     fine_mesh = refine(mesh)
-    bad = VectorModeFn(2, (ONE * 0.0, ONE, ONE * 0.0))
-    coarse = vector_mode_norm(mesh, bad).h1k_sq
-    fine = vector_mode_norm(fine_mesh, bad).h1k_sq
+    bad = (ONE * 0.0, ONE, ONE * 0.0)
+    coarse = vector_mode_norm(mesh, bad, 2).h1k_sq
+    fine = vector_mode_norm(fine_mesh, bad, 2).h1k_sq
     assert fine > 1.05 * coarse
-    good = VectorModeFn(2, (R, R, R))
-    coarse = vector_mode_norm(mesh, good).h1k_sq
-    fine = vector_mode_norm(fine_mesh, good).h1k_sq
+    good = (R, R, R)
+    coarse = vector_mode_norm(mesh, good, 2).h1k_sq
+    fine = vector_mode_norm(fine_mesh, good, 2).h1k_sq
     assert fine == pytest.approx(coarse, rel=1e-10)
 
 
@@ -206,9 +204,9 @@ def test_refinement_converges_for_smooth_fields():
     # the values agree to round-off.
     coarse = generate_structured((1.0, 1.0), 0.5)
     fine = refine(coarse)
-    v = VectorModeFn(3, (R * R, 1j * R * Z, R * Z))
-    a = vector_mode_norm(coarse, v).h1k_sq
-    b = vector_mode_norm(fine, v).h1k_sq
+    v = (R * R, 1j * R * Z, R * Z)
+    a = vector_mode_norm(coarse, v, 3).h1k_sq
+    b = vector_mode_norm(fine, v, 3).h1k_sq
     assert a == pytest.approx(b, rel=1e-12)
 
 

@@ -126,7 +126,7 @@ def test_real_data_takes_one_real_column(cases, monkeypatch, name):
 
 def test_imaginary_axisymmetric_force_gives_i_times_the_solution(space, cases):
     case = cases["k0_convergence"]
-    f = tuple(1j * c for c in case.f.components)
+    f = tuple(1j * c for c in case.f)
     sol = solve_mode(assemble(space, 0), f=f)
     # A purely imaginary force gives i times the real-force solution.
     ref = solve_mode(assemble(space, 0), f=case.f)
@@ -148,6 +148,22 @@ def test_direct_and_uzawa_agree(space, cases):
     scale = np.abs(direct.u).max()
     assert np.abs(direct.u - uzawa.u).max() <= 1e-8 * scale
     assert np.abs(direct.p - uzawa.p).max() <= 1e-8 * scale
+
+
+def test_direct_and_uzawa_agree_on_axisymmetric_data_with_net_flux(space):
+    # Divergence data g = 1 carries net flux at k = 0.  Both methods balance
+    # it along the weighted-mean vector m, so they solve one problem.
+    f = (RZ, 0.0 * RZ, Z)
+    one = Poly2({(0, 0): 1.0})
+    sols = {}
+    for method in ("direct", "uzawa"):
+        config = SolverConfig(method=method, tol=1e-12)
+        with pytest.warns(UserWarning, match="net volume flux"):
+            sols[method] = solve_mode(assemble(space, 0), f=f, g_div=one, config=config)
+    direct, uzawa = sols["direct"], sols["uzawa"]
+    assert uzawa.report.converged
+    assert np.abs(uzawa.u - direct.u).max() <= 1e-10 * np.abs(direct.u).max()
+    assert np.abs(uzawa.p - direct.p).max() <= 1e-10 * np.abs(direct.p).max()
 
 
 def test_divergence_data_path(space):

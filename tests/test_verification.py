@@ -12,7 +12,6 @@ from axistokes import fourier, norms, verification
 from axistokes.cli import L_SHAPE
 from axistokes.fields import (
     Poly2,
-    VectorModeFn,
     evaluate_poly_matrix,
     evaluate_polys,
     poly_matrix,
@@ -75,7 +74,7 @@ def test_builtin_cases_divergence_and_axis_traces(cases):
         assert case.name == name
         declared = case.g_div if case.g_div is not None else ZERO
         assert (strong_divergence(case.k, case.u) - declared).max_abs_coeff() <= 1e-12
-        ur, ut, uz = case.u.components
+        ur, ut, uz = case.u
         z = np.linspace(0.1, 0.9, 5)
         if case.k == 0:
             assert np.abs(ur(0.0 * z, z)).max() == 0.0
@@ -129,15 +128,6 @@ def test_convergence_study_quick_run(cases):
     assert len(study.csv().strip().splitlines()) == 3
 
 
-def test_decay_family_amplitude():
-    fam = DecayFamily(1.0)
-    assert fam.amplitude(0) == 1.0
-    assert fam.amplitude(3) == pytest.approx(1.0 / 16.0)
-    assert fam.amplitude(-3) == fam.amplitude(3)
-    ks = np.array([0, 3, -3, 7])
-    assert fam.amplitude(ks).tolist() == [fam.amplitude(int(k)) for k in ks]
-
-
 def test_truncation_study_analytic_unit_decay():
     study = truncation_study(DecayFamily(1.0))
     assert study.ns == [2, 4, 8, 16, 32]
@@ -154,11 +144,12 @@ def test_truncation_study_analytic_unit_decay():
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
 def test_truncation_tails_match_a_direct_sum(s):
-    # The closed form against 2 amplitude(k)**2 summed over N < |k| <= 10**6;
-    # what lies beyond 10**6 is below 1e-9 of the tail even at s = 0.5.
+    # The closed form against the sum over N < |k| <= 10**6 of the squared
+    # velocity and pressure norms of mode k, each (1 + |k|)**-(s+1); what
+    # lies beyond 10**6 is below 1e-9 of the tail even at s = 0.5.
     family = DecayFamily(s)
     ns = (2, 4, 8, 16, 32)
-    squares = 2.0 * family.amplitude(np.arange(1, 10**6 + 1)) ** 2
+    squares = 2.0 * (1.0 + np.arange(1, 10**6 + 1)) ** (-2.0 * (s + 1.0))
     direct = [np.sqrt(2.0 * squares[n:].sum()) for n in ns]
     np.testing.assert_allclose(truncation_study(family, ns).tails, direct, rtol=1e-8, atol=0)
 
@@ -204,13 +195,13 @@ def test_isometry_suite_smoke():
 def test_oracle_closed_forms(k, components, want):
     mesh = generate_structured((1.0, 1.0), 0.25)
     R_, Z_, W = quadrature_geometry(mesh, triangle_rule(DEFAULT_NORM_DEGREE))
-    table, q_vals = _mode_sampler([VectorModeFn(k, components)], [ONE])(R_, Z_)
+    table, q_vals = _mode_sampler([components], [ONE])(R_, Z_)
     got = _oracle_integrals(R_, W, angular_grid(16), [k], table, table, q_vals)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-14
 
 
-def _whole_mesh_oracle(mesh, rule, thetas, modes_u, modes_v, modes_q):
+def _whole_mesh_oracle(mesh, rule, thetas, ks, modes_u, modes_v, modes_q):
     """The 3D integrals as the isometry suite formed them over the whole mesh.
 
     Each mode is sampled on its own, the mode sums span every triangle at
@@ -220,10 +211,9 @@ def _whole_mesh_oracle(mesh, rule, thetas, modes_u, modes_v, modes_q):
 
     def cartesian(modes):
         samples = []
-        for m in modes:
-            comps = m.components
+        for k, comps in zip(ks, modes):
             polys = [*comps, *(c.d_r() for c in comps), *(c.d_z() for c in comps)]
-            samples.append((m.k, evaluate_polys(polys, R, Z)))
+            samples.append((k, evaluate_polys(polys, R, Z)))
 
         def mode_sum(part):
             return reconstruct({k: part(k, t) for k, t in samples}, thetas)
@@ -254,7 +244,7 @@ def _whole_mesh_oracle(mesh, rule, thetas, modes_u, modes_v, modes_q):
         np.sum(w3 * (udx * np.conj(vdx) + udy * np.conj(vdy) + udz * np.conj(vdz)))
         for udx, udy, udz, vdx, vdy, vdz in zip(ux, uy, uz, vx, vy, vz)
     )
-    qval = reconstruct({m.k: q(R, Z) for m, q in zip(modes_u, modes_q)}, thetas)
+    qval = reconstruct({k: q(R, Z) for k, q in zip(ks, modes_q)}, thetas)
     div = -np.sum(w3 * (ux[0] + uy[1] + uz[2]) * np.conj(qval))
     return l2, semi, energy, div
 
@@ -277,14 +267,11 @@ def test_blocked_oracle_matches_whole_mesh_integrals(mesh):
     assert mesh.triangles.shape[0] > 2 * block
     assert mesh.triangles.shape[0] % block != 0
     rng = np.random.default_rng(11)
-    ks = range(-k_max, k_max + 1)
-    modes_u = [_random_mode_field(rng, k) for k in ks]
-    modes_v = [_random_mode_field(rng, k) for k in ks]
-    modes_q = [_random_scalar(rng) for _ in ks]
+    ks, modes_u, modes_v, modes_q = _random_family(rng, k_max)
     table, q_vals = _mode_sampler([*modes_u, *modes_v], modes_q)(R, Z)
     n = len(modes_u)
-    blocked = _oracle_integrals(R, W, thetas, list(ks), table[:n], table[n:], q_vals)
-    whole = _whole_mesh_oracle(mesh, rule, thetas, modes_u, modes_v, modes_q)
+    blocked = _oracle_integrals(R, W, thetas, ks, table[:n], table[n:], q_vals)
+    whole = _whole_mesh_oracle(mesh, rule, thetas, ks, modes_u, modes_v, modes_q)
     for got, want in zip(blocked, whole):
         assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -295,7 +282,7 @@ def test_array_cores_reproduce_the_mode_norm_functions(k):
     rule = triangle_rule(DEFAULT_NORM_DEGREE)
     R, Z, W = quadrature_geometry(mesh, rule)
     rng = np.random.default_rng(3)
-    u, v = (_random_mode_field(rng, k, min_r_power=1) for _ in range(2))
+    u, v = (_random_mode_field(rng, min_r_power=1) for _ in range(2))
     q = _random_scalar(rng)
     table, (q_val,) = _mode_sampler([u, v], [q])(R, Z)
     su, sv = np.split(table[0], 3), np.split(table[1], 3)
@@ -303,7 +290,7 @@ def test_array_cores_reproduce_the_mode_norm_functions(k):
     def close(got, want):
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
-    got, want = sums_report(k, *sampled_vector_sums(*su, R, W)), vector_mode_norm(mesh, u)
+    got, want = sums_report(k, *sampled_vector_sums(*su, R, W)), vector_mode_norm(mesh, u, k)
     assert got.k == want.k == k
     for name in ("l2_1_sq", "l2_m1_sq", "h1_1_semi_sq", "h1k_sq", "h1k_semi_sq", "h1k_star_sq"):
         close(getattr(got, name), getattr(want, name))
@@ -326,12 +313,8 @@ def _small_family_defects(seed):
     """``_field_defects`` of one random family with k_max = 2 on a coarse square."""
     mesh = generate_structured((1.0, 1.0), 0.5)
     k_max = 2
-    rng = np.random.default_rng(seed)
-    ks = range(-k_max, k_max + 1)
-    modes_u = [_random_mode_field(rng, k) for k in ks]
-    modes_v = [_random_mode_field(rng, k) for k in ks]
-    modes_q = [_random_scalar(rng) for _ in ks]
-    return _field_defects(mesh, angular_grid(4 * k_max + 8), modes_u, modes_v, modes_q)
+    family = _random_family(np.random.default_rng(seed), k_max)
+    return _field_defects(mesh, angular_grid(4 * k_max + 8), *family)
 
 
 def test_field_defects_build_the_quadrature_geometry_once(monkeypatch):
@@ -359,15 +342,15 @@ def test_field_defects_take_no_angular_mode_sum_or_rotation(monkeypatch):
 
 
 def _random_family(rng, k_max):
-    """(modes_u, modes_v, modes_q) of one isometry-suite family, |k| <= k_max."""
-    ks = range(-k_max, k_max + 1)
-    modes_u = [_random_mode_field(rng, k) for k in ks]
-    modes_v = [_random_mode_field(rng, k) for k in ks]
+    """(ks, modes_u, modes_v, modes_q) of one isometry-suite family, |k| <= k_max."""
+    ks = list(range(-k_max, k_max + 1))
+    modes_u = [_random_mode_field(rng) for _ in ks]
+    modes_v = [_random_mode_field(rng) for _ in ks]
     modes_q = [_random_scalar(rng) for _ in ks]
-    return modes_u, modes_v, modes_q
+    return ks, modes_u, modes_v, modes_q
 
 
-def _whole_mesh_sums(mesh, thetas, modes_u, modes_v, modes_q):
+def _whole_mesh_sums(mesh, thetas, ks, modes_u, modes_v, modes_q):
     """The 3D integrals and mode sums of a family from one whole-mesh table.
 
     This is how ``_field_defects`` formed them before its blocked pass: the
@@ -375,7 +358,6 @@ def _whole_mesh_sums(mesh, thetas, modes_u, modes_v, modes_q):
     mode's sums come from the per-mode array cores.
     """
     R, Z, W = quadrature_geometry(mesh, triangle_rule(DEFAULT_NORM_DEGREE))
-    ks = [m.k for m in modes_u]
     table, q_vals = _mode_sampler([*modes_u, *modes_v], modes_q)(R, Z)
     table_u, table_v = table[: len(ks)], table[len(ks) :]
     oracle = _oracle_integrals(R, W, thetas, ks, table_u, table_v, q_vals)
@@ -422,8 +404,7 @@ def test_blocked_pass_matches_the_whole_mesh_sums(mesh):
 def test_mode_axis_cores_reproduce_the_per_mode_cores():
     mesh = generate_structured((1.0, 1.0), 0.5)
     R, Z, W = quadrature_geometry(mesh, triangle_rule(DEFAULT_NORM_DEGREE))
-    modes_u, modes_v, modes_q = _random_family(np.random.default_rng(4), 3)
-    ks = [m.k for m in modes_u]
+    ks, modes_u, modes_v, modes_q = _random_family(np.random.default_rng(4), 3)
     table, q_vals = _mode_sampler([*modes_u, *modes_v], modes_q)(R, Z)
     rows = (slice(0, 3), slice(3, 6), slice(6, 9))
     su = tuple(table[: len(ks), r] for r in rows)
