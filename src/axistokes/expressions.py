@@ -30,6 +30,9 @@ _NAMES = ("r", "z", "theta")
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)
 
+# Samples (points x angles) of one formula evaluated and transformed at a time.
+_BLOCK_SAMPLES = 2**15
+
 
 class ExpressionError(ValueError):
     """The expression does not fit the supported grammar."""
@@ -122,11 +125,13 @@ def _evaluate(code, r, z, theta) -> np.ndarray:
 class _SharedSampling:
     """Coefficients of wavenumbers ``ks`` of compiled expressions on one grid.
 
-    The first evaluation at a set of points samples each expression there
-    once on the n-point angular grid and keeps the coefficients of every
-    k in ``ks``; later evaluations at the same points reuse them.  Like
-    the finite element space, a sampling serves one thread: the modes
-    that share it are solved one after another.
+    The first evaluation at a set of points samples each expression once
+    per point on the n-point angular grid, in blocks of about
+    ``_BLOCK_SAMPLES`` samples, and keeps the coefficients of every k in
+    ``ks``; later evaluations at the same points reuse them.  Each point's
+    FFT runs along its own row, so the blocks change no bit of the
+    coefficients.  Like the finite element space, a sampling serves one
+    thread: the modes that share it are solved one after another.
     """
 
     def __init__(self, fns, ks, n: int):
@@ -151,11 +156,16 @@ class _SharedSampling:
 
     def _sample(self, r, z) -> np.ndarray:
         out = np.empty((len(self.fns),) + r.shape + (len(self.ks),), dtype=complex)
+        rows = out.reshape(len(self.fns), -1, len(self.ks))
+        r, z = r.ravel()[:, None], z.ravel()[:, None]
+        step = max(1, _BLOCK_SAMPLES // len(self.thetas))
         with np.errstate(invalid="ignore", over="ignore"):
             for c, fn in enumerate(self.fns):
-                vals = fn(r[..., None], z[..., None], self.thetas)
-                vals = np.broadcast_to(vals, r.shape + self.thetas.shape)
-                out[c] = fourier_coefficients(vals, self.ks)
+                for lo in range(0, len(r), step):
+                    hi = min(lo + step, len(r))
+                    vals = fn(r[lo:hi], z[lo:hi], self.thetas)
+                    vals = np.broadcast_to(vals, (hi - lo,) + self.thetas.shape)
+                    rows[c, lo:hi] = fourier_coefficients(vals, self.ks)
         return out
 
 

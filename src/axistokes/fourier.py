@@ -25,6 +25,7 @@ integrands of resolved fields cannot alias into an extracted bin;
 and ``AngularSamples`` takes powers of two only.
 """
 
+import contextlib
 import itertools
 import re
 from dataclasses import dataclass
@@ -52,6 +53,8 @@ __all__ = [
 ]
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+# Rows of a mode file formatted and written at a time.
+_CHUNK_ROWS = 1024
 
 
 def angular_grid(n_theta: int) -> np.ndarray:
@@ -282,32 +285,37 @@ def write_stack(stack: FourierStack, directory) -> None:
         if k < 0 and paired(k):
             continue  # written with mode -k
         mv = stack.modes[k]
-        if not paired(k):
-            _write_mode(directory, k, mv.n_vel, _value_columns(mv))
-            continue
+        mirror = stack.modes[-k] if paired(k) else None
         # Real data: mode -k is normally conj(mode k) bit for bit, so its
         # real columns are mode k's text and its imaginary ones that text
-        # negated.  Bytes, not ==, decide: 0.0 == -0.0 but the reprs differ.
-        columns = [list(c) for c in _value_columns(mv)]
-        _write_mode(directory, k, mv.n_vel, columns)
-        mirror = stack.modes[-k]
-        if (
-            mirror.u.tobytes() == np.conj(mv.u).tobytes()
-            and mirror.p.tobytes() == np.conj(mv.p).tobytes()
-        ):
-            columns[1::2] = [list(map(_negated, c)) for c in columns[1::2]]
-        else:
-            columns = _value_columns(mirror)
-        _write_mode(directory, -k, mv.n_vel, columns)
+        # negated.
+        mirrored = mirror is not None and _conjugate_bits(mv, mirror)
+        _write_mode(directory, k, mv.n_vel, _value_columns(mv), mirrored)
+        if mirror is not None and not mirrored:
+            _write_mode(directory, -k, mv.n_vel, _value_columns(mirror))
+
+
+def _conjugate_bits(mv: ModeVectors, mirror: ModeVectors) -> bool:
+    """Whether ``mirror`` is conj(mv) bit for bit, compared a chunk at a time.
+
+    Bytes, not ==, decide: 0.0 == -0.0 but the reprs differ.
+    """
+    return all(
+        a[i : i + _CHUNK_ROWS].tobytes() == np.conj(b[i : i + _CHUNK_ROWS]).tobytes()
+        for a, b in zip((*mirror.u, mirror.p), (*mv.u, mv.p))
+        for i in range(0, len(a), _CHUNK_ROWS)
+    )
 
 
 def _value_columns(mv: ModeVectors) -> list:
-    """repr text of the real and imaginary parts of u_r, u_theta, u_z and p."""
-    return [
-        map(repr, part.tolist())
-        for values in (*mv.u, mv.p)
-        for part in (values.real, values.imag)
-    ]
+    """repr text of the real and imaginary parts of u_r, u_theta, u_z and p, lazily."""
+    return [_reprs(part) for values in (*mv.u, mv.p) for part in (values.real, values.imag)]
+
+
+def _reprs(values: np.ndarray):
+    """repr text of a 1D array's entries, converted a chunk at a time."""
+    for i in range(0, len(values), _CHUNK_ROWS):
+        yield from map(repr, values[i : i + _CHUNK_ROWS].tolist())
 
 
 def _negated(text: str) -> str:
@@ -317,11 +325,30 @@ def _negated(text: str) -> str:
     return text if text == "nan" else "-" + text
 
 
-def _write_mode(directory: Path, k: int, n_vel: int, columns) -> None:
+def _write_mode(directory: Path, k: int, n_vel: int, columns, mirrored=False) -> None:
+    """Write mode k's file from its value columns, ``_CHUNK_ROWS`` rows at a time.
+
+    When ``mirrored``, mode -k's file is written from the same text, its
+    imaginary columns negated.
+    """
+    with contextlib.ExitStack() as files:
+        names = (k, -k) if mirrored else (k,)
+        out = [files.enter_context(open(directory / f"mode_{m}.csv", "w")) for m in names]
+        for fh in out:
+            fh.write(_MODE_HEADER + "\n")
+        index = map(str, range(n_vel))
+        while chunk := list(itertools.islice(index, _CHUNK_ROWS)):
+            parts = [list(itertools.islice(c, _CHUNK_ROWS)) for c in columns]
+            out[0].write(_csv_rows(chunk, parts))
+            if mirrored:
+                parts[1::2] = [list(map(_negated, c)) for c in parts[1::2]]
+                out[1].write(_csv_rows(chunk, parts))
+
+
+def _csv_rows(index: list, parts: list) -> str:
     # Pressure columns stop at n_p; their rows are padded with empty fields.
-    rows = itertools.zip_longest(map(str, range(n_vel)), *columns, fillvalue="")
-    lines = itertools.chain([_MODE_HEADER], map(", ".join, rows))
-    (directory / f"mode_{k}.csv").write_text("\n".join(lines) + "\n")
+    rows = itertools.zip_longest(index, *parts, fillvalue="")
+    return "".join(", ".join(row) + "\n" for row in rows)
 
 
 def read_stack(directory) -> FourierStack:

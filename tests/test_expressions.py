@@ -2,18 +2,22 @@
 
 import keyword
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axistokes import expressions, fem
 from axistokes.expressions import (
     ExpressionError,
     ExpressionField,
     compile_expression,
 )
 from axistokes.fourier import angular_grid, min_angular_samples
+from axistokes.meshing import generate_structured
+from axistokes.quadrature import quadrature_geometry
 
 
 def test_arithmetic_and_names():
@@ -256,3 +260,59 @@ def test_shared_sampling_samples_once():
     for k in range(-3, 4):
         for c, vals in enumerate(got[k]):
             np.testing.assert_array_equal(vals, field.mode(k)[c](r, z))
+
+
+_BLOCK_SOURCES = (
+    "r*z*(1 - r)/(1.5 - cos(theta - 0.3))",
+    "exp(r*cos(theta))*sin(z*theta) + r/(z - 0.5)",
+    "(1 + r)*z",
+)
+
+
+def _assembly_points(h):
+    mesh = generate_structured((1.0, 1.0), h)
+    R, Z, _ = quadrature_geometry(mesh, fem._ASSEMBLY_RULE)
+    return R, Z
+
+
+def test_blocked_sampling_is_bit_identical_to_one_pass(monkeypatch):
+    # Blocks of 3 points on 50 triangles x 7 points: the last block holds
+    # 2.  The FFT runs along each point's own row, so the blocks change no
+    # bit.  A point at z = 0.5 makes the second formula infinite there, so
+    # its coefficients are not finite.
+    n_theta = 32
+    r, z = _assembly_points(0.25)
+    r, z = r[:50], z[:50].copy()
+    z[3, 2] = 0.5
+    assert r.size % 3 == 2
+    ks = list(range(-7, 8))
+
+    def sample():
+        modes = ExpressionField(*_BLOCK_SOURCES, n_theta=n_theta).modes(ks)
+        return np.stack([[modes[k][c](r, z) for c in range(3)] for k in ks])
+
+    monkeypatch.setattr(expressions, "_BLOCK_SAMPLES", r.size * n_theta)
+    whole = sample()
+    monkeypatch.setattr(expressions, "_BLOCK_SAMPLES", 3 * n_theta + n_theta // 2)
+    blocked = sample()
+    assert not np.all(np.isfinite(whole))
+    assert blocked.tobytes() == whole.tobytes()
+
+
+def test_sampling_memory_does_not_grow_with_the_mesh():
+    # n_theta = 128 on the assembly points of h = 1/16 and 1/32 (3,584 and
+    # 14,336 points).  Sampling each formula on the whole grid at once
+    # peaked 17.5 and 70 MiB above the kept coefficients; blocks of
+    # _BLOCK_SAMPLES samples keep the rest at 1.3 MiB on both.
+    ks = list(range(25))
+    for h in (1 / 16, 1 / 32):
+        r, z = _assembly_points(h)
+        modes = ExpressionField(*_BLOCK_SOURCES, n_theta=128).modes(ks)
+        tracemalloc.start()
+        try:
+            modes[0][0](r, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = 3 * r.size * len(ks) * 16
+        assert peak - kept <= 4 * 2**20, f"h = {h}: {(peak - kept) / 2**20:.1f} MiB"

@@ -3,6 +3,7 @@
 import itertools
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,29 @@ def test_real_stack_formats_each_pair_once(monkeypatch):
     _assert_stack_bytes_match_reference(stack)
     assert len(counted) == 25
     assert {id(mv) for mv in counted} == {id(modes[k]) for k in range(25)}
+
+
+def test_write_stack_memory_does_not_grow_with_the_mode_size(tmp_path):
+    # Real data with modes 0 and 1 and mode -1 mirrored, at the P2 and P1
+    # dof counts of h = 1/64 and 1/128.  Formatting each whole file
+    # peaked at 13.3 and 52.8 MiB; rows a chunk at a time stay at 1.5 MiB.
+    rng = np.random.default_rng(27)
+    for n_vel, n_p in ((16641, 4225), (66049, 16641)):
+        u = rng.standard_normal((3, n_vel)) + 1j * rng.standard_normal((3, n_vel))
+        p = rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p)
+        modes = {
+            0: ModeVectors(u.real, p.real),
+            1: ModeVectors(u, p),
+            -1: ModeVectors(u.conj(), p.conj()),
+        }
+        stack = FourierStack(n_max=1, real_data=True, mesh_id="cafe01234567", modes=modes)
+        tracemalloc.start()
+        try:
+            write_stack(stack, tmp_path / f"stack_{n_vel}")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20, f"n_vel = {n_vel}: {peak / 2**20:.1f} MiB"
 
 
 def test_reconstruct_stack_frames_agree():

@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` replaces names of ``axistokes.cli`` and a few
 methods by spans; a rename of any of them makes that run fail.  This
 runs it on a tiny Uzawa solve, checks that each layer of a solve made
-its spans, and reads them with the benchmark's own ``layer_metrics``.  Nothing is written under ``perfbench/``.
+its spans, VTK output included, and reads them with the benchmark's own
+``layer_metrics``.  Nothing is written under ``perfbench/``.
 """
 
 import collections
@@ -35,10 +36,12 @@ method = uzawa
 
 [output]
 directory = out
+vtk = yes
+vtk_n_theta = 8
 """
 
 
-# The spans behind the per-layer metrics of a solve without VTK output.
+# The spans behind the per-layer metrics of a solve with VTK output.
 _SOLVE_SPANS = (
     "meshing.build",
     "fem.space",
@@ -50,6 +53,8 @@ _SOLVE_SPANS = (
     "solver.backsolve",
     "norms.mode_norm",
     "fourier.write_stack",
+    "fourier.reconstruct",
+    "vtk_export.write",
 )
 
 
@@ -79,3 +84,7 @@ def test_traced_solve_sees_factors_and_backsolves(tmp_path):
     metrics = tracing["layer_metrics"](doc)
     assert metrics["solver.factor_count"] > 0
     assert metrics["solver.backsolve_count"] > 0
+    # The writer reconstructs through the name the tracer wraps, so the
+    # reconstruction is traced inside the VTK span.
+    assert metrics["fourier.reconstruct_s"] > 0
+    assert metrics["vtk_export.bytes"] == (tmp_path / "out" / "field.vtk").stat().st_size
